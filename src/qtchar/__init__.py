@@ -10,15 +10,15 @@ from .charalg import (
     Character,
     LWeightView,
     Monomial,
+    Window,
     drinfeld_roots,
     monomial_to_lweight,
     parse_monomial,
     render_monomial,
-    y_exponents,
 )
 from .errors import QtCharError
 from .fm import audit_expansion, fundamental_qt, string_edges
-from .fusion import FactorSpec, bb_twist, standard_module_qt, twisted_product
+from .fusion import FactorSpec, standard_module_qt, twisted_product
 from .jordan import (
     JordanProfile,
     annotate_character,
@@ -28,7 +28,7 @@ from .jordan import (
     sigma,
     validate_poincare,
 )
-from .rootdata import RootDatum, build_root_datum, neighbors, parse_type
+from .rootdata import RootDatum, build_root_datum, parse_type
 from .sl2 import Segment, decompose_segments, ladder_character, sl2_simple_qt
 from .tpoly import TPoly
 
@@ -44,9 +44,9 @@ __all__ = [
     "RootDatum",
     "Segment",
     "TPoly",
+    "Window",
     "annotate_character",
     "audit_expansion",
-    "bb_twist",
     "build_root_datum",
     "decode",
     "decompose_segments",
@@ -55,7 +55,6 @@ __all__ = [
     "fundamental_qt",
     "ladder_character",
     "monomial_to_lweight",
-    "neighbors",
     "parse_monomial",
     "parse_type",
     "profile_from_blocks",
@@ -66,5 +65,4 @@ __all__ = [
     "string_edges",
     "twisted_product",
     "validate_poincare",
-    "y_exponents",
 ]

@@ -4,201 +4,206 @@ An l-weight is encoded by a monomial in formal variables Y_{i,c}, where i
 is a Dynkin node and c a spectral parameter.  Spectral parameters live on
 q-power orbits and are stored as (orbit, integer shift) pairs; the base
 point of each orbit stays symbolic, so parameters on distinct orbits never
-collide and no complex arithmetic is performed.
+collide and no complex arithmetic is performed.  Sparse exponent maps are
+keyed by (orbit, node, shift).
 
-Each monomial carries three sparse maps keyed by (orbit, node, shift):
-
-``w``
-    highest-weight exponents, i.e. the multiplicities of the Drinfeld
-    roots the monomial descends from;
-``v``
-    lowering exponents, one unit per inverse A-variable applied;
-``y``
-    the resulting Y-variable exponents, a pure function of (w, v).
-
-The A-variable convention is A_{i,n} = Y_{i,n-1} Y_{i,n+1} prod_{j~i}
-Y_{j,n}^{-1}, so one lowering step at (i, n) multiplies y by
-Y_{i,n-1}^{-1} Y_{i,n+1}^{-1} prod_{j~i} Y_{j,n}.
-
-Monomials compare and hash by their y map alone; (w, v) ride along as
-payload for the twisted fusion product.
+Every monomial of a character is its highest monomial Y^w times one
+inverse A-variable per unit of its lowering exponents v, with A_{i,n} =
+Y_{i,n-1} Y_{i,n+1} prod_{j~i} Y_{j,n}^{-1}.  All terms share ``w``, so a
+`Character` keeps it once, in its `Window`, and a `Monomial` is ``v``
+packed into one integer over the window's fields, with its sum ``vdeg``.
+A-variables are algebraically independent, so for a fixed ``w`` the
+vector ``v`` fixes the Y-exponents ``y``: monomials hash and compare on
+``v``, ``y`` is derived, and multiplying monomials is adding integers.
+Compare monomials within one character, or across equal ``w``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
+from itertools import compress
+from operator import sub
+from typing import NamedTuple
 
-from .errors import NodeOutOfRange, ParseError
+from .errors import OutsideWindow, ParseError, NodeOutOfRange
 from .rootdata import RootDatum
 from .tpoly import TPoly
 
 DEFAULT_ORBIT = "a"
 
-# Key type used in all sparse maps: (orbit, node, shift).
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def y_exponents(datum: RootDatum, w: dict, v: dict) -> dict:
-    """Y-exponent map from highest-weight and lowering data."""
-    y = {}
+class Monomial(NamedTuple):
+    """An l-weight label: packed lowering vector and lowering degree."""
 
-    def bump(key, delta):
-        val = y.get(key, 0) + delta
-        if val:
-            y[key] = val
-        else:
-            y.pop(key, None)
-
-    for key, mult in w.items():
-        if mult:
-            bump(key, mult)
-    for (orbit, i, n), mult in v.items():
-        if not mult:
-            continue
-        bump((orbit, i, n - 1), -mult)
-        bump((orbit, i, n + 1), -mult)
-        for j in datum.neighbors(i):
-            bump((orbit, j, n), mult)
-    return y
+    v: int
+    vdeg: int
 
 
-def _canonical_key(y: dict) -> tuple:
-    return tuple(sorted(y.items()))
+HIGHEST = Monomial(0, 0)
 
 
-class Monomial:
-    """An l-weight label: (w, v) data plus derived Y-exponents."""
+class Window:
+    """Dense (orbit, node, shift) fields of the monomials of one character
+    with highest-weight exponents ``w``.
 
-    __slots__ = ("datum", "w", "v", "y", "key", "vdeg", "_hash")
+    ``v`` lives on the shifts s+1 .. s+h-1 of each Y_{i,s} in ``w`` (h the
+    Coxeter number: every A-variable of V(Y_{i,s}) lies strictly between
+    s and s+h), merged into blocks; blocks over two shifts apart stay
+    apart.  Each (block, node) row spans one more shift at either end, the
+    range of ``y``, so ``y`` is computed on the packed integer: a one-field
+    shift moves v[i,n] to (i, n-1) or (i, n+1), and row copies move it to
+    the neighbours of i.  Fields hold ``bound``, the largest lowering
+    degree ``w`` allows.
+    """
 
-    def __init__(self, datum: RootDatum, w: dict, v: dict):
+    __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "_field",
+                 "_slot", "_code", "_nbytes", "_wpacked", "_rows", "_moves")
+
+    def __init__(self, datum: RootDatum, w: dict):
         self.datum = datum
-        self.w = {k: m for k, m in w.items() if m}
-        self.v = {k: m for k, m in v.items() if m}
-        self.y = y_exponents(datum, self.w, self.v)
-        self.key = _canonical_key(self.y)
-        self.vdeg = sum(self.v.values())
-        self._hash = hash(self.key)
-
-    @classmethod
-    def _raw(cls, datum, w, v, y, vdeg):
-        # Internal fast path: trusts that y matches (w, v).
-        self = cls.__new__(cls)
-        self.datum = datum
-        self.w = w
-        self.v = v
-        self.y = y
-        self.key = _canonical_key(y)
-        self.vdeg = vdeg
-        self._hash = hash(self.key)
-        return self
-
-    @classmethod
-    def highest(cls, datum: RootDatum, node: int, shift: int = 0,
-                orbit: str = DEFAULT_ORBIT) -> "Monomial":
-        """The dominant monomial Y_{node, orbit shift} (v = 0)."""
-        if not 1 <= node <= datum.rank:
-            raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
-        return cls(datum, {(orbit, node, shift): 1}, {})
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
-    def apply_lowering(self, i: int, shift: int,
-                       orbit: str = DEFAULT_ORBIT) -> "Monomial":
-        """Multiply by the inverse A-variable A_{i, orbit shift}^{-1}."""
-        v = dict(self.v)
-        k = (orbit, i, shift)
-        v[k] = v.get(k, 0) + 1
-        y = dict(self.y)
-
-        def bump(key, delta):
-            val = y.get(key, 0) + delta
-            if val:
-                y[key] = val
+        self.w = {k: m for k, m in sorted(w.items()) if m}
+        self.orbits = tuple(sorted({o for o, _i, _n in self.w}))
+        h = datum.coxeter_number
+        blocks: list = []  # [orbit, lowest shift, highest shift] of v
+        for o, _i, s in sorted(self.w, key=lambda key: (key[0], key[2])):
+            if blocks and blocks[-1][0] == o and s + 1 <= blocks[-1][2] + 2:
+                blocks[-1][2] = max(blocks[-1][2], s + h - 1)
             else:
-                y.pop(key, None)
+                blocks.append([o, s + 1, s + h - 1])
+        self.bound = sum(m * datum.lowest_depths[i - 1]
+                         for (_o, i, _n), m in self.w.items())
+        # a field holds v (<= bound), and w plus neighbouring v for y
+        need = max(self.w.values(), default=0) + self.bound
+        size = 1
+        while need >= 1 << 8 * size:
+            size *= 2
+        self.bits = b = 8 * size
+        self._code = _TYPECODES[size]
+        # (node, first field, (orbit, shift) keys) of each row
+        self._rows = []
+        self.keys = []
+        for o, lo, hi in blocks:
+            for i in datum.nodes:
+                row = [(o, n) for n in range(lo - 1, hi + 2)]
+                self._rows.append((i, len(self.keys), row))
+                self.keys += [(o, i, n) for o, n in row]
+        self._field = {key: k for k, key in enumerate(self.keys)}
+        self._slot = {(o, i, n): k for i, start, row in self._rows
+                      for k, (o, n) in enumerate(row[1:-1], start + 1)}
+        self._nbytes = size * len(self.keys)
+        self._wpacked = sum(m << b * self._field[key]
+                            for key, m in self.w.items())
+        self._moves = [
+            (b * k, (1 << b * len(row)) - 1,
+             [b * (k + (j - i) * len(row)) for j in datum.adjacency[i - 1]])
+            for i, k, row in self._rows]
 
-        bump((orbit, i, shift - 1), -1)
-        bump((orbit, i, shift + 1), -1)
-        for j in self.datum.neighbors(i):
-            bump((orbit, j, shift), 1)
-        return Monomial._raw(self.datum, self.w, v, y, self.vdeg + 1)
+    def slot(self, key) -> int | None:
+        """Field of an (orbit, node, shift) key ``v`` may occupy, or None."""
+        return self._slot.get(key)
 
-    def lowered_many(self, i: int, steps: dict) -> "Monomial":
-        """Apply A_{i, orbit shift}^{-1} with multiplicity for every
-        ((orbit, shift), mult) in ``steps``; order-free."""
-        v = dict(self.v)
-        y = dict(self.y)
-        vdeg = self.vdeg
-        adjacent = self.datum.neighbors(i)
+    def pack(self, v: dict) -> Monomial:
+        """The monomial with the lowering exponents of the map ``v``."""
+        packed = vdeg = 0
+        for key, a in v.items():
+            k = self._slot.get(key)
+            if k is None or a < 0:
+                raise OutsideWindow(f"v[{key}] = {a} is outside {self!r}")
+            packed += a << self.bits * k
+            vdeg += a
+        if vdeg > self.bound:
+            raise OutsideWindow(f"degree {vdeg} > {self.bound} in {self!r}")
+        return Monomial(packed, vdeg)
 
-        def bump(key, delta):
-            val = y.get(key, 0) + delta
-            if val:
-                y[key] = val
-            else:
-                y.pop(key, None)
-
-        for (orbit, n), mult in steps.items():
-            if not mult:
-                continue
-            k = (orbit, i, n)
-            v[k] = v.get(k, 0) + mult
-            vdeg += mult
-            bump((orbit, i, n - 1), -mult)
-            bump((orbit, i, n + 1), -mult)
-            for j in adjacent:
-                bump((orbit, j, n), mult)
-        return Monomial._raw(self.datum, self.w, v, y, vdeg)
-
-    def i_part(self, i: int) -> dict:
-        """Exponents of node i, as a map (orbit, shift) -> exponent."""
-        return {(o, n): e for (o, j, n), e in self.y.items() if j == i}
-
-    def is_i_dominant(self, i: int) -> bool:
-        return all(e >= 0 for (o, j, n), e in self.y.items() if j == i)
-
-    def is_dominant(self) -> bool:
-        return all(e >= 0 for e in self.y.values())
-
-    def shifted(self, delta: int) -> "Monomial":
-        """Translate every spectral shift by ``delta`` (all orbits)."""
-        w = {(o, i, n + delta): m for (o, i, n), m in self.w.items()}
-        v = {(o, i, n + delta): m for (o, i, n), m in self.v.items()}
-        y = {(o, i, n + delta): m for (o, i, n), m in self.y.items()}
-        return Monomial._raw(self.datum, w, v, y, self.vdeg)
-
-    def orbits(self) -> set:
-        out = {o for (o, _, _) in self.w}
-        out.update(o for (o, _, _) in self.v)
+    def fields(self, v: int) -> array:
+        """Every field of a packed vector, in slot order."""
+        out = array(self._code, v.to_bytes(self._nbytes, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
         return out
 
-    def __str__(self):
-        return render_monomial(self.y)
+    def v(self, m: Monomial) -> dict:
+        """Lowering exponents of m as a map (orbit, node, shift) -> mult."""
+        f = self.fields(m.v)
+        return dict(zip(compress(self.keys, f), filter(None, f)))
+
+    def _ydense(self, m: Monomial) -> list:
+        # y = w + (v moved to the neighbours) - (v moved up and down)
+        v, b = m.v, self.bits
+        plus = self._wpacked
+        for start, mask, targets in self._moves:
+            row = v >> start & mask
+            if row:
+                for offset in targets:
+                    plus += row << offset
+        minus = (v >> b) + (v << b)
+        return list(map(sub, self.fields(plus), self.fields(minus)))
+
+    def y(self, m: Monomial) -> dict:
+        """Y-exponents of m, in sorted key order."""
+        y = self._ydense(m)
+        return dict(zip(compress(self.keys, y), filter(None, y)))
+
+    def text(self, m: Monomial) -> str:
+        return render_monomial(self.y(m))
+
+    def parts(self, m: Monomial) -> dict:
+        """Y-exponents of m per node: node -> {(orbit, shift): exponent}."""
+        y = self._ydense(m)
+        out: dict = {}
+        for i, start, keys in self._rows:
+            row = y[start:start + len(keys)]
+            if any(row):
+                part = zip(compress(keys, row), filter(None, row))
+                out.setdefault(i, {}).update(part)
+        return out
+
+    def lowered(self, m: Monomial, i: int, steps: dict) -> Monomial:
+        """m times A_{i, orbit n}^{-mult} for each ((orbit, n), mult)."""
+        v = self.v(m)
+        for (o, n), a in steps.items():
+            v[o, i, n] = v.get((o, i, n), 0) + a
+        return self.pack(v)
+
+    def shifted(self, delta: int) -> "Window":
+        """The window of w shifted by ``delta``; packed v carry over."""
+        return Window(self.datum, {(o, i, n + delta): m
+                                   for (o, i, n), m in self.w.items()})
+
+    def solve(self, y: dict) -> Monomial | None:
+        """The monomial with Y-exponents ``y``, or None: solves (y-w)[i,s]
+        = -v[i,s+1] - v[i,s-1] + sum_{j~i} v[j,s] upward in s, then checks
+        that v is a lowering vector of the window and gives all of y."""
+        d = [0] * len(self.keys)
+        for key, e in y.items():
+            if key not in self._field:
+                return None
+            d[self._field[key]] = e
+        w = self.fields(self._wpacked)
+        v = [0] * len(self.keys)  # each row's end fields stay 0
+        rank, adjacency = self.datum.rank, self.datum.adjacency
+        for first in range(0, len(self._rows), rank):
+            block = self._rows[first:first + rank]
+            span = len(block[0][2])
+            for t in range(span - 2):
+                for i, start, _row in block:
+                    k = start + t
+                    near = sum(v[k + (j - i) * span] for j in adjacency[i - 1])
+                    v[k + 1] = a = w[k] - d[k] - v[k - 1] + near
+                    if a < 0:
+                        return None
+        if sum(v) > self.bound:
+            return None
+        m = self.pack({key: a for key, a in zip(self.keys, v) if a})
+        return m if self.y(m) == y else None
 
     def __repr__(self):
-        return f"Monomial({render_monomial(self.y) or '1'})"
-
-
-def merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two l-weights: componentwise sums of (w, v, y)."""
-    w = dict(m1.w)
-    for k, m in m2.w.items():
-        w[k] = w.get(k, 0) + m
-    v = dict(m1.v)
-    for k, m in m2.v.items():
-        v[k] = v.get(k, 0) + m
-    y = dict(m1.y)
-    for k, e in m2.y.items():
-        val = y.get(k, 0) + e
-        if val:
-            y[k] = val
-        else:
-            y.pop(k, None)
-    return Monomial._raw(m1.datum, w, v, y, m1.vdeg + m2.vdeg)
+        return (f"Window({self.datum.family}{self.datum.rank}, "
+                f"w={render_monomial(self.w)})")
 
 
 # -- text format -------------------------------------------------------
@@ -262,53 +267,47 @@ def render_monomial(y: dict) -> str:
 
 
 class Character:
-    """Finite map Monomial -> TPoly with a distinguished highest monomial."""
+    """Finite map Monomial -> TPoly over one window; the highest monomial
+    is HIGHEST, the one with v = 0."""
 
-    __slots__ = ("datum", "highest", "terms")
+    __slots__ = ("window", "datum", "w", "terms")
 
-    def __init__(self, datum: RootDatum, highest: Monomial, terms: dict):
-        self.datum = datum
-        self.highest = highest
+    def __init__(self, window: Window, terms: dict):
+        self.window = window
+        self.datum = window.datum
+        self.w = window.w
         self.terms = terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, TPoly]]:
-        """Terms in canonical order: lowering degree, then monomial key."""
-        return sorted(self.terms.items(), key=lambda mv: (mv[0].vdeg, mv[0].key))
+    def sorted_terms(self) -> list[tuple[Monomial, dict, TPoly]]:
+        """(monomial, y, coefficient) by lowering degree, then sorted y."""
+        y = self.window.y
+        rows = [(m, y(m), c) for m, c in self.terms.items()]
+        rows.sort(key=lambda row: (row[0].vdeg, tuple(row[1].items())))
+        return rows
 
     def coefficient(self, text: str) -> TPoly:
         """Coefficient of the monomial given in text form (0 if absent)."""
-        key = _canonical_key(parse_monomial(text, self.datum))
-        for m, c in self.terms.items():
-            if m.key == key:
-                return c
-        return TPoly.zero()
+        c = self.terms.get(self.window.solve(parse_monomial(text, self.datum)))
+        return TPoly.zero() if c is None else c
 
     def mass_at_t1(self) -> int:
         """Total dimension: sum of all coefficients evaluated at t = 1."""
         return sum(c.mass() for c in self.terms.values())
 
     def shifted(self, delta: int) -> "Character":
-        terms = {m.shifted(delta): c for m, c in self.terms.items()}
-        return Character(self.datum, self.highest.shifted(delta), terms)
-
-    def orbits(self) -> list[str]:
-        out = set()
-        for m in self.terms:
-            out.update(m.orbits())
-        return sorted(out)
+        return Character(self.window.shifted(delta), dict(self.terms))
 
     def __len__(self):
         return len(self.terms)
 
     def __repr__(self):
         return (f"Character({self.datum.family}{self.datum.rank}, "
-                f"highest={self.highest!r}, {len(self.terms)} terms)")
+                f"highest={render_monomial(self.w)}, {len(self.terms)} terms)")
 
 
 def trivial_character(datum: RootDatum) -> Character:
     """The character of the trivial module: the identity monomial alone."""
-    one = Monomial(datum, {}, {})
-    return Character(datum, one, {one: TPoly.one()})
+    return Character(Window(datum, {}), {HIGHEST: TPoly.one()})
 
 
 # -- l-weight and Drinfeld views ---------------------------------------
@@ -346,10 +345,11 @@ class LWeightView:
         return y
 
 
-def monomial_to_lweight(m: Monomial) -> LWeightView:
+def monomial_to_lweight(y: dict) -> LWeightView:
+    """The l-weight view of a Y-exponent map."""
     num: dict = {}
     den: dict = {}
-    for (orbit, node, shift), exp in m.y.items():
+    for (orbit, node, shift), exp in y.items():
         side = num if exp > 0 else den
         side.setdefault(node, []).extend([(orbit, shift)] * abs(exp))
     for table in (num, den):
@@ -366,9 +366,8 @@ def drinfeld_roots(chi: Character) -> dict:
     generating-series normalization is a display convention and is not
     applied to the shifts.
     """
-    assert not chi.highest.v, "highest monomial must have no lowering data"
     roots: dict = {i: [] for i in chi.datum.nodes}
-    for (orbit, node, shift), mult in chi.highest.w.items():
+    for (orbit, node, shift), mult in chi.w.items():
         roots[node].extend([(orbit, shift)] * mult)
     for node in roots:
         roots[node].sort()

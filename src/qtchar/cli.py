@@ -21,10 +21,11 @@ import sys
 
 from . import fixtures as fixture_store
 from . import jordan, serialize
-from .charalg import render_monomial, y_exponents
+from .charalg import HIGHEST, render_monomial
 from .errors import (
     DepthExceeded,
     InconsistentExpansion,
+    MixedHighestWeight,
     NegativeTwist,
     NodeOutOfRange,
     NonMinuscule,
@@ -85,13 +86,13 @@ def render_dot(chi) -> str:
     edges are the lowering steps interior to the expansion strings,
     labelled by direction."""
     lines = ["digraph character {", "  rankdir=TB;", "  node [shape=box];"]
-    for m, coeff in chi.sorted_terms():
-        text = render_monomial(m.y)
+    texts = {}
+    for m, y, coeff in chi.sorted_terms():
+        texts[m] = text = render_monomial(y)
         label = text if coeff == 1 else f"({coeff}) {text}"
         lines.append(f'  "{text}" [label="{label}"];')
     for src, dst, i, _step in string_edges(chi):
-        lines.append(f'  "{render_monomial(src.y)}" -> '
-                     f'"{render_monomial(dst.y)}" [label="{i}"];')
+        lines.append(f'  "{texts[src]}" -> "{texts[dst]}" [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -99,8 +100,8 @@ def render_dot(chi) -> str:
 def render_text(chi, annotations=None) -> str:
     """Tab-separated rows: monomial, coefficient, dimension[, blocks]."""
     rows = []
-    for m, coeff in chi.sorted_terms():
-        row = [render_monomial(m.y), str(coeff), str(coeff.mass())]
+    for m, y, coeff in chi.sorted_terms():
+        row = [render_monomial(y), str(coeff), str(coeff.mass())]
         if annotations is not None:
             row.append(",".join(str(b) for b in annotations[m].blocks))
         rows.append("\t".join(row))
@@ -143,21 +144,20 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    chi = serialize.character_from_doc(_read_doc(args.input))
+    try:
+        chi = serialize.character_from_doc(_read_doc(args.input))
+    except MixedHighestWeight as err:
+        for text in err.monomials:
+            print(f"FAIL {text}: w differs from the highest monomial")
+        return VALIDATION_ERROR
     problems = []
-    if chi.terms.get(chi.highest) != 1:
+    if chi.terms.get(HIGHEST) != 1:
         problems.append("highest monomial does not have coefficient 1")
-    for m, coeff in chi.sorted_terms():
-        text = render_monomial(m.y)
-        if m.w != chi.highest.w:
-            problems.append(f"{text}: w differs from the highest monomial")
-        if y_exponents(chi.datum, m.w, m.v) != m.y:
-            problems.append(f"{text}: stored exponents are not the "
-                            f"A-expansion of (w, v)")
+    for _m, y, coeff in chi.sorted_terms():
         report = jordan.validate_poincare(coeff)
         if not report:
             problems.append(
-                f"{text}: coefficient {coeff} fails "
+                f"{render_monomial(y)}: coefficient {coeff} fails "
                 f"{', '.join(report.violations)}")
     if problems:
         for line in problems:
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, NodeOutOfRange, UnsupportedType,
-            json.JSONDecodeError, FileNotFoundError, KeyError) as err:
+            json.JSONDecodeError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (InconsistentExpansion, NonMinuscule, DepthExceeded,

@@ -19,7 +19,8 @@ class NodeOutOfRange(QtCharError):
 
 
 class ParseError(QtCharError):
-    """Malformed monomial text; carries the offending factor position."""
+    """Malformed monomial text or character document; carries the
+    offending factor position when there is one."""
 
     def __init__(self, message, position=None):
         super().__init__(message)
@@ -39,6 +40,21 @@ class NonMinuscule(QtCharError):
 
 class DepthExceeded(QtCharError):
     """The expansion ran past the configured lowering-degree cap."""
+
+
+class OutsideWindow(QtCharError):
+    """A lowering vector leaves its character's window: a shift outside
+    the window, a negative exponent, or a lowering degree past the bound
+    the highest weight allows."""
+
+
+class MixedHighestWeight(ParseError):
+    """Terms of a character document do not share the highest monomial's
+    w; ``monomials`` lists their texts."""
+
+    def __init__(self, message, monomials=()):
+        super().__init__(message)
+        self.monomials = tuple(monomials)
 
 
 class NegativeTwist(QtCharError):

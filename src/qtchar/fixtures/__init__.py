@@ -62,7 +62,7 @@ def verify_fixture(doc: dict, depth_cap: int = 300) -> list[str]:
 
     expected = {canon(t["monomial"]): TPoly.from_pairs(t["coeff"])
                 for t in doc["terms"]}
-    computed = {render_monomial(m.y): c for m, c in chi.terms.items()}
+    computed = {chi.window.text(m): c for m, c in chi.terms.items()}
 
     mismatches = []
     for text, coeff in expected.items():
@@ -78,7 +78,8 @@ def verify_fixture(doc: dict, depth_cap: int = 300) -> list[str]:
 
     if "edges" in doc:
         want = {(canon(a), canon(b), i) for a, b, i in doc["edges"]}
-        got = {(render_monomial(src.y), render_monomial(dst.y), i)
+        text = chi.window.text
+        got = {(text(src), text(dst), i)
                for src, dst, i, _step in string_edges(chi)}
         for edge in sorted(want - got):
             mismatches.append(f"missing edge {edge[0]} -> {edge[1]} "

@@ -22,9 +22,16 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from operator import attrgetter
 
-from .charalg import Character, Monomial
-from .errors import DepthExceeded, InconsistentExpansion, NonMinuscule
+from .charalg import HIGHEST, Character, Monomial, Window
+from .errors import (
+    DepthExceeded,
+    InconsistentExpansion,
+    NodeOutOfRange,
+    NonMinuscule,
+    OutsideWindow,
+)
 from .rootdata import RootDatum
 from .sl2 import sl2_simple_qt
 from .tpoly import TPoly
@@ -42,36 +49,42 @@ def _ipart_roots(ipart: dict) -> tuple:
     return tuple(sorted(roots))
 
 
-def _template_images(m: Monomial, i: int, template: Character):
-    """Embed a rank-one template at monomial m in direction i.
-
-    Yields (template monomial, host image) for every template term, the
-    template highest mapping to m itself.
-    """
-    for tm in template.terms:
-        if tm.vdeg == 0:
-            yield tm, m
-            continue
-        steps = {(orbit, n): mult for (orbit, _one, n), mult in tm.v.items()}
-        yield tm, m.lowered_many(i, steps)
+def _string(window: Window, i: int, roots: tuple, cache: dict) -> list:
+    """The rank-one template of ``roots`` embedded in direction i, as
+    (packed lowering, template monomial, template coefficient) triples;
+    adding the lowering to a host monomial gives the image of the template
+    monomial, the template highest mapping to the host itself."""
+    out = cache.get((i, roots))
+    if out is None:
+        template = sl2_simple_qt(roots)
+        tv = template.window.v
+        try:
+            out = [(window.pack({(o, i, n): a for (o, _node, n), a
+                                 in tv(tm).items()}), tm, c)
+                   for tm, c in template.terms.items()]
+        except OutsideWindow as err:
+            raise InconsistentExpansion(
+                f"direction {i}: the string of {roots} leaves the "
+                f"window: {err}") from err
+        cache[(i, roots)] = out
+    return out
 
 
 @lru_cache(maxsize=None)
 def _template_step_pairs(root_tuple: tuple) -> tuple:
     """Single lowering steps between members of one rank-one template,
-    as (source key, target key, (orbit, shift)) triples."""
+    as (source, target, (orbit, shift)) triples of template monomials."""
     template = sl2_simple_qt(root_tuple)
-    keys = {tm.key for tm in template.terms}
-    orbits = sorted({o for (o, _s) in root_tuple})
-    lo = min(n for tm in template.terms for (_o, _1, n) in tm.y) - 1
-    hi = max(n for tm in template.terms for (_o, _1, n) in tm.y) + 1
+    window = template.window
     pairs = []
     for tm in template.terms:
-        for orbit in orbits:
-            for n in range(lo, hi + 1):
-                t2 = tm.apply_lowering(1, n, orbit)
-                if t2.key in keys:
-                    pairs.append((tm.key, t2.key, (orbit, n)))
+        for orbit, _one, n in window.keys:
+            try:
+                t2 = window.lowered(tm, 1, {(orbit, n): 1})
+            except OutsideWindow:
+                continue
+            if t2 in template.terms:
+                pairs.append((tm, t2, (orbit, n)))
     return tuple(pairs)
 
 
@@ -85,71 +98,132 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     InconsistentExpansion if the per-direction bookkeeping disagrees, and
     DepthExceeded past ``depth_cap`` lowering steps.
     """
-    highest = Monomial.highest(datum, node, shift, orbit)
-    hkey = highest.key
-    monomials: dict[tuple, Monomial] = {hkey: highest}
-    result: dict[tuple, TPoly] = {hkey: TPoly.one()}
-    ledgers: dict[int, dict[tuple, TPoly]] = {i: {} for i in datum.nodes}
-    heap: list[tuple[int, tuple]] = [(0, hkey)]
-    enqueued = {hkey}
+    if not 1 <= node <= datum.rank:
+        raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
+    window = Window(datum, {(orbit, node, shift): 1})
+    result: dict[Monomial, TPoly] = {HIGHEST: TPoly.one()}
+    ledgers: dict[int, dict[Monomial, TPoly]] = {i: {} for i in datum.nodes}
+    heap: list[tuple[int, int]] = [(0, 0)]
+    enqueued = {HIGHEST}
+    strings: dict = {}
 
     while heap:
-        _vdeg, key = heapq.heappop(heap)
-        m = monomials[key]
+        vdeg, v = heapq.heappop(heap)
+        m = Monomial(v, vdeg)
+        parts = window.parts(m)
 
-        if key == hkey:
-            coeff = result[hkey]
+        if m == HIGHEST:
+            coeff = result[m]
         else:
-            negative = sorted({j for (_o, j, _n), e in m.y.items() if e < 0})
+            negative = sorted(j for j, part in parts.items()
+                              if min(part.values()) < 0)
             if not negative:
                 raise NonMinuscule(
-                    f"second dominant monomial {m!r}; the expansion only "
-                    f"applies to modules with a single dominant l-weight")
-            coeff = ledgers[negative[0]].get(key, _ZERO)
+                    f"second dominant monomial {window.text(m)}; the "
+                    f"expansion only applies to modules with a single "
+                    f"dominant l-weight")
+            coeff = ledgers[negative[0]].get(m, _ZERO)
             for i in negative[1:]:
-                if ledgers[i].get(key, _ZERO) != coeff:
+                if ledgers[i].get(m, _ZERO) != coeff:
                     raise InconsistentExpansion(
                         f"directions {negative[0]} and {i} disagree on the "
-                        f"coefficient of {m!r}")
-            result[key] = coeff
+                        f"coefficient of {window.text(m)}")
+            result[m] = coeff
 
         for i in datum.nodes:
-            residual = coeff - ledgers[i].get(key, _ZERO)
+            ledger = ledgers[i]
+            residual = coeff - ledger.get(m, _ZERO)
             if not residual:
                 continue
-            ipart = m.i_part(i)
-            if any(e < 0 for e in ipart.values()):
+            ipart = parts.get(i)
+            if ipart and min(ipart.values()) < 0:
                 raise InconsistentExpansion(
                     f"unexplained mass {residual} in direction {i} at the "
-                    f"non-dominant monomial {m!r}")
+                    f"non-dominant monomial {window.text(m)}")
             if not residual.is_positive():
                 raise InconsistentExpansion(
-                    f"negative residual {residual} in direction {i} at {m!r}")
-            ledgers[i][key] = coeff
+                    f"negative residual {residual} in direction {i} at "
+                    f"{window.text(m)}")
+            ledger[m] = coeff
             if not ipart:
                 continue
-            template = sl2_simple_qt(_ipart_roots(ipart))
-            ledger = ledgers[i]
-            for tm, img in _template_images(m, i, template):
-                if tm.vdeg == 0:
+            for d, _tm, tc in _string(window, i, _ipart_roots(ipart),
+                                      strings):
+                if not d.vdeg:
                     continue
-                if img.vdeg > depth_cap:
+                ivdeg = vdeg + d.vdeg
+                if ivdeg > depth_cap:
                     raise DepthExceeded(
-                        f"lowering degree {img.vdeg} exceeds cap {depth_cap}")
-                contrib = residual * template.terms[tm]
-                ikey = img.key
-                ledger[ikey] = ledger.get(ikey, _ZERO) + contrib
-                if ikey not in monomials:
-                    monomials[ikey] = img
-                if ikey not in enqueued:
-                    enqueued.add(ikey)
-                    heapq.heappush(heap, (img.vdeg, ikey))
+                        f"lowering degree {ivdeg} exceeds cap {depth_cap}")
+                if ivdeg > window.bound:
+                    raise InconsistentExpansion(
+                        f"lowering degree {ivdeg} passes the lowest weight "
+                        f"(degree {window.bound})")
+                img = Monomial(v + d.v, ivdeg)
+                ledger[img] = ledger.get(img, _ZERO) + residual * tc
+                if img not in enqueued:
+                    enqueued.add(img)
+                    heapq.heappush(heap, (ivdeg, img.v))
 
-    terms = {monomials[k]: c for k, c in result.items() if c}
-    chi = Character(datum, highest, terms)
+    terms = {m: c for m, c in result.items() if c}
+    chi = Character(window, terms)
     if audit:
         audit_expansion(chi)
     return chi
+
+
+def _peel(chi: Character, i: int, order: list, parts: dict, strings: dict):
+    """decompose_direction, given the terms ``order``ed by lowering degree
+    and their Y-exponents per node."""
+    window = chi.window
+    residue = dict(chi.terms)
+    sites = []
+    edges = []
+    for m in order:
+        c = residue[m]
+        if not c:
+            continue
+        ipart = parts[m].get(i)
+        if ipart and min(ipart.values()) < 0:
+            raise InconsistentExpansion(
+                f"direction {i}: leftover mass {c} at non-dominant "
+                f"{window.text(m)}")
+        if not c.is_positive():
+            raise InconsistentExpansion(
+                f"direction {i}: negative peel coefficient {c} at "
+                f"{window.text(m)}")
+        sites.append((m, c))
+        if not ipart:
+            residue[m] = _ZERO
+            continue
+        roots = _ipart_roots(ipart)
+        images = {}
+        for d, tm, tc in _string(window, i, roots, strings):
+            img = Monomial(m.v + d.v, m.vdeg + d.vdeg)
+            if img.vdeg > window.bound or img not in residue:
+                raise InconsistentExpansion(
+                    f"direction {i}: a string monomial expected below "
+                    f"{window.text(m)} is missing from the character")
+            images[tm] = img
+            residue[img] = residue[img] - c * tc
+        for src, dst, step in _template_step_pairs(roots):
+            edges.append((images[src], images[dst], i, step))
+    leftovers = [m for m, c in residue.items() if c]
+    if leftovers:
+        raise InconsistentExpansion(
+            f"direction {i}: decomposition does not close; leftover mass at "
+            f"{window.text(leftovers[0])}")
+    return sites, edges
+
+
+def _decompositions(chi: Character, nodes):
+    """Yield decompose_direction(chi, i) for each i in ``nodes``, sharing
+    the per-term work between directions."""
+    order = sorted(chi.terms, key=attrgetter("vdeg"))
+    parts = {m: chi.window.parts(m) for m in order}
+    strings: dict = {}
+    for i in nodes:
+        yield _peel(chi, i, order, parts, strings)
 
 
 def decompose_direction(chi: Character, i: int):
@@ -163,50 +237,14 @@ def decompose_direction(chi: Character, i: int):
 
     Raises InconsistentExpansion if no such decomposition exists.
     """
-    index = {m.key: m for m in chi.terms}
-    residue = {m.key: c for m, c in chi.terms.items()}
-    sites = []
-    edges = []
-    for m, _full in chi.sorted_terms():
-        c = residue.get(m.key, _ZERO)
-        if not c:
-            continue
-        if not m.is_i_dominant(i):
-            raise InconsistentExpansion(
-                f"direction {i}: leftover mass {c} at non-dominant {m!r}")
-        if not c.is_positive():
-            raise InconsistentExpansion(
-                f"direction {i}: negative peel coefficient {c} at {m!r}")
-        sites.append((m, c))
-        ipart = m.i_part(i)
-        if not ipart:
-            residue[m.key] = _ZERO
-            continue
-        roots = _ipart_roots(ipart)
-        template = sl2_simple_qt(roots)
-        images = {}
-        for tm, img in _template_images(m, i, template):
-            if img.key not in index:
-                raise InconsistentExpansion(
-                    f"direction {i}: string monomial {img!r} expected below "
-                    f"{m!r} is missing from the character")
-            images[tm.key] = index[img.key]
-            residue[img.key] = residue.get(img.key, _ZERO) - c * template.terms[tm]
-        for src_key, dst_key, step in _template_step_pairs(roots):
-            edges.append((images[src_key], images[dst_key], i, step))
-    leftovers = [index[k] for k, c in residue.items() if c]
-    if leftovers:
-        raise InconsistentExpansion(
-            f"direction {i}: decomposition does not close; leftover mass at "
-            f"{leftovers[0]!r}")
-    return sites, edges
+    return next(_decompositions(chi, [i]))
 
 
 def audit_expansion(chi: Character) -> None:
     """Verify that every direction's decomposition of the character exists
     with nonnegative coefficients; hard error otherwise."""
-    for i in chi.datum.nodes:
-        decompose_direction(chi, i)
+    for _decomposition in _decompositions(chi, chi.datum.nodes):
+        pass
 
 
 def string_edges(chi: Character) -> list:
@@ -215,12 +253,11 @@ def string_edges(chi: Character) -> list:
     a printed character graph shows."""
     seen = set()
     out = []
-    for i in chi.datum.nodes:
-        _sites, edges = decompose_direction(chi, i)
-        for (src, dst, node, step) in edges:
-            tag = (src.key, dst.key, node, step)
-            if tag not in seen:
-                seen.add(tag)
-                out.append((src, dst, node, step))
-    out.sort(key=lambda e: (e[0].vdeg, e[0].key, e[2], e[1].key))
+    for _sites, edges in _decompositions(chi, chi.datum.nodes):
+        for edge in edges:
+            if edge not in seen:
+                seen.add(edge)
+                out.append(edge)
+    key = {m: tuple(chi.window.y(m).items()) for m in chi.terms}
+    out.sort(key=lambda e: (e[0].vdeg, key[e[0]], e[2], key[e[1]]))
     return out

@@ -27,12 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charalg import (
-    DEFAULT_ORBIT,
-    Character,
-    Monomial,
-    merge_monomials,
-)
+from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
 from .errors import NegativeTwist, QtCharError
 from .rootdata import RootDatum
 from .tpoly import TPoly
@@ -56,25 +51,64 @@ def as_factor(spec) -> FactorSpec:
     return FactorSpec(*spec)
 
 
-def bb_twist(datum: RootDatum, m1: Monomial, m2: Monomial) -> int:
-    """Rank of the positive attracting block for the ordered pair
-    (earlier factor monomial, later factor monomial)."""
-    w2, v2 = m2.w, m2.v
-    p = 0
-    for (orbit, i, n), a in m1.w.items():
-        p += a * v2.get((orbit, i, n - 1), 0)
-    for (orbit, j, n), a in m1.v.items():
-        p += a * (
-            w2.get((orbit, j, n - 1), 0)
-            - v2.get((orbit, j, n), 0)
-            - v2.get((orbit, j, n - 2), 0)
-        )
-        for i in datum.neighbors(j):
-            p += a * v2.get((orbit, i, n - 1), 0)
-    if p < 0:
-        raise NegativeTwist(
-            f"negative attracting rank {p} for pair ({m1!r}, {m2!r})")
-    return p
+def twist_rows(chi1: Character, chi2: Character):
+    """The twist p(m1, m2) of every pair of terms, one row per term of chi1.
+
+    Both characters are re-embedded once into the window of w1 + w2.  For
+    a fixed m1 the form is affine in v2, p = c(m1) + u(m1).v2, with
+
+        c(m1) = sum of v1[j,n] w2[j,n-1]
+        u(m1)[i,n] = w1[i,n+1] - v1[i,n] - v1[i,n+2] + sum_{j~i} v1[j,n+1]
+
+    Returns (window, right, rows): ``right`` lists (v2, vdeg2, c2) for the
+    terms of chi2, packed in the window, and ``rows`` yields (v1, vdeg1,
+    c1, ps) for each term of chi1, where ps[k] is the twist against
+    right[k].  Raises NegativeTwist on a pair with p < 0.
+    """
+    datum = chi1.datum
+    w1, w2 = chi1.w, chi2.w
+    w = dict(w1)
+    for key, a in w2.items():
+        w[key] = w.get(key, 0) + a
+    window = Window(datum, w)
+    slot, bits = window.slot, window.bits
+    u0 = [w1.get((o, i, n + 1), 0) for o, i, n in window.keys]
+    w2_below = [w2.get((o, i, n - 1), 0) for o, i, n in window.keys]
+    pairing = []
+    for o, j, n in window.keys:
+        row = [(slot((o, j, n)), -1), (slot((o, j, n - 2)), -1)]
+        row += [(slot((o, i, n - 1)), 1) for i in datum.adjacency[j - 1]]
+        pairing.append(tuple((k, s) for k, s in row if k is not None))
+
+    def embed(chi):
+        src = chi.window
+        moved = [slot(key) for key in src.keys]
+        for m, c in chi.terms.items():
+            nz = [(moved[k], a) for k, a in enumerate(src.fields(m.v)) if a]
+            yield m, sum(a << bits * k for k, a in nz), c, nz
+
+    right = []
+    dots = []  # fields of v2, each repeated by its exponent
+    for m2, v2, c2, nz in embed(chi2):
+        right.append((v2, m2.vdeg, c2))
+        dots.append(tuple(k for k, a in nz for _ in range(a)))
+
+    def rows():
+        for m1, v1, c1, nz in embed(chi1):
+            c = sum(a * w2_below[k] for k, a in nz)
+            u = u0[:]
+            for k, a in nz:
+                for k2, s in pairing[k]:
+                    u[k2] += s * a
+            ps = [c + sum(map(u.__getitem__, ks)) for ks in dots]
+            if min(ps, default=0) < 0:
+                m2 = list(chi2.terms)[ps.index(min(ps))]
+                raise NegativeTwist(
+                    f"negative attracting rank {min(ps)} for pair "
+                    f"({chi1.window.text(m1)}, {chi2.window.text(m2)})")
+            yield v1, m1.vdeg, c1, ps
+
+    return window, right, rows()
 
 
 def twisted_product(datum: RootDatum, chi1: Character,
@@ -82,22 +116,24 @@ def twisted_product(datum: RootDatum, chi1: Character,
     """Fuse two characters: coefficient of a product monomial is the sum
     over factorizations of t^{2p} times the product of factor coefficients."""
     assert chi1.datum == chi2.datum == datum
-    index: dict[Monomial, Monomial] = {}
-    terms: dict[Monomial, TPoly] = {}
-    for m1, c1 in chi1.terms.items():
-        for m2, c2 in chi2.terms.items():
-            p = bb_twist(datum, m1, m2)
-            m = merge_monomials(m1, m2)
-            contrib = (c1 * c2).shifted(2 * p)
-            canon = index.setdefault(m, m)
-            if canon is m:
-                terms[m] = contrib
-            else:
-                # equal y within one character forces equal (w, v) payloads
-                assert canon.w == m.w and canon.v == m.v
-                terms[canon] = terms[canon] + contrib
-    highest = merge_monomials(chi1.highest, chi2.highest)
-    return Character(datum, highest, terms)
+    window, right, rows = twist_rows(chi1, chi2)
+    acc: dict[int, tuple[int, dict]] = {}
+    for v1, vdeg1, c1, ps in rows:
+        items1 = c1.c.items()
+        for (v2, vdeg2, c2), p in zip(right, ps):
+            v = v1 + v2
+            entry = acc.get(v)
+            if entry is None:
+                entry = acc[v] = (vdeg1 + vdeg2, {})
+            coeffs = entry[1]
+            shift = 2 * p
+            for e2, a2 in c2.c.items():
+                for e1, a1 in items1:
+                    e = e1 + e2 + shift
+                    coeffs[e] = coeffs.get(e, 0) + a1 * a2
+    terms = {Monomial(v, vdeg): TPoly.from_dict(coeffs)
+             for v, (vdeg, coeffs) in acc.items()}
+    return Character(window, terms)
 
 
 def standard_module_qt(datum: RootDatum, factors, depth_cap: int = 200,

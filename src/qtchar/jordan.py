@@ -174,9 +174,10 @@ def encode(profile: JordanProfile) -> TPoly:
 def annotate_character(chi) -> dict:
     """Decode every coefficient of a character; keys are its monomials."""
     out = {}
-    for m, c in chi.sorted_terms():
+    for m, c in chi.terms.items():
         try:
             out[m] = decode(c)
         except QtCharError as err:
-            raise err.__class__(f"monomial {m}: {err}") from err
+            raise err.__class__(
+                f"monomial {chi.window.text(m)}: {err}") from err
     return out

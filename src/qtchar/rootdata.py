@@ -14,6 +14,7 @@ the worked character tables shipped as fixtures:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NodeOutOfRange, UnsupportedType
 
@@ -42,6 +43,39 @@ class RootDatum:
     @property
     def nodes(self) -> range:
         return range(1, self.rank + 1)
+
+    @property
+    def coxeter_number(self) -> int:
+        """h: every A-variable of V(Y_{i,s}) has its shift in (s, s+h)."""
+        if self.family == "A":
+            return self.rank + 1
+        if self.family == "D":
+            return 2 * self.rank - 2
+        return {6: 12, 7: 18, 8: 30}[self.rank]
+
+    @cached_property
+    def lowest_depths(self) -> tuple[int, ...]:
+        """Lowering degree of the lowest monomial of each V(Y_{i,s}).
+
+        That is the sum of the simple-root coefficients of omega_i +
+        omega_ibar, i.e. twice the height of omega_i: twice the i-th entry
+        of C^{-1} (1, ..., 1), solved exactly.
+        """
+        from fractions import Fraction  # only needed once per datum
+
+        n = self.rank
+        rows = [[Fraction(x) for x in row] + [Fraction(2)]
+                for row in self.cartan]
+        for col in range(n):
+            pivot = next(r for r in range(col, n) if rows[r][col])
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            lead = rows[col][col]
+            rows[col] = [x / lead for x in rows[col]]
+            for r in range(n):
+                if r != col and rows[r][col]:
+                    f = rows[r][col]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+        return tuple(int(row[n]) for row in rows)
 
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
@@ -94,7 +128,3 @@ def parse_type(text: str) -> RootDatum:
         raise UnsupportedType(f"cannot parse Dynkin type {text!r}")
     return build_root_datum(text[0].upper(), int(text[1:]))
 
-
-def neighbors(datum: RootDatum, i: int) -> list[int]:
-    """Sorted list of Dynkin neighbours of node ``i``."""
-    return list(datum.neighbors(i))

@@ -26,12 +26,22 @@ from __future__ import annotations
 import json
 import re
 
-from .charalg import Character, Monomial, parse_monomial, render_monomial
-from .errors import ParseError
+from .charalg import (
+    HIGHEST,
+    Character,
+    Window,
+    parse_monomial,
+    render_monomial,
+)
+from .errors import MixedHighestWeight, OutsideWindow, ParseError
 from .rootdata import parse_type
 from .tpoly import TPoly
 
 _KEY_RE = re.compile(r"^(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?$")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _render_map(table: dict) -> dict:
@@ -42,29 +52,45 @@ def _render_map(table: dict) -> dict:
     return out
 
 
-def _parse_map(doc: dict) -> dict:
+def _parse_map(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"exponent map {doc!r} is not an object")
     out = {}
     for tag, mult in doc.items():
         m = _KEY_RE.match(tag)
         if not m:
             raise ParseError(f"malformed exponent key {tag!r}")
-        orbit = m.group(3) or "a"
-        out[(orbit, int(m.group(1)), int(m.group(2)))] = int(mult)
+        if not _is_int(mult):
+            raise ParseError(f"exponent {mult!r} at {tag!r} is not an integer")
+        if mult:
+            orbit = m.group(3) or "a"
+            out[(orbit, int(m.group(1)), int(m.group(2)))] = mult
     return out
 
 
+def _parse_coeff(pairs) -> TPoly:
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+            for p in pairs)):
+        raise ParseError(f"coefficient {pairs!r} is not a list of "
+                         f"[t-exponent, integer] pairs")
+    return TPoly.from_pairs(pairs)
+
+
 def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
+    window = chi.window
+    w = _render_map(chi.w)
     doc = {
         "type": f"{chi.datum.family}{chi.datum.rank}",
-        "orbits": chi.orbits(),
-        "highest": render_monomial(chi.highest.y),
+        "orbits": list(window.orbits),
+        "highest": render_monomial(chi.w),
         "terms": [],
     }
-    for m, coeff in chi.sorted_terms():
+    for m, y, coeff in chi.sorted_terms():
         term = {
-            "monomial": render_monomial(m.y),
-            "w": _render_map(m.w),
-            "v": _render_map(m.v),
+            "monomial": render_monomial(y),
+            "w": w,
+            "v": _render_map(window.v(m)),
             "coeff": [[e, c] for e, c in coeff.pairs()],
         }
         if annotations is not None and m in annotations:
@@ -78,29 +104,63 @@ def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
     return doc
 
 
-def character_from_doc(doc: dict) -> Character:
+def character_from_doc(doc) -> Character:
+    """Read a character document; ParseError on anything malformed.
+
+    Raises MixedHighestWeight if terms do not share the highest monomial's
+    w, since one character cannot hold them."""
+    if not isinstance(doc, dict):
+        raise ParseError("a character document must be a JSON object")
+    for field in ("type", "highest", "terms"):
+        if field not in doc:
+            raise ParseError(f"character document has no {field!r}")
+    if not isinstance(doc["type"], str) or not isinstance(doc["highest"], str):
+        raise ParseError("'type' and 'highest' must be strings")
+    entries = doc["terms"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) for e in entries):
+        raise ParseError("'terms' must be a list of objects")
     datum = parse_type(doc["type"])
-    terms = {}
-    highest = None
-    for entry in doc["terms"]:
-        if "w" not in entry or "v" not in entry:
-            raise ParseError(
-                f"term {entry.get('monomial')!r} is missing w/v payload")
-        m = Monomial(datum, _parse_map(entry["w"]), _parse_map(entry["v"]))
-        stated = parse_monomial(entry["monomial"], datum)
-        if m.y != stated:
-            raise ParseError(
-                f"term {entry['monomial']!r}: stated monomial does not match "
-                f"its (w, v) payload, which yields {render_monomial(m.y)!r}")
-        terms[m] = TPoly.from_pairs(entry["coeff"])
-        if not m.v:
-            highest = m
-    if highest is None:
+    rows = []
+    w = None
+    for entry in entries:
+        text = entry.get("monomial")
+        if not isinstance(text, str):
+            raise ParseError(f"term monomial {text!r} is not a string")
+        if "w" not in entry or "v" not in entry or "coeff" not in entry:
+            raise ParseError(f"term {text!r} is missing w/v/coeff")
+        row = (text, _parse_map(entry["w"]), _parse_map(entry["v"]),
+               _parse_coeff(entry["coeff"]))
+        rows.append(row)
+        if not row[2]:
+            w = row[1]
+    if w is None:
         raise ParseError("character document has no monomial with v = 0")
-    stated_highest = parse_monomial(doc["highest"], datum)
-    if highest.y != stated_highest:
+    for (_o, node, _n), mult in w.items():
+        if not 1 <= node <= datum.rank or mult < 0:
+            raise ParseError(f"highest weight {render_monomial(w)!r} is not "
+                             f"a product of Y-variables of {doc['type']}")
+    mixed = [text for text, tw, _v, _c in rows if tw != w]
+    if mixed:
+        raise MixedHighestWeight(
+            f"{len(mixed)} terms do not share the highest monomial's w, "
+            f"first {mixed[0]!r}", mixed)
+    window = Window(datum, w)
+    terms = {}
+    for text, _w, v, coeff in rows:
+        try:
+            m = window.pack(v)
+        except OutsideWindow as err:
+            raise ParseError(f"term {text!r}: {err}") from err
+        y = window.y(m)
+        if y != parse_monomial(text, datum):
+            raise ParseError(
+                f"term {text!r}: stated monomial does not match its (w, v) "
+                f"payload, which yields {render_monomial(y)!r}")
+        terms[m] = coeff
+    if parse_monomial(doc["highest"], datum) != window.y(HIGHEST):
         raise ParseError("stated highest monomial is not the v = 0 term")
-    return Character(datum, highest, terms)
+    return Character(window, terms)
 
 
 def dumps(doc: dict) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charalg import Character, Monomial, trivial_character
+from .charalg import HIGHEST, Character, Window, trivial_character
 from .rootdata import build_root_datum
 from .tpoly import TPoly
 
@@ -94,13 +94,14 @@ def ladder_character(seg: Segment) -> Character:
     """Thin string character of one segment: length+1 monomials, all with
     coefficient 1, obtained by lowering from the top of the string down."""
     one = TPoly.one()
-    top = Monomial(RANK_ONE, {(seg.orbit, 1, n): 1 for n in seg.shifts()}, {})
-    terms = {top: one}
-    m = top
+    window = Window(RANK_ONE, {(seg.orbit, 1, n): 1 for n in seg.shifts()})
+    m = HIGHEST
+    terms = {m: one}
     for k in range(seg.length):
-        m = m.apply_lowering(1, seg.head + 2 * (seg.length - k) - 1, seg.orbit)
+        step = (seg.orbit, seg.head + 2 * (seg.length - k) - 1)
+        m = window.lowered(m, 1, {step: 1})
         terms[m] = one
-    return Character(RANK_ONE, top, terms)
+    return Character(window, terms)
 
 
 @lru_cache(maxsize=None)

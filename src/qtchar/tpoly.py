@@ -34,6 +34,14 @@ class TPoly:
         return cls({k: coeff})
 
     @classmethod
+    def from_dict(cls, coeffs: dict) -> "TPoly":
+        """Wrap an exponent -> int map, which the result takes over."""
+        out = cls.__new__(cls)
+        out.c = coeffs if 0 not in coeffs.values() else {
+            e: v for e, v in coeffs.items() if v}
+        return out
+
+    @classmethod
     def from_pairs(cls, pairs) -> "TPoly":
         out = {}
         for e, v in pairs:

@@ -17,7 +17,6 @@ from math import comb
 
 import pytest
 
-from qtchar.charalg import render_monomial
 from qtchar.fixtures import load_fixture
 from qtchar.fm import fundamental_qt, string_edges
 from qtchar.fusion import standard_module_qt
@@ -44,7 +43,7 @@ def report(number, message):
 
 
 def texts(chi):
-    return {render_monomial(m.y): c for m, c in chi.terms.items()}
+    return {chi.window.text(m): c for m, c in chi.terms.items()}
 
 
 # measured child is spawned from a fresh small interpreter: ru_maxrss is
@@ -117,7 +116,7 @@ def test_criterion_01_d4_fundamental(tmp_path):
 
     fixture = load_fixture("d4-fund-2")
     want_edges = {(a, b, i) for a, b, i in fixture["edges"]}
-    got_edges = {(render_monomial(s.y), render_monomial(d.y), i)
+    got_edges = {(chi.window.text(s), chi.window.text(d), i)
                  for s, d, i, _ in string_edges(chi)}
     assert got_edges == want_edges
     report(1, f"D4 node 2: 28 monomials, one (1+t^2), 40 printed edges; "

@@ -3,104 +3,187 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtchar.charalg import (
-    Monomial,
-    merge_monomials,
+    HIGHEST,
+    Character,
+    Window,
     monomial_to_lweight,
     parse_monomial,
     render_monomial,
-    y_exponents,
 )
-from qtchar.errors import NodeOutOfRange, ParseError
+from qtchar.errors import NodeOutOfRange, OutsideWindow, ParseError
 from qtchar.fm import fundamental_qt
-from qtchar.fusion import standard_module_qt
+from qtchar.fusion import standard_module_qt, twisted_product
 from qtchar.rootdata import build_root_datum
+from qtchar.tpoly import TPoly
 
 A2 = build_root_datum("A", 2)
 D4 = build_root_datum("D", 4)
 
 
-def mono(datum, w, v):
-    return Monomial(datum, w, v)
+def y_exponents(datum, w, v):
+    """Reference: the Y-exponent map of (w, v), one dict bump per
+    A-variable factor."""
+    y = {}
+
+    def bump(key, delta):
+        val = y.get(key, 0) + delta
+        if val:
+            y[key] = val
+        else:
+            y.pop(key, None)
+
+    for key, mult in w.items():
+        bump(key, mult)
+    for (orbit, i, n), mult in v.items():
+        bump((orbit, i, n - 1), -mult)
+        bump((orbit, i, n + 1), -mult)
+        for j in datum.neighbors(i):
+            bump((orbit, j, n), mult)
+    return y
 
 
-# -- y_exponents -------------------------------------------------------
+def top(datum, node, shift=0, orbit="a"):
+    return Window(datum, {(orbit, node, shift): 1})
+
+
+# -- Y-exponents of a window -------------------------------------------
 
 
 def test_y_highest_only():
-    y = y_exponents(D4, {("a", 2, 0): 1}, {})
-    assert y == {("a", 2, 0): 1}
+    assert top(D4, 2).y(HIGHEST) == {("a", 2, 0): 1}
 
 
 def test_y_d4_first_lowering():
-    y = y_exponents(D4, {("a", 2, 0): 1}, {("a", 2, 1): 1})
-    assert y == parse_monomial("1_1 2_2^-1 3_1 4_1", D4)
+    win = top(D4, 2)
+    assert win.y(win.pack({("a", 2, 1): 1})) == \
+        parse_monomial("1_1 2_2^-1 3_1 4_1", D4)
 
 
 def test_y_a2_two_lowerings():
-    y = y_exponents(A2, {("a", 1, 0): 1}, {("a", 1, 1): 1, ("a", 2, 2): 1})
-    assert y == parse_monomial("2_3^-1", A2)
+    win = top(A2, 1)
+    m = win.pack({("a", 1, 1): 1, ("a", 2, 2): 1})
+    assert win.y(m) == parse_monomial("2_3^-1", A2)
+    assert m.vdeg == 2 == win.bound
 
 
-# -- apply_lowering ----------------------------------------------------
+def test_window_layout():
+    # v on the shifts s+1 .. s+h-1 of rows spanning s .. s+h; fields wide
+    # enough for the lowest weight
+    win = top(D4, 2, 3)
+    assert (win.bound, win.bits) == (10, 8)
+    assert win.keys[:2] == [("a", 1, 3), ("a", 1, 4)]
+    assert len(win.keys) == 4 * 7
+    assert win.slot(("a", 1, 3)) is None and win.slot(("a", 1, 4)) == 1
+    assert Window(A2, {("a", 1, 0): 200}).bits == 16
+    # factors more than h+1 apart get separate blocks, closer ones merge
+    far = Window(D4, {("a", 2, 0): 1, ("a", 2, 1000): 1})
+    assert len(far.keys) == 2 * 4 * 7
+    near = Window(D4, {("a", 2, 0): 1, ("a", 2, 6): 1})
+    assert len(near.keys) == 4 * 13
+
+
+def test_pack_rejects_outside_window():
+    win = top(A2, 1)
+    for v in ({("a", 1, 0): 1}, {("a", 1, 3): 1}, {("b", 1, 1): 1},
+              {("a", 1, 1): -1}, {("a", 1, 1): 3}):
+        with pytest.raises(OutsideWindow):
+            win.pack(v)
+
+
+# -- lowering ------------------------------------------------------------
 
 
 def test_apply_lowering_d4():
-    m = Monomial.highest(D4, 2, 0).apply_lowering(2, 1)
-    assert render_monomial(m.y) == "1_1 2_2^-1 3_1 4_1"
+    win = top(D4, 2)
+    m = win.lowered(HIGHEST, 2, {("a", 1): 1})
+    assert win.text(m) == "1_1 2_2^-1 3_1 4_1"
 
 
 def test_apply_lowering_a2():
     # hand expansion of Y_{1,0} * A_{1,1}^{-1}
-    m = Monomial.highest(A2, 1, 0).apply_lowering(1, 1)
-    assert render_monomial(m.y) == "1_2^-1 2_1"
-    assert m.v == {("a", 1, 1): 1}
+    win = top(A2, 1)
+    m = win.lowered(HIGHEST, 1, {("a", 1): 1})
+    assert win.text(m) == "1_2^-1 2_1"
+    assert win.v(m) == {("a", 1, 1): 1}
 
 
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 6)),
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                 min_size=0, max_size=6))
 def test_apply_lowering_order_free(steps):
-    m1 = Monomial.highest(D4, 2, 0)
-    m2 = Monomial.highest(D4, 2, 0)
+    win = top(D4, 2)
+    m1 = m2 = HIGHEST
     for i, n in steps:
-        m1 = m1.apply_lowering(i, n)
+        m1 = win.lowered(m1, i, {("a", n): 1})
     for i, n in reversed(steps):
-        m2 = m2.apply_lowering(i, n)
-    assert m1 == m2 and m1.v == m2.v
+        m2 = win.lowered(m2, i, {("a", n): 1})
+    assert m1 == m2 and win.y(m1) == win.y(m2)
 
 
 def test_lowered_many_matches_single_steps():
-    m = Monomial.highest(D4, 2, 0)
-    stepwise = m.apply_lowering(2, 1).apply_lowering(1, 2).apply_lowering(1, 2)
-    bulk = m.lowered_many(2, {("a", 1): 1}).lowered_many(1, {("a", 2): 2})
-    assert stepwise == bulk and stepwise.v == bulk.v
+    win = top(D4, 2)
+    stepwise = HIGHEST
+    for i, n in [(2, 1), (1, 2), (1, 2)]:
+        stepwise = win.lowered(stepwise, i, {("a", n): 1})
+    bulk = win.lowered(win.lowered(HIGHEST, 2, {("a", 1): 1}),
+                       1, {("a", 2): 2})
+    assert stepwise == bulk and win.v(stepwise) == win.v(bulk)
 
 
-# -- i_part / dominance ------------------------------------------------
+# -- per-node exponents ----------------------------------------------------
 
 
 def node10():
     # 1_3^-1 2_2^2 3_3^-1 4_3^-1 with its expansion payload
-    return mono(D4, {("a", 2, 0): 1},
-                {("a", 2, 1): 1, ("a", 1, 2): 1, ("a", 3, 2): 1,
-                 ("a", 4, 2): 1})
+    win = top(D4, 2)
+    return win, win.pack({("a", 2, 1): 1, ("a", 1, 2): 1, ("a", 3, 2): 1,
+                          ("a", 4, 2): 1})
 
 
 def test_i_part():
-    m = node10()
-    assert render_monomial(m.y) == "1_3^-1 2_2^2 3_3^-1 4_3^-1"
-    assert m.i_part(2) == {("a", 2): 2}
-    assert m.i_part(1) == {("a", 3): -1}
-    assert Monomial.highest(D4, 2, 0).i_part(1) == {}
+    win, m = node10()
+    assert win.text(m) == "1_3^-1 2_2^2 3_3^-1 4_3^-1"
+    assert win.parts(m)[2] == {("a", 2): 2}
+    assert win.parts(m)[1] == {("a", 3): -1}
+    assert 1 not in win.parts(HIGHEST)
 
 
 def test_is_i_dominant():
-    assert Monomial.highest(D4, 2, 0).is_i_dominant(2)
-    assert not node10().is_i_dominant(1)
-    thick = mono(D4, {("a", 2, 0): 1},
-                 {("a", 2, 1): 1, ("a", 1, 2): 1, ("a", 3, 2): 1,
-                  ("a", 4, 2): 1, ("a", 2, 3): 1})
-    assert render_monomial(thick.y) == "2_2 2_4^-1"
-    assert not thick.is_i_dominant(2)
+    win, m = node10()
+    assert min(win.parts(HIGHEST)[2].values()) >= 0
+    assert min(win.parts(m)[1].values()) < 0
+    thick = win.lowered(m, 2, {("a", 3): 1})
+    assert win.text(thick) == "2_2 2_4^-1"
+    assert min(win.parts(thick)[2].values()) < 0
+
+
+# -- coefficient lookup ------------------------------------------------------
+
+
+def test_coefficient_of_absent_monomial():
+    chi = fundamental_qt(D4, 2, 0)
+    assert chi.coefficient("1_1 2_2^-1 3_1 4_1") == 1
+    # the solve for v meets a negative exponent
+    assert chi.coefficient("2_0^2 2_2^-1") == TPoly.zero()
+    # a lowering vector of the window that is not a term
+    win = chi.window
+    lowered = win.lowered(HIGHEST, 1, {("a", 1): 1})
+    assert lowered not in chi.terms
+    assert chi.coefficient(win.text(lowered)) == TPoly.zero()
+
+
+def test_coefficient_outside_window():
+    chi = fundamental_qt(D4, 2, 0)
+    assert chi.coefficient("2_8^-1") == TPoly.zero()     # shift past s+h
+    assert chi.coefficient("2_0@b") == TPoly.zero()     # another orbit
+    assert chi.coefficient("1") == TPoly.zero()
+
+
+def test_solve_inverts_y():
+    for chi in (fundamental_qt(D4, 2, 0),
+                standard_module_qt(A2, [(1, 0), (2, 1, "b"), (1, 2)]),
+                standard_module_qt(D4, [(2, 0), (1, 7), (2, 8)])):
+        for m in chi.terms:
+            assert chi.window.solve(chi.window.y(m)) == m
 
 
 # -- parse / render ----------------------------------------------------
@@ -159,30 +242,31 @@ def test_render_parse_canonicalizes():
 
 
 def test_lweight_trivial():
-    view = monomial_to_lweight(Monomial.highest(A2, 1, 0))
+    view = monomial_to_lweight(top(A2, 1).y(HIGHEST))
     assert view.numerator == {1: [("a", 0)]}
     assert view.denominator == {}
 
 
 def test_lweight_mixed():
-    m = Monomial.highest(A2, 1, 0).apply_lowering(1, 1)
-    view = monomial_to_lweight(m)
+    win = top(A2, 1)
+    view = monomial_to_lweight(win.y(win.lowered(HIGHEST, 1, {("a", 1): 1})))
     assert view.numerator == {2: [("a", 1)]}
     assert view.denominator == {1: [("a", 2)]}
 
 
 def test_lweight_multiplicity_and_reconstruction():
-    m = node10()
-    view = monomial_to_lweight(m)
+    win, m = node10()
+    view = monomial_to_lweight(win.y(m))
     assert view.numerator[2] == [("a", 2), ("a", 2)]
-    assert view.reconstruct_y() == m.y
+    assert view.reconstruct_y() == win.y(m)
 
 
 def test_lweight_reconstructs_across_characters():
     for chi in (fundamental_qt(D4, 2, 0),
                 standard_module_qt(A2, [(1, 0), (1, 0)])):
         for m in chi.terms:
-            assert monomial_to_lweight(m).reconstruct_y() == m.y
+            y = chi.window.y(m)
+            assert monomial_to_lweight(y).reconstruct_y() == y
 
 
 # -- drinfeld roots, mass ----------------------------------------------
@@ -210,15 +294,20 @@ def test_mass_at_t1():
 
 def test_y_regenerates_from_wv_everywhere():
     for chi in (fundamental_qt(D4, 2, 0),
-                standard_module_qt(A2, [(1, 0), (2, 1)])):
+                standard_module_qt(A2, [(1, 0), (2, 1)]),
+                standard_module_qt(D4, [(1, 0), (2, 3, "b")]),
+                standard_module_qt(D4, [(2, 0), (1, 7), (2, 8)])):
         for m in chi.terms:
-            assert y_exponents(chi.datum, m.w, m.v) == m.y
+            assert y_exponents(chi.datum, chi.w, chi.window.v(m)) == \
+                chi.window.y(m)
 
 
 def test_merge_monomials_sums_payloads():
-    m1 = Monomial.highest(A2, 1, 0).apply_lowering(1, 1)
-    m2 = Monomial.highest(A2, 2, 1)
-    m = merge_monomials(m1, m2)
-    assert m.w == {("a", 1, 0): 1, ("a", 2, 1): 1}
-    assert m.v == {("a", 1, 1): 1}
-    assert render_monomial(m.y) == "1_2^-1 2_1^2"
+    win1, win2 = top(A2, 1), top(A2, 2, 1)
+    m1 = win1.lowered(HIGHEST, 1, {("a", 1): 1})
+    prod = twisted_product(A2, Character(win1, {m1: TPoly.one()}),
+                           Character(win2, {HIGHEST: TPoly.one()}))
+    (m,) = prod.terms
+    assert prod.w == {("a", 1, 0): 1, ("a", 2, 1): 1}
+    assert prod.window.v(m) == {("a", 1, 1): 1}
+    assert prod.window.text(m) == "1_2^-1 2_1^2"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -86,6 +87,55 @@ def test_check_command_pass_and_fail(tmp_path, capsys):
     src.write_text(json.dumps(doc))
     assert main(["check", str(src)]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_reports_terms_with_another_w(tmp_path, capsys):
+    src = tmp_path / "chi.json"
+    main(["fundamental", "--type", "A2", "--node", "1", "--out", str(src)])
+    doc = json.loads(src.read_text())
+    doc["terms"][2]["w"] = {"1_0": 2}
+    src.write_text(json.dumps(doc))
+    assert main(["check", str(src)]) == 4
+    out = capsys.readouterr().out
+    assert out == "FAIL 2_3^-1: w differs from the highest monomial\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "A2", "orbits": ["a"], "highest": "1_0",
+     "terms": [{"monomial": "1_0", "w": {"1_0": 1}, "v": {}, "coeff": 5}]},
+    {"type": "A2", "orbits": ["a"], "highest": "1_0",
+     "terms": [{"monomial": "1_0", "w": {"1_0": "x"}, "v": {},
+                "coeff": [[0, 1]]}]},
+    [{"type": "A2"}],
+    {"type": "A2", "orbits": ["a"], "highest": "1_0"},
+], ids=["coeff-not-a-list", "exponent-not-an-integer", "top-level-list",
+        "no-terms"])
+def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    assert main(["check", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# SHA-256 of the output bytes, fixed before monomials were packed
+PINNED_OUTPUT = [
+    (["fundamental", "--type", "D4", "--node", "2"],
+     "b764c73b88c3af21fc633b6caecc433cca3e5a589ee697dd267eb9520b19aa00"),
+    (["fundamental", "--type", "D4", "--node", "2", "--decode"],
+     "1fb65ffb820de81c9b369ca46fe541cd5b17a974af6937190e63379e46c7cef3"),
+    (["fundamental", "--type", "E6", "--node", "3", "--decode"],
+     "067aa8a29e2a1c54c1b065af3347536d1cd08252051f3fe79a966c4b539090af"),
+    (["standard", "--type", "A2", "--factors", "1:0,2:1@b,1:2", "--decode"],
+     "f28b5b2415e85ac65279059575b8882f065576d9072a8c6fc71c86c64817e7a4"),
+]
+
+
+@pytest.mark.parametrize("argv,sha", PINNED_OUTPUT,
+                         ids=[" ".join(a[:4]) for a, _ in PINNED_OUTPUT])
+def test_output_bytes_pinned(tmp_path, argv, sha):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_dot_output(tmp_path):

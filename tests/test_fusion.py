@@ -3,11 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from qtchar.charalg import Monomial, render_monomial
-from qtchar.errors import QtCharError
+from qtchar.charalg import HIGHEST, Character, Window, parse_monomial, \
+    render_monomial
+from qtchar.errors import NegativeTwist, QtCharError
 from qtchar.fm import fundamental_qt
-from qtchar.fusion import FactorSpec, bb_twist, standard_module_qt, \
+from qtchar.fusion import FactorSpec, standard_module_qt, twist_rows, \
     twisted_product
+from qtchar.jordan import validate_poincare
 from qtchar.rootdata import build_root_datum
 from qtchar.tpoly import TPoly
 
@@ -19,30 +21,72 @@ ONE_PLUS_T2 = TPoly({0: 1, 2: 1})
 
 
 def texts(chi):
-    return {render_monomial(m.y): c for m, c in chi.terms.items()}
+    return {chi.window.text(m): c for m, c in chi.terms.items()}
 
 
-# -- bb_twist ------------------------------------------------------------
+# -- the twist -------------------------------------------------------------
+
+
+def bb_twist(datum, w1, v1, w2, v2):
+    """Reference: the bilinear form of the fusion module docstring, summed
+    over the (w, v) maps of an ordered pair of monomials."""
+    p = 0
+    for (orbit, i, n), a in w1.items():
+        p += a * v2.get((orbit, i, n - 1), 0)
+    for (orbit, j, n), a in v1.items():
+        p += a * (
+            w2.get((orbit, j, n - 1), 0)
+            - v2.get((orbit, j, n), 0)
+            - v2.get((orbit, j, n - 2), 0)
+        )
+        for i in datum.neighbors(j):
+            p += a * v2.get((orbit, i, n - 1), 0)
+    return p
+
+
+def kernel_twists(chi1, chi2):
+    """p(m1, m2) of every pair, as the product kernel computes it."""
+    _window, _right, rows = twist_rows(chi1, chi2)
+    return {(m1, m2): p
+            for m1, (_v1, _vdeg1, _c1, ps) in zip(chi1.terms, rows)
+            for m2, p in zip(chi2.terms, ps)}
+
+
+def monomial(chi, text):
+    return next(m for m in chi.terms if chi.window.text(m) == text)
+
+
+def test_twist_kernel_matches_reference():
+    for chi1, chi2 in [
+        (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 1, 0)),
+        (fundamental_qt(D4, 2, 0), fundamental_qt(D4, 2, 2)),
+        (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1, orbit="b")),
+        (fundamental_qt(D4, 2, 0), fundamental_qt(D4, 2, 7)),
+    ]:
+        got = kernel_twists(chi1, chi2)
+        assert len(got) == len(chi1) * len(chi2)
+        for (m1, m2), p in got.items():
+            assert p == bb_twist(chi1.datum, chi1.w, chi1.window.v(m1),
+                                 chi2.w, chi2.window.v(m2))
 
 
 def test_twist_of_highest_pair_vanishes():
-    h = Monomial.highest(A2, 1, 0)
-    assert bb_twist(A2, h, h) == 0
-    h2 = Monomial.highest(D4, 2, 0)
-    assert bb_twist(D4, h2, h2) == 0
+    for chi in (fundamental_qt(A2, 1, 0), fundamental_qt(D4, 2, 0)):
+        assert kernel_twists(chi, chi)[HIGHEST, HIGHEST] == 0
 
 
 def test_twist_a2_fixture_pair():
-    m1 = Monomial(A2, {("a", 1, 0): 1}, {("a", 1, 1): 1, ("a", 2, 2): 1})
-    m2 = Monomial(A2, {("a", 1, 0): 1}, {("a", 1, 1): 1})
-    assert bb_twist(A2, m1, m2) == 1
-    assert bb_twist(A2, m2, m1) == 0
+    chi = fundamental_qt(A2, 1, 0)
+    m1, m2 = monomial(chi, "2_3^-1"), monomial(chi, "1_2^-1 2_1")
+    twists = kernel_twists(chi, chi)
+    assert twists[m1, m2] == 1
+    assert twists[m2, m1] == 0
 
 
 def test_twist_a2_cross_node_pair():
-    m1 = Monomial(A2, {("a", 1, 0): 1}, {("a", 1, 1): 1, ("a", 2, 2): 1})
-    m2 = Monomial(A2, {("a", 2, 1): 1}, {})
-    assert bb_twist(A2, m1, m2) == 1
+    chi1, chi2 = fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1)
+    m1 = monomial(chi1, "2_3^-1")
+    assert kernel_twists(chi1, chi2)[m1, HIGHEST] == 1
 
 
 def test_twist_diagonal_vanishes_on_thin_terms():
@@ -50,15 +94,16 @@ def test_twist_diagonal_vanishes_on_thin_terms():
     # thick monomials are exempt (the D4 one has twist 1, frozen below)
     for chi in (fundamental_qt(D4, 2, 0), fundamental_qt(A3, 2, 0),
                 fundamental_qt(A2, 1, 0)):
+        twists = kernel_twists(chi, chi)
         for m, c in chi.terms.items():
             if c == 1:
-                assert bb_twist(chi.datum, m, m) == 0
+                assert twists[m, m] == 0
 
 
 def test_twist_diagonal_on_thick_term():
     chi = fundamental_qt(D4, 2, 0)
     thick = next(m for m, c in chi.terms.items() if c != 1)
-    assert bb_twist(D4, thick, thick) == 1
+    assert kernel_twists(chi, chi)[thick, thick] == 1
     # the tensor square stays consistent regardless
     square = twisted_product(D4, chi, chi)
     assert square.mass_at_t1() == 29 * 29
@@ -67,18 +112,19 @@ def test_twist_diagonal_on_thick_term():
 
 
 def test_negative_twist_raises():
-    from qtchar.errors import NegativeTwist
-
-    m = Monomial(A2, {}, {("a", 1, 1): 1})
+    # a lowering vector no module has: v1.w2 - v1.v2 = 2 - 4 < 0
+    window = Window(A2, {("a", 1, 0): 1})
+    bad = window.pack({("a", 1, 1): 2})
+    chi = Character(window, {bad: TPoly.one()})
     with pytest.raises(NegativeTwist):
-        bb_twist(A2, m, m)  # bare lowering data without roots: -v1.v2
+        twisted_product(A2, chi, chi)
 
 
 def test_twist_cross_orbit_pairs_vanish():
-    m1 = Monomial(A2, {("a", 1, 0): 1}, {("a", 1, 1): 1})
-    m2 = Monomial(A2, {("b", 1, 0): 1}, {("b", 1, 1): 1})
-    assert bb_twist(A2, m1, m2) == 0
-    assert bb_twist(A2, m2, m1) == 0
+    chi1 = fundamental_qt(A2, 1, 0)
+    chi2 = fundamental_qt(A2, 1, 0, orbit="b")
+    assert set(kernel_twists(chi1, chi2).values()) == {0}
+    assert set(kernel_twists(chi2, chi1).values()) == {0}
 
 
 # -- twisted_product -------------------------------------------------------
@@ -125,8 +171,6 @@ def test_t1_multiplicativity():
 
 
 def test_cross_orbit_factorization():
-    from qtchar.charalg import merge_monomials
-
     # left factor has thick coefficients; right factor lives on another
     # orbit, so every product coefficient is the plain product
     chi1 = standard_module_qt(A2, [(1, 0, "a"), (1, 0, "a")])
@@ -135,7 +179,8 @@ def test_cross_orbit_factorization():
     expected = {}
     for m1, c1 in chi1.terms.items():
         for m2, c2 in chi2.terms.items():
-            expected[render_monomial(merge_monomials(m1, m2).y)] = c1 * c2
+            text = chi1.window.text(m1) + " " + chi2.window.text(m2)
+            expected[render_monomial(parse_monomial(text, A2))] = c1 * c2
     assert len(prod.terms) == len(chi1.terms) * len(chi2.terms)
     assert texts(prod) == expected
 
@@ -157,7 +202,7 @@ def test_a2_standard_squared():
 def test_a2_standard_mixed():
     chi = standard_module_qt(A2, [(1, 0), (2, 1)])
     assert len(chi.terms) == 8
-    nontrivial = {render_monomial(m.y) for m, c in chi.terms.items()
+    nontrivial = {chi.window.text(m) for m, c in chi.terms.items()
                   if c != 1}
     assert nontrivial == {"2_1 2_3^-1"}
     assert chi.coefficient("2_1 2_3^-1") == ONE_PLUS_T2
@@ -188,7 +233,6 @@ def test_non_generic_gap_consistent_but_not_lefschetz():
     # every direction with nonnegative peels; palindromic "fixes" of the
     # coefficient all break that decomposition.
     from qtchar.fm import decompose_direction
-    from qtchar.jordan import validate_poincare
 
     chi = standard_module_qt(D4, [(1, 0), (2, 3)])
     coeff = chi.coefficient("1_4 2_7^-1")
@@ -231,3 +275,16 @@ def test_products_decompose_in_every_direction():
         chi = standard_module_qt(datum, factors, audit=False)
         for i in datum.nodes:
             decompose_direction(chi, i)
+
+
+def test_d4_node2_cube_pinned():
+    # three interleaved D4 node-2 factors: term count, the t = 1 mass
+    # 29^3, the reducible coefficients and the deepest lowering degree
+    # (3 x 10) do not depend on the factor order
+    for factors in ([(2, 0), (2, 2), (2, 4)], [(2, 4), (2, 0), (2, 2)]):
+        chi = standard_module_qt(D4, factors)
+        assert len(chi) == 14638
+        assert chi.mass_at_t1() == 24389 == 29 ** 3
+        assert sum(1 for c in chi.terms.values()
+                   if not validate_poincare(c)) == 465
+        assert max(m.vdeg for m in chi.terms) == 30

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtchar.charalg import HIGHEST
 from qtchar.errors import (
     InconsistentProfile,
     NotAPoincarePolynomial,
@@ -229,7 +230,7 @@ def test_annotate_a2_standard():
     A2 = build_root_datum("A", 2)
     chi = standard_module_qt(A2, [(1, 0), (1, 0)])
     notes = annotate_character(chi)
-    table = {str(m): sorted(p.blocks) for m, p in notes.items()}
+    table = {chi.window.text(m): sorted(p.blocks) for m, p in notes.items()}
     assert table["1_0 1_2^-1 2_1"] == [2]
     assert table["2_3^-2"] == [1]
 
@@ -239,7 +240,7 @@ def test_annotate_d4():
     chi = fundamental_qt(D4, 2, 0)
     notes = annotate_character(chi)
     for m, profile in notes.items():
-        if str(m) == "2_2 2_4^-1":
+        if chi.window.text(m) == "2_2 2_4^-1":
             assert sorted(profile.blocks) == [2]
         else:
             assert profile.blocks == (1,)
@@ -249,7 +250,7 @@ def test_annotate_e6_headline():
     E6 = build_root_datum("E", 6)
     chi = fundamental_qt(E6, 3, 0, depth_cap=300)
     notes = annotate_character(chi)
-    table = {str(m): p for m, p in notes.items()}
+    table = {chi.window.text(m): p for m, p in notes.items()}
     thick = table["2_5 2_7^-1 4_5 4_7^-1 6_5 6_7^-1"]
     assert sorted(thick.blocks) == [2, 2, 4]
     assert thick.graded == (3, 3, 1, 1)
@@ -261,7 +262,7 @@ def test_annotate_e6_headline():
 def test_annotate_rejects_bad_coefficient():
     A2 = build_root_datum("A", 2)
     chi = fundamental_qt(A2, 1, 0, audit=False)
-    m = chi.highest
+    m = HIGHEST
     chi.terms[m] = poly((0, 1), (4, 1))
     with pytest.raises(NotAPoincarePolynomial) as excinfo:
         annotate_character(chi)

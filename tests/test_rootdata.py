@@ -1,7 +1,7 @@
 import pytest
 
 from qtchar.errors import NodeOutOfRange, UnsupportedType
-from qtchar.rootdata import build_root_datum, neighbors, parse_type
+from qtchar.rootdata import build_root_datum, parse_type
 
 ALL_SUPPORTED = (
     [("A", n) for n in range(1, 9)]
@@ -26,15 +26,15 @@ def test_e6_branch_node():
     assert datum.neighbors(6) == (3,)
 
 
-@pytest.mark.parametrize("i,expected", [(1, [2]), (2, [1, 3]), (3, [2])])
+@pytest.mark.parametrize("i,expected", [(1, (2,)), (2, (1, 3)), (3, (2,))])
 def test_neighbors_a3(i, expected):
-    assert neighbors(build_root_datum("A", 3), i) == expected
+    assert build_root_datum("A", 3).neighbors(i) == expected
 
 
 def test_neighbors_examples():
-    assert neighbors(build_root_datum("A", 2), 1) == [2]
-    assert neighbors(build_root_datum("D", 4), 3) == [2]
-    assert neighbors(build_root_datum("E", 6), 2) == [1, 3]
+    assert build_root_datum("A", 2).neighbors(1) == (2,)
+    assert build_root_datum("D", 4).neighbors(3) == (2,)
+    assert build_root_datum("E", 6).neighbors(2) == (1, 3)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SUPPORTED)
@@ -78,6 +78,16 @@ def test_connected(family, rank):
 def test_unsupported(family, rank):
     with pytest.raises(UnsupportedType):
         build_root_datum(family, rank)
+
+
+def test_coxeter_numbers_and_lowest_depths():
+    # depth of V(Y_i): simple-root coefficient sum of omega_i + omega_ibar
+    cases = {("A", 3): (4, (3, 4, 3)), ("D", 4): (6, (6, 10, 6, 6)),
+             ("E", 6): (12, (16, 30, 42, 30, 16, 22)),
+             ("E", 8): (30, (92, 182, 270, 220, 168, 114, 58, 136))}
+    for (family, rank), (h, depths) in cases.items():
+        datum = build_root_datum(family, rank)
+        assert (datum.coxeter_number, datum.lowest_depths) == (h, depths)
 
 
 def test_node_out_of_range():

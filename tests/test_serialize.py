@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from qtchar.charalg import render_monomial
-from qtchar.errors import ParseError
+from qtchar.errors import MixedHighestWeight, ParseError
 from qtchar.fm import fundamental_qt
 from qtchar.fusion import standard_module_qt
 from qtchar.jordan import annotate_character
@@ -18,13 +17,12 @@ def test_roundtrip_fundamental():
     chi = fundamental_qt(D4, 2, 0)
     doc = character_to_doc(chi)
     back = character_from_doc(doc)
-    assert {render_monomial(m.y) for m in back.terms} == \
-        {render_monomial(m.y) for m in chi.terms}
-    for m, c in chi.terms.items():
-        assert back.terms[m] == c
-        twin = next(x for x in back.terms if x == m)
-        assert twin.w == m.w and twin.v == m.v
-    assert back.highest == chi.highest
+    # equal w gives equal windows, so the packed monomials carry over
+    assert back.w == chi.w
+    assert back.terms == chi.terms
+    for m in chi.terms:
+        assert back.window.v(m) == chi.window.v(m)
+        assert back.window.text(m) == chi.window.text(m)
 
 
 def test_roundtrip_is_bit_exact():
@@ -59,7 +57,7 @@ def test_jordan_annotations_serialized():
 def test_term_order_stable():
     chi = fundamental_qt(D4, 2, 0)
     doc = character_to_doc(chi)
-    keys = [(m.vdeg, m.key) for m, _ in chi.sorted_terms()]
+    keys = [(m.vdeg, tuple(y.items())) for m, y, _ in chi.sorted_terms()]
     assert keys == sorted(keys)
     assert doc["terms"][0]["monomial"] == "2_0"
     assert doc["terms"][-1]["monomial"] == "2_6^-1"
@@ -79,3 +77,38 @@ def test_rejects_missing_payload():
     del doc["terms"][0]["w"]
     with pytest.raises(ParseError):
         character_from_doc(doc)
+
+
+def test_rejects_lowering_outside_window():
+    doc = character_to_doc(fundamental_qt(A2, 1, 0))
+    doc["terms"][1]["v"] = {"1_5": 1}
+    with pytest.raises(ParseError):
+        character_from_doc(doc)
+
+
+def test_rejects_terms_with_another_w():
+    doc = character_to_doc(fundamental_qt(A2, 1, 0))
+    doc["terms"][2]["w"] = {"1_0": 2}
+    with pytest.raises(MixedHighestWeight) as excinfo:
+        character_from_doc(doc)
+    assert excinfo.value.monomials == ("2_3^-1",)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["terms"][0].update(coeff=5),
+    lambda doc: doc["terms"][0].update(coeff=[[0, "1"]]),
+    lambda doc: doc["terms"][0].update(w={"2_0": "x"}),
+    lambda doc: doc["terms"][1].update(v=[1]),
+    lambda doc: doc["terms"][1].update(monomial=7),
+    lambda doc: doc["terms"][0].update(w={"9_0": 1}),
+    lambda doc: doc.pop("terms"),
+    lambda doc: doc.update(terms={}),
+    lambda doc: doc.update(type=4),
+])
+def test_malformed_documents_raise_parse_error(edit):
+    doc = character_to_doc(fundamental_qt(A2, 1, 0))
+    edit(doc)
+    with pytest.raises(ParseError):
+        character_from_doc(doc)
+    with pytest.raises(ParseError):
+        character_from_doc([doc])

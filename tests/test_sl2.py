@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtchar.charalg import render_monomial
 from qtchar.fusion import twisted_product
 from qtchar.sl2 import (
     RANK_ONE,
@@ -122,7 +121,7 @@ def test_orbits_kept_apart():
 
 
 def texts(chi):
-    return {render_monomial(m.y): c for m, c in chi.terms.items()}
+    return {chi.window.text(m): c for m, c in chi.terms.items()}
 
 
 def test_ladder_length_one():
