@@ -51,29 +51,31 @@ class Window:
     with highest-weight exponents ``w``.
 
     ``v`` lives on the shifts s+1 .. s+h-1 of each Y_{i,s} in ``w`` (h the
-    Coxeter number: every A-variable of V(Y_{i,s}) lies strictly between
-    s and s+h), merged into blocks; blocks over two shifts apart stay
-    apart.  Each (block, node) row spans one more shift at either end, the
-    range of ``y``, so ``y`` is computed on the packed integer: a one-field
-    shift moves v[i,n] to (i, n-1) or (i, n+1), and row copies move it to
-    the neighbours of i.  Fields hold ``bound``, the largest lowering
-    degree ``w`` allows.
+    Coxeter number: the A-variables of V(Y_{i,s}) lie strictly between s
+    and s+h), merged into blocks per orbit; blocks over two shifts apart
+    stay apart.  Rows, laid out by orbit, node and block so that ``keys``
+    is sorted, span one more shift at either end, the range of ``y``.  So
+    ``y`` is computed on the packed integer: a one-field shift moves
+    v[i,n] to (i, n-1) or (i, n+1), and row copies move it to the
+    neighbours of i.  Fields hold ``bound``, the largest lowering degree
+    ``w`` allows; ``slots`` maps each key ``v`` may occupy to its field.
     """
 
-    __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "_field",
-                 "_slot", "_code", "_nbytes", "_wpacked", "_rows", "_moves")
+    __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
+                 "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves")
 
     def __init__(self, datum: RootDatum, w: dict):
         self.datum = datum
         self.w = {k: m for k, m in sorted(w.items()) if m}
         self.orbits = tuple(sorted({o for o, _i, _n in self.w}))
         h = datum.coxeter_number
-        blocks: list = []  # [orbit, lowest shift, highest shift] of v
+        spans: dict = {}  # orbit -> [lowest, highest shift] of v per block
         for o, _i, s in sorted(self.w, key=lambda key: (key[0], key[2])):
-            if blocks and blocks[-1][0] == o and s + 1 <= blocks[-1][2] + 2:
-                blocks[-1][2] = max(blocks[-1][2], s + h - 1)
+            blocks = spans.setdefault(o, [])
+            if blocks and s + 1 <= blocks[-1][1] + 2:
+                blocks[-1][1] = max(blocks[-1][1], s + h - 1)
             else:
-                blocks.append([o, s + 1, s + h - 1])
+                blocks.append([s + 1, s + h - 1])
         self.bound = sum(m * datum.lowest_depths[i - 1]
                          for (_o, i, _n), m in self.w.items())
         # a field holds v (<= bound), and w plus neighbouring v for y
@@ -81,36 +83,36 @@ class Window:
         size = 1
         while need >= 1 << 8 * size:
             size *= 2
+        if size not in _TYPECODES:
+            raise OutsideWindow(f"exponents up to {need} overflow {self!r}")
         self.bits = b = 8 * size
         self._code = _TYPECODES[size]
-        # (node, first field, (orbit, shift) keys) of each row
-        self._rows = []
+        self._rows = []  # (node, first field, stride, (orbit, shift)s)
         self.keys = []
-        for o, lo, hi in blocks:
+        for o, blocks in spans.items():
+            rows = [[(o, n) for n in range(lo - 1, hi + 2)]
+                    for lo, hi in blocks]
+            stride = sum(map(len, rows))
             for i in datum.nodes:
-                row = [(o, n) for n in range(lo - 1, hi + 2)]
-                self._rows.append((i, len(self.keys), row))
-                self.keys += [(o, i, n) for o, n in row]
+                for row in rows:
+                    self._rows.append((i, len(self.keys), stride, row))
+                    self.keys += [(o, i, n) for o, n in row]
         self._field = {key: k for k, key in enumerate(self.keys)}
-        self._slot = {(o, i, n): k for i, start, row in self._rows
+        self.slots = {(o, i, n): k for i, start, _stride, row in self._rows
                       for k, (o, n) in enumerate(row[1:-1], start + 1)}
         self._nbytes = size * len(self.keys)
         self._wpacked = sum(m << b * self._field[key]
                             for key, m in self.w.items())
         self._moves = [
             (b * k, (1 << b * len(row)) - 1,
-             [b * (k + (j - i) * len(row)) for j in datum.adjacency[i - 1]])
-            for i, k, row in self._rows]
-
-    def slot(self, key) -> int | None:
-        """Field of an (orbit, node, shift) key ``v`` may occupy, or None."""
-        return self._slot.get(key)
+             [b * (k + (j - i) * stride) for j in datum.adjacency[i - 1]])
+            for i, k, stride, row in self._rows]
 
     def pack(self, v: dict) -> Monomial:
         """The monomial with the lowering exponents of the map ``v``."""
         packed = vdeg = 0
         for key, a in v.items():
-            k = self._slot.get(key)
+            k = self.slots.get(key)
             if k is None or a < 0:
                 raise OutsideWindow(f"v[{key}] = {a} is outside {self!r}")
             packed += a << self.bits * k
@@ -155,7 +157,7 @@ class Window:
         """Y-exponents of m per node: node -> {(orbit, shift): exponent}."""
         y = self._ydense(m)
         out: dict = {}
-        for i, start, keys in self._rows:
+        for i, start, _stride, keys in self._rows:
             row = y[start:start + len(keys)]
             if any(row):
                 part = zip(compress(keys, row), filter(None, row))
@@ -185,14 +187,12 @@ class Window:
             d[self._field[key]] = e
         w = self.fields(self._wpacked)
         v = [0] * len(self.keys)  # each row's end fields stay 0
-        rank, adjacency = self.datum.rank, self.datum.adjacency
-        for first in range(0, len(self._rows), rank):
-            block = self._rows[first:first + rank]
-            span = len(block[0][2])
-            for t in range(span - 2):
-                for i, start, _row in block:
+        adj = self.datum.adjacency
+        for t in range(max((len(r[3]) for r in self._rows), default=2) - 2):
+            for i, start, stride, row in self._rows:
+                if t < len(row) - 2:
                     k = start + t
-                    near = sum(v[k + (j - i) * span] for j in adjacency[i - 1])
+                    near = sum(v[k + (j - i) * stride] for j in adj[i - 1])
                     v[k + 1] = a = w[k] - d[k] - v[k - 1] + near
                     if a < 0:
                         return None
@@ -252,8 +252,7 @@ def render_monomial(y: dict) -> str:
     if not y:
         return "1"
     parts = []
-    for (orbit, node, shift), exp in sorted(
-            y.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
+    for (orbit, node, shift), exp in sorted(y.items()):
         tag = f"{node}_{shift}"
         if orbit != DEFAULT_ORBIT:
             tag += f"@{orbit}"
@@ -270,13 +269,14 @@ class Character:
     """Finite map Monomial -> TPoly over one window; the highest monomial
     is HIGHEST, the one with v = 0."""
 
-    __slots__ = ("window", "datum", "w", "terms")
+    __slots__ = ("window", "terms")
 
     def __init__(self, window: Window, terms: dict):
         self.window = window
-        self.datum = window.datum
-        self.w = window.w
         self.terms = terms
+
+    datum = property(lambda self: self.window.datum)
+    w = property(lambda self: self.window.w)  # shared by every term
 
     def sorted_terms(self) -> list[tuple[Monomial, dict, TPoly]]:
         """(monomial, y, coefficient) by lowering degree, then sorted y."""

@@ -146,18 +146,21 @@ def cmd_decode(args) -> int:
 def cmd_check(args) -> int:
     try:
         chi = serialize.character_from_doc(_read_doc(args.input))
+        highest = chi.terms.get(HIGHEST)
+        terms = [(render_monomial(y), coeff, False)
+                 for _m, y, coeff in chi.sorted_terms()]
     except MixedHighestWeight as err:
-        for text in err.monomials:
-            print(f"FAIL {text}: w differs from the highest monomial")
-        return VALIDATION_ERROR
+        highest, terms = err.highest, err.terms
     problems = []
-    if chi.terms.get(HIGHEST) != 1:
+    if highest != 1:
         problems.append("highest monomial does not have coefficient 1")
-    for _m, y, coeff in chi.sorted_terms():
+    for text, coeff, differs in terms:
+        if differs:
+            problems.append(f"{text}: w differs from the highest monomial")
         report = jordan.validate_poincare(coeff)
         if not report:
             problems.append(
-                f"{render_monomial(y)}: coefficient {coeff} fails "
+                f"{text}: coefficient {coeff} fails "
                 f"{', '.join(report.violations)}")
     if problems:
         for line in problems:

@@ -50,11 +50,16 @@ class OutsideWindow(QtCharError):
 
 class MixedHighestWeight(ParseError):
     """Terms of a character document do not share the highest monomial's
-    w; ``monomials`` lists their texts."""
+    w.  ``terms`` lists (monomial text, coefficient, w differs) for every
+    term in term order, ``highest`` is the v = 0 term's coefficient and
+    ``monomials`` the texts of the differing terms."""
 
-    def __init__(self, message, monomials=()):
+    def __init__(self, message, terms=(), highest=None):
         super().__init__(message)
-        self.monomials = tuple(monomials)
+        self.terms = tuple(terms)
+        self.highest = highest
+        self.monomials = tuple(text for text, _c, differs in self.terms
+                               if differs)
 
 
 class NegativeTwist(QtCharError):

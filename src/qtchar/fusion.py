@@ -71,7 +71,7 @@ def twist_rows(chi1: Character, chi2: Character):
     for key, a in w2.items():
         w[key] = w.get(key, 0) + a
     window = Window(datum, w)
-    slot, bits = window.slot, window.bits
+    slot, bits = window.slots.get, window.bits
     u0 = [w1.get((o, i, n + 1), 0) for o, i, n in window.keys]
     w2_below = [w2.get((o, i, n - 1), 0) for o, i, n in window.keys]
     pairing = []

@@ -108,7 +108,8 @@ def character_from_doc(doc) -> Character:
     """Read a character document; ParseError on anything malformed.
 
     Raises MixedHighestWeight if terms do not share the highest monomial's
-    w, since one character cannot hold them."""
+    w, since one character cannot hold them; it carries every coefficient
+    so they can still be checked."""
     if not isinstance(doc, dict):
         raise ParseError("a character document must be a JSON object")
     for field in ("type", "highest", "terms"):
@@ -136,18 +137,13 @@ def character_from_doc(doc) -> Character:
             w = row[1]
     if w is None:
         raise ParseError("character document has no monomial with v = 0")
-    for (_o, node, _n), mult in w.items():
-        if not 1 <= node <= datum.rank or mult < 0:
-            raise ParseError(f"highest weight {render_monomial(w)!r} is not "
-                             f"a product of Y-variables of {doc['type']}")
-    mixed = [text for text, tw, _v, _c in rows if tw != w]
-    if mixed:
-        raise MixedHighestWeight(
-            f"{len(mixed)} terms do not share the highest monomial's w, "
-            f"first {mixed[0]!r}", mixed)
-    window = Window(datum, w)
-    terms = {}
-    for text, _w, v, coeff in rows:
+    windows: dict = {}
+    terms, mixed = {}, []
+    for text, tw, v, coeff in rows:
+        key = tuple(sorted(tw.items()))
+        if key not in windows:
+            windows[key] = _window(datum, tw, doc["type"])
+        window = windows[key]
         try:
             m = window.pack(v)
         except OutsideWindow as err:
@@ -157,10 +153,34 @@ def character_from_doc(doc) -> Character:
             raise ParseError(
                 f"term {text!r}: stated monomial does not match its (w, v) "
                 f"payload, which yields {render_monomial(y)!r}")
-        terms[m] = coeff
-    if parse_monomial(doc["highest"], datum) != window.y(HIGHEST):
+        if tw == w:
+            terms[m] = coeff
+        else:
+            mixed.append((m.vdeg, y, coeff))
+    chi = Character(windows[tuple(sorted(w.items()))], terms)
+    if parse_monomial(doc["highest"], datum) != chi.window.y(HIGHEST):
         raise ParseError("stated highest monomial is not the v = 0 term")
-    return Character(window, terms)
+    if mixed:
+        rows = [(m.vdeg, y, c, False) for m, y, c in chi.sorted_terms()]
+        rows += [(vdeg, y, c, True) for vdeg, y, c in mixed]
+        rows.sort(key=lambda row: (row[0], tuple(row[1].items())))
+        raise MixedHighestWeight(
+            f"{len(mixed)} terms do not share the highest monomial's w, "
+            f"first {render_monomial(mixed[0][1])!r}",
+            [(render_monomial(y), c, differs) for _d, y, c, differs in rows],
+            terms.get(HIGHEST))
+    return chi
+
+
+def _window(datum, w: dict, type_name: str) -> Window:
+    if not all(1 <= node <= datum.rank and mult >= 0
+               for (_o, node, _n), mult in w.items()):
+        raise ParseError(f"highest weight {render_monomial(w)!r} is not a "
+                         f"product of Y-variables of {type_name}")
+    try:
+        return Window(datum, w)
+    except OutsideWindow as err:
+        raise ParseError(f"highest weight: {err}") from err
 
 
 def dumps(doc: dict) -> str:

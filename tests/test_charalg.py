@@ -73,11 +73,15 @@ def test_window_layout():
     assert (win.bound, win.bits) == (10, 8)
     assert win.keys[:2] == [("a", 1, 3), ("a", 1, 4)]
     assert len(win.keys) == 4 * 7
-    assert win.slot(("a", 1, 3)) is None and win.slot(("a", 1, 4)) == 1
+    assert ("a", 1, 3) not in win.slots and win.slots["a", 1, 4] == 1
     assert Window(A2, {("a", 1, 0): 200}).bits == 16
-    # factors more than h+1 apart get separate blocks, closer ones merge
-    far = Window(D4, {("a", 2, 0): 1, ("a", 2, 1000): 1})
-    assert len(far.keys) == 2 * 4 * 7
+    with pytest.raises(OutsideWindow):
+        Window(A2, {("a", 1, 0): 2 ** 64})
+    # factors more than h apart get separate blocks, closer ones merge
+    for gap in (7, 1000):
+        far = Window(D4, {("a", 2, 0): 1, ("a", 2, gap): 1})
+        assert len(far.keys) == 2 * 4 * 7
+        assert far.keys == sorted(far.keys)
     near = Window(D4, {("a", 2, 0): 1, ("a", 2, 6): 1})
     assert len(near.keys) == 4 * 13
 
@@ -300,6 +304,18 @@ def test_y_regenerates_from_wv_everywhere():
         for m in chi.terms:
             assert y_exponents(chi.datum, chi.w, chi.window.v(m)) == \
                 chi.window.y(m)
+
+
+def test_term_order_on_gapped_windows():
+    # windows with several blocks on one orbit still order terms by
+    # lowering degree, then sorted Y-exponents
+    for factors in ([(2, 0), (2, 8)], [(2, 0), (1, 7), (2, 8)],
+                    [(1, 0), (3, 20, "b"), (4, 3, "b")]):
+        chi = standard_module_qt(D4, factors)
+        rows = chi.sorted_terms()
+        assert all(list(y) == sorted(y) for _m, y, _c in rows)
+        keys = [(m.vdeg, tuple(sorted(y.items()))) for m, y, _c in rows]
+        assert keys == sorted(keys)
 
 
 def test_merge_monomials_sums_payloads():

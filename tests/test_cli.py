@@ -93,11 +93,20 @@ def test_check_reports_terms_with_another_w(tmp_path, capsys):
     src = tmp_path / "chi.json"
     main(["fundamental", "--type", "A2", "--node", "1", "--out", str(src)])
     doc = json.loads(src.read_text())
-    doc["terms"][2]["w"] = {"1_0": 2}
+    doc["terms"][2].update(monomial="1_0 2_3^-1", w={"1_0": 2})
     src.write_text(json.dumps(doc))
     assert main(["check", str(src)]) == 4
     out = capsys.readouterr().out
-    assert out == "FAIL 2_3^-1: w differs from the highest monomial\n"
+    assert out == "FAIL 1_0 2_3^-1: w differs from the highest monomial\n"
+    # the other checks still run on every coefficient
+    doc["terms"][0]["coeff"] = [[0, 2]]
+    doc["terms"][1]["coeff"] = [[1, 1]]
+    src.write_text(json.dumps(doc))
+    assert main(["check", str(src)]) == 4
+    assert capsys.readouterr().out == (
+        "FAIL highest monomial does not have coefficient 1\n"
+        "FAIL 1_2^-1 2_1: coefficient t fails constant-term, support\n"
+        "FAIL 1_0 2_3^-1: w differs from the highest monomial\n")
 
 
 @pytest.mark.parametrize("doc", [
@@ -127,11 +136,20 @@ PINNED_OUTPUT = [
      "067aa8a29e2a1c54c1b065af3347536d1cd08252051f3fe79a966c4b539090af"),
     (["standard", "--type", "A2", "--factors", "1:0,2:1@b,1:2", "--decode"],
      "f28b5b2415e85ac65279059575b8882f065576d9072a8c6fc71c86c64817e7a4"),
+    # factors over h shifts apart: the window splits into blocks
+    (["standard", "--type", "D4", "--factors", "2:0,2:8", "--decode"],
+     "9c65ef01fa005cf13b3ff8b247b7ef164b54cdb583eb0d6b2a84d2f89458fe53"),
+    (["standard", "--type", "D4", "--factors", "2:0,2:8", "--format", "text"],
+     "e6ff6d298befd68ebc4c56f9b2cc5ccad8f1b2ac26580378dead477cacf43b37"),
+    (["standard", "--type", "D4", "--factors", "2:0,2:8", "--format", "dot"],
+     "2c316d5039e5d6c75d487b9ee622c330b22cf318ec5c69f0bf6aa4c856f1f49b"),
+    (["standard", "--type", "D4", "--factors", "2:0,1:7,2:8"],
+     "599802bc5e9e8be59065e6b5ebc286090607c269adf1baf22bf00ca52da124fb"),
 ]
 
 
 @pytest.mark.parametrize("argv,sha", PINNED_OUTPUT,
-                         ids=[" ".join(a[:4]) for a, _ in PINNED_OUTPUT])
+                         ids=[" ".join(a) for a, _ in PINNED_OUTPUT])
 def test_output_bytes_pinned(tmp_path, argv, sha):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 0

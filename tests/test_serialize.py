@@ -88,10 +88,19 @@ def test_rejects_lowering_outside_window():
 
 def test_rejects_terms_with_another_w():
     doc = character_to_doc(fundamental_qt(A2, 1, 0))
-    doc["terms"][2]["w"] = {"1_0": 2}
+    doc["terms"][2].update(monomial="1_0 2_3^-1", w={"1_0": 2})
     with pytest.raises(MixedHighestWeight) as excinfo:
         character_from_doc(doc)
-    assert excinfo.value.monomials == ("2_3^-1",)
+    err = excinfo.value
+    assert err.monomials == ("1_0 2_3^-1",)
+    assert [(text, differs) for text, _c, differs in err.terms] == [
+        ("1_0", False), ("1_2^-1 2_1", False), ("1_0 2_3^-1", True)]
+    assert err.highest == 1
+    # the term is still checked against its own (w, v)
+    doc["terms"][2]["monomial"] = "2_3^-1"
+    with pytest.raises(ParseError) as excinfo:
+        character_from_doc(doc)
+    assert not isinstance(excinfo.value, MixedHighestWeight)
 
 
 @pytest.mark.parametrize("edit", [
@@ -104,6 +113,7 @@ def test_rejects_terms_with_another_w():
     lambda doc: doc.pop("terms"),
     lambda doc: doc.update(terms={}),
     lambda doc: doc.update(type=4),
+    lambda doc: doc["terms"][0].update(w={"1_0": 2 ** 64}),
 ])
 def test_malformed_documents_raise_parse_error(edit):
     doc = character_to_doc(fundamental_qt(A2, 1, 0))
