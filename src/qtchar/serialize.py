@@ -161,13 +161,13 @@ def character_from_doc(doc) -> Character:
     if parse_monomial(doc["highest"], datum) != chi.window.y(HIGHEST):
         raise ParseError("stated highest monomial is not the v = 0 term")
     if mixed:
-        rows = [(m.vdeg, y, c, False) for m, y, c in chi.sorted_terms()]
-        rows += [(vdeg, y, c, True) for vdeg, y, c in mixed]
-        rows.sort(key=lambda row: (row[0], tuple(row[1].items())))
+        every = [(m.vdeg, y, c, False) for m, y, c in chi.sorted_terms()]
+        every += [(vdeg, y, c, True) for vdeg, y, c in mixed]
+        every.sort(key=lambda term: (term[0], tuple(term[1].items())))
         raise MixedHighestWeight(
             f"{len(mixed)} terms do not share the highest monomial's w, "
             f"first {render_monomial(mixed[0][1])!r}",
-            [(render_monomial(y), c, differs) for _d, y, c, differs in rows],
+            [(render_monomial(y), c, differs) for _d, y, c, differs in every],
             terms.get(HIGHEST))
     return chi
 
