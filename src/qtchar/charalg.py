@@ -23,8 +23,8 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from itertools import compress
-from operator import sub
+from itertools import chain, compress
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import OutsideWindow, ParseError, NodeOutOfRange
@@ -149,6 +149,14 @@ class Window:
         """Y-exponents of m, in sorted key order."""
         y = self._ydense(m)
         return dict(zip(compress(self.keys, y), filter(None, y)))
+
+    def order(self, m: Monomial) -> tuple:
+        """Sort key of the canonical term order: lowering degree, then the
+        Y-exponents' (key, exponent) pairs in sorted key order, flattened
+        into the one tuple.  It compares monomials of any windows."""
+        y = self._ydense(m)
+        return (m.vdeg, *chain.from_iterable(
+            zip(compress(self.keys, y), filter(None, y))))
 
     def text(self, m: Monomial) -> str:
         return render_monomial(self.y(m))
@@ -279,11 +287,12 @@ class Character:
     w = property(lambda self: self.window.w)  # shared by every term
 
     def sorted_terms(self) -> list[tuple[Monomial, dict, TPoly]]:
-        """(monomial, y, coefficient) by lowering degree, then sorted y."""
-        y = self.window.y
-        rows = [(m, y(m), c) for m, c in self.terms.items()]
-        rows.sort(key=lambda row: (row[0].vdeg, tuple(row[1].items())))
-        return rows
+        """(monomial, y, coefficient) in `Window.order`: by lowering
+        degree, then sorted y."""
+        order = self.window.order
+        rows = [(order(m), m, c) for m, c in self.terms.items()]
+        rows.sort(key=itemgetter(0))
+        return [(m, dict(zip(key[1::2], key[2::2])), c) for key, m, c in rows]
 
     def coefficient(self, text: str) -> TPoly:
         """Coefficient of the monomial given in text form (0 if absent)."""

@@ -75,10 +75,13 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _read_doc(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"cannot read {path}: {err}") from err
 
 
 def render_dot(chi) -> str:

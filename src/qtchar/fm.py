@@ -258,6 +258,6 @@ def string_edges(chi: Character) -> list:
             if edge not in seen:
                 seen.add(edge)
                 out.append(edge)
-    key = {m: tuple(chi.window.y(m).items()) for m in chi.terms}
-    out.sort(key=lambda e: (e[0].vdeg, key[e[0]], e[2], key[e[1]]))
+    key = {m: chi.window.order(m) for m in chi.terms}
+    out.sort(key=lambda e: (key[e[0]], e[2], key[e[1]]))
     return out

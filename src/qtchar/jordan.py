@@ -172,12 +172,17 @@ def encode(profile: JordanProfile) -> TPoly:
 
 
 def annotate_character(chi) -> dict:
-    """Decode every coefficient of a character; keys are its monomials."""
+    """Decode every coefficient of a character; keys are its monomials.
+    Each distinct coefficient is decoded once and its profile shared."""
+    profiles: dict = {}  # coefficient -> profile
     out = {}
     for m, c in chi.terms.items():
-        try:
-            out[m] = decode(c)
-        except QtCharError as err:
-            raise err.__class__(
-                f"monomial {chi.window.text(m)}: {err}") from err
+        profile = profiles.get(c)
+        if profile is None:
+            try:
+                profile = profiles[c] = decode(c)
+            except QtCharError as err:
+                raise err.__class__(
+                    f"monomial {chi.window.text(m)}: {err}") from err
+        out[m] = profile
     return out

@@ -19,12 +19,18 @@ A character document looks like::
 exponent; ``w``/``v`` use the same ``i_n[@orbit]`` key syntax as monomial
 factors.  Terms are sorted by lowering degree, then canonical monomial
 order, so serialization is byte-stable.  Round-trips are bit-exact.
+
+`character_to_doc` renders each window field's tag once, and each
+distinct coefficient and Jordan profile once, shared by the terms that
+have it, like ``w``; `dumps` writes the bytes of
+``json.dumps(doc, indent=2)`` with an exact encoder for these types.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
 
 from .charalg import (
     HIGHEST,
@@ -44,12 +50,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _render_map(table: dict) -> dict:
-    out = {}
-    for (orbit, node, shift), mult in sorted(table.items()):
-        tag = f"{node}_{shift}" + (f"@{orbit}" if orbit != "a" else "")
-        out[tag] = mult
-    return out
+def _tag(key) -> str:
+    orbit, node, shift = key
+    return f"{node}_{shift}" + (f"@{orbit}" if orbit != "a" else "")
 
 
 def _parse_map(doc) -> dict:
@@ -78,30 +81,44 @@ def _parse_coeff(pairs) -> TPoly:
 
 
 def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
+    """The character document; every term shares ``w``, and equal
+    coefficients and Jordan profiles share their rendered values."""
     window = chi.window
-    w = _render_map(chi.w)
-    doc = {
-        "type": f"{chi.datum.family}{chi.datum.rank}",
-        "orbits": list(window.orbits),
-        "highest": render_monomial(chi.w),
-        "terms": [],
-    }
-    for m, y, coeff in chi.sorted_terms():
+    tags = [_tag(key) for key in window.keys]  # one per field
+    tag = dict(zip(window.keys, tags))
+    w = {tag[key]: mult for key, mult in chi.w.items()}
+    coeffs: dict = {}
+    jordans: dict = {}
+    terms = []
+    for m, y, c in chi.sorted_terms():
+        coeff = coeffs.get(c)
+        if coeff is None:
+            coeff = coeffs[c] = [[e, x] for e, x in c.pairs()]
+        v = window.fields(m.v)
         term = {
-            "monomial": render_monomial(y),
+            "monomial": " ".join([tag[key] if e == 1 else f"{tag[key]}^{e}"
+                                  for key, e in y.items()]) or "1",
             "w": w,
-            "v": _render_map(window.v(m)),
-            "coeff": [[e, c] for e, c in coeff.pairs()],
+            "v": dict(zip(compress(tags, v), filter(None, v))),
+            "coeff": coeff,
         }
         if annotations is not None and m in annotations:
             profile = annotations[m]
-            term["jordan"] = {
-                "n": profile.n,
-                "blocks": list(profile.blocks),
-                "graded": list(profile.graded),
-            }
-        doc["terms"].append(term)
-    return doc
+            jordan = jordans.get(profile)
+            if jordan is None:
+                jordan = jordans[profile] = {
+                    "n": profile.n,
+                    "blocks": list(profile.blocks),
+                    "graded": list(profile.graded),
+                }
+            term["jordan"] = jordan
+        terms.append(term)
+    return {
+        "type": f"{chi.datum.family}{chi.datum.rank}",
+        "orbits": list(window.orbits),
+        "highest": render_monomial(chi.w),
+        "terms": terms,
+    }
 
 
 def character_from_doc(doc) -> Character:
@@ -138,7 +155,7 @@ def character_from_doc(doc) -> Character:
     if w is None:
         raise ParseError("character document has no monomial with v = 0")
     windows: dict = {}
-    terms, mixed = {}, []
+    terms, listing = {}, []
     for text, tw, v, coeff in rows:
         key = tuple(sorted(tw.items()))
         if key not in windows:
@@ -155,19 +172,17 @@ def character_from_doc(doc) -> Character:
                 f"payload, which yields {render_monomial(y)!r}")
         if tw == w:
             terms[m] = coeff
-        else:
-            mixed.append((m.vdeg, y, coeff))
+        listing.append((window, m, coeff, tw != w))
     chi = Character(windows[tuple(sorted(w.items()))], terms)
     if parse_monomial(doc["highest"], datum) != chi.window.y(HIGHEST):
         raise ParseError("stated highest monomial is not the v = 0 term")
+    mixed = [tw.text(m) for tw, m, _c, differs in listing if differs]
     if mixed:
-        every = [(m.vdeg, y, c, False) for m, y, c in chi.sorted_terms()]
-        every += [(vdeg, y, c, True) for vdeg, y, c in mixed]
-        every.sort(key=lambda term: (term[0], tuple(term[1].items())))
+        listing.sort(key=lambda term: term[0].order(term[1]))
         raise MixedHighestWeight(
             f"{len(mixed)} terms do not share the highest monomial's w, "
-            f"first {render_monomial(mixed[0][1])!r}",
-            [(render_monomial(y), c, differs) for _d, y, c, differs in every],
+            f"first {mixed[0]!r}",
+            [(tw.text(m), c, differs) for tw, m, c, differs in listing],
             terms.get(HIGHEST))
     return chi
 
@@ -184,4 +199,30 @@ def _window(datum, w: dict, type_name: str) -> Window:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` plus a newline, in one pass that
+    joins the items of each container; the document may hold dicts with
+    string keys, lists, strings and integers, anything else is a
+    TypeError."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [_quote(key) + ": " + _encode(value, inner)
+                 for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [_encode(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"{kind.__name__} {obj!r} is not a str, int, list or "
+                    f"dict with str keys")

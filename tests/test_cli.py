@@ -126,6 +126,19 @@ def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["check", "dot", "decode"])
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command, case):
+    src = tmp_path
+    if case == "not-utf8":
+        src = tmp_path / "utf16.json"
+        src.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([command, str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert err.count("\n") == 1
+
+
 # SHA-256 of the output bytes, fixed before monomials were packed
 PINNED_OUTPUT = [
     (["fundamental", "--type", "D4", "--node", "2"],

@@ -267,3 +267,25 @@ def test_annotate_rejects_bad_coefficient():
     with pytest.raises(NotAPoincarePolynomial) as excinfo:
         annotate_character(chi)
     assert "1_0" in str(excinfo.value)
+
+
+def test_annotate_decodes_each_coefficient_once():
+    E6 = build_root_datum("E", 6)
+    chi = fundamental_qt(E6, 3, 0)
+    notes = annotate_character(chi)
+    shared = {}
+    for m, c in chi.terms.items():
+        assert notes[m] == decode(c)
+        assert notes[m] is shared.setdefault(c, notes[m])
+    assert len(shared) < len(chi.terms)
+
+
+def test_annotate_names_first_failing_monomial():
+    A2 = build_root_datum("A", 2)
+    chi = fundamental_qt(A2, 1, 0, audit=False)
+    first, second = list(chi.terms)[1:]
+    chi.terms[first] = chi.terms[second] = poly((1, 1))
+    with pytest.raises(NotAPoincarePolynomial) as excinfo:
+        annotate_character(chi)
+    assert str(excinfo.value).startswith(
+        f"monomial {chi.window.text(first)}: ")

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtchar.errors import MixedHighestWeight, ParseError
 from qtchar.fm import fundamental_qt
-from qtchar.fusion import standard_module_qt
+from qtchar.fusion import FactorSpec, standard_module_qt
 from qtchar.jordan import annotate_character
 from qtchar.rootdata import build_root_datum
 from qtchar.serialize import character_from_doc, character_to_doc, dumps
@@ -122,3 +124,37 @@ def test_malformed_documents_raise_parse_error(edit):
         character_from_doc(doc)
     with pytest.raises(ParseError):
         character_from_doc([doc])
+
+
+# -- the encoder ---------------------------------------------------------
+
+_strings = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028')
+                   | st.characters(), max_size=6)
+_trees = st.recursive(
+    _strings | st.integers() | st.integers(-2 ** 100, 2 ** 100),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_trees)
+def test_dumps_is_json_dumps_with_indent(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, True, None, ("a",), {"k": [0, False]}, {"k": None}, {1: "v"},
+], ids=["float", "bool", "none", "tuple", "nested-bool", "nested-none",
+        "int-key"])
+def test_dumps_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+def test_dumps_is_json_dumps_on_documents():
+    e6 = fundamental_qt(build_root_datum("E", 6), 3, 0)
+    a2 = standard_module_qt(A2, [FactorSpec(1, 0), FactorSpec(2, 1, "b"),
+                                 FactorSpec(1, 2)])
+    for chi in (e6, a2):
+        doc = character_to_doc(chi, annotate_character(chi))
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
