@@ -8,11 +8,8 @@ of the corresponding l-weight space.
 
 from .charalg import (
     Character,
-    LWeightView,
     Monomial,
     Window,
-    drinfeld_roots,
-    monomial_to_lweight,
     parse_monomial,
     render_monomial,
 )
@@ -38,7 +35,6 @@ __all__ = [
     "Character",
     "FactorSpec",
     "JordanProfile",
-    "LWeightView",
     "Monomial",
     "QtCharError",
     "RootDatum",
@@ -50,11 +46,9 @@ __all__ = [
     "build_root_datum",
     "decode",
     "decompose_segments",
-    "drinfeld_roots",
     "encode",
     "fundamental_qt",
     "ladder_character",
-    "monomial_to_lweight",
     "parse_monomial",
     "parse_type",
     "profile_from_blocks",

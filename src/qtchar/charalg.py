@@ -317,67 +317,3 @@ class Character:
 def trivial_character(datum: RootDatum) -> Character:
     """The character of the trivial module: the identity monomial alone."""
     return Character(Window(datum, {}), {HIGHEST: TPoly.one()})
-
-
-# -- l-weight and Drinfeld views ---------------------------------------
-
-
-class LWeightView:
-    """Per-node numerator/denominator root multisets of an l-weight.
-
-    Positive Y-exponents populate the numerator with multiplicity,
-    negative ones the denominator.  Only the root multisets are recorded;
-    scalar prefactors of the generating series are a display convention
-    and are left out.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: dict, denominator: dict):
-        self.numerator = numerator      # node -> sorted list of (orbit, shift)
-        self.denominator = denominator
-
-    def reconstruct_y(self) -> dict:
-        y = {}
-        for node, roots in self.numerator.items():
-            for (orbit, shift) in roots:
-                key = (orbit, node, shift)
-                y[key] = y.get(key, 0) + 1
-        for node, roots in self.denominator.items():
-            for (orbit, shift) in roots:
-                key = (orbit, node, shift)
-                val = y.get(key, 0) - 1
-                if val:
-                    y[key] = val
-                else:
-                    y.pop(key, None)
-        return y
-
-
-def monomial_to_lweight(y: dict) -> LWeightView:
-    """The l-weight view of a Y-exponent map."""
-    num: dict = {}
-    den: dict = {}
-    for (orbit, node, shift), exp in y.items():
-        side = num if exp > 0 else den
-        side.setdefault(node, []).extend([(orbit, shift)] * abs(exp))
-    for table in (num, den):
-        for node in table:
-            table[node].sort()
-    return LWeightView(num, den)
-
-
-def drinfeld_roots(chi: Character) -> dict:
-    """Multiset of Drinfeld roots per node, read off the highest monomial.
-
-    Node i receives shift n with the multiplicity of the highest-weight
-    exponent at (i, n).  The global spectral offset appearing in the
-    generating-series normalization is a display convention and is not
-    applied to the shifts.
-    """
-    roots: dict = {i: [] for i in chi.datum.nodes}
-    for (orbit, node, shift), mult in chi.w.items():
-        roots[node].extend([(orbit, shift)] * mult)
-    for node in roots:
-        roots[node].sort()
-    return roots

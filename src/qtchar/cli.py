@@ -23,7 +23,6 @@ from . import fixtures as fixture_store
 from . import jordan, serialize
 from .charalg import HIGHEST, render_monomial
 from .errors import (
-    DepthExceeded,
     InconsistentExpansion,
     MixedHighestWeight,
     NegativeTwist,
@@ -33,7 +32,7 @@ from .errors import (
     QtCharError,
     UnsupportedType,
 )
-from .fm import DEFAULT_DEPTH_CAP, fundamental_qt, string_edges
+from .fm import fundamental_qt, string_edges
 from .fusion import FactorSpec, standard_module_qt
 from .rootdata import parse_type
 
@@ -124,16 +123,14 @@ def _emit_character(chi, args) -> None:
 
 def cmd_fundamental(args) -> int:
     datum = parse_type(args.type)
-    chi = fundamental_qt(datum, args.node, args.shift, args.orbit,
-                         depth_cap=args.depth_cap)
+    chi = fundamental_qt(datum, args.node, args.shift, args.orbit)
     _emit_character(chi, args)
     return 0
 
 
 def cmd_standard(args) -> int:
     datum = parse_type(args.type)
-    chi = standard_module_qt(datum, parse_factors(args.factors),
-                             depth_cap=args.depth_cap)
+    chi = standard_module_qt(datum, parse_factors(args.factors))
     _emit_character(chi, args)
     return 0
 
@@ -183,8 +180,7 @@ def cmd_fixtures(args) -> int:
     failed = False
     for name in fixture_store.fixture_names():
         doc = fixture_store.load_fixture(name)
-        mismatches = fixture_store.verify_fixture(doc,
-                                                  depth_cap=args.depth_cap)
+        mismatches = fixture_store.verify_fixture(doc)
         if mismatches:
             failed = True
             print(f"FAIL {name}: {len(mismatches)} mismatches")
@@ -214,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", default="a")
     p.add_argument("--decode", action="store_true",
                    help="attach Jordan annotations")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     add_output(p)
     p.set_defaults(func=cmd_fundamental)
 
@@ -223,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", required=True,
                    help="comma-separated node:shift[@orbit] factors")
     p.add_argument("--decode", action="store_true")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     add_output(p)
     p.set_defaults(func=cmd_standard)
 
@@ -243,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures",
                        help="recompute shipped fixtures and diff exactly")
-    p.add_argument("--depth-cap", type=int, default=300)
     p.set_defaults(func=cmd_fixtures)
 
     return parser
@@ -258,8 +251,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (InconsistentExpansion, NonMinuscule, DepthExceeded,
-            NegativeTwist) as err:
+    except (InconsistentExpansion, NonMinuscule, NegativeTwist) as err:
         print(f"computation error: {err}", file=sys.stderr)
         return COMPUTE_ERROR
     except QtCharError as err:

@@ -38,10 +38,6 @@ class NonMinuscule(QtCharError):
     """A second dominant monomial turned up during the expansion."""
 
 
-class DepthExceeded(QtCharError):
-    """The expansion ran past the configured lowering-degree cap."""
-
-
 class OutsideWindow(QtCharError):
     """A lowering vector leaves its character's window: a shift outside
     the window, a negative exponent, or a lowering degree past the bound

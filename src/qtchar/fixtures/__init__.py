@@ -32,7 +32,7 @@ def load_fixture(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def compute_fixture_character(doc: dict, depth_cap: int = 300):
+def compute_fixture_character(doc: dict):
     """Recompute the character a fixture document describes."""
     from ..fm import fundamental_qt
     from ..fusion import standard_module_qt
@@ -40,14 +40,13 @@ def compute_fixture_character(doc: dict, depth_cap: int = 300):
     datum = parse_type(doc["type"])
     if doc["kind"] == "fundamental":
         return fundamental_qt(datum, doc["node"], doc.get("shift", 0),
-                              doc.get("orbit", "a"), depth_cap=depth_cap)
+                              doc.get("orbit", "a"))
     if doc["kind"] == "standard":
-        return standard_module_qt(datum, [tuple(f) for f in doc["factors"]],
-                                  depth_cap=depth_cap)
+        return standard_module_qt(datum, [tuple(f) for f in doc["factors"]])
     raise ValueError(f"unknown fixture kind {doc['kind']!r}")
 
 
-def verify_fixture(doc: dict, depth_cap: int = 300) -> list[str]:
+def verify_fixture(doc: dict) -> list[str]:
     """Recompute a fixture and diff it exactly.
 
     Returns a list of human-readable mismatch lines; empty means pass.
@@ -55,7 +54,7 @@ def verify_fixture(doc: dict, depth_cap: int = 300) -> list[str]:
     from ..fm import string_edges
 
     datum = parse_type(doc["type"])
-    chi = compute_fixture_character(doc, depth_cap=depth_cap)
+    chi = compute_fixture_character(doc)
 
     def canon(text: str) -> str:
         return render_monomial(parse_monomial(text, datum))

@@ -26,7 +26,6 @@ from operator import attrgetter
 
 from .charalg import HIGHEST, Character, Monomial, Window
 from .errors import (
-    DepthExceeded,
     InconsistentExpansion,
     NodeOutOfRange,
     NonMinuscule,
@@ -35,8 +34,6 @@ from .errors import (
 from .rootdata import RootDatum
 from .sl2 import sl2_simple_qt
 from .tpoly import TPoly
-
-DEFAULT_DEPTH_CAP = 200
 
 _ZERO = TPoly.zero()
 
@@ -89,14 +86,16 @@ def _template_step_pairs(root_tuple: tuple) -> tuple:
 
 
 def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
-                   orbit: str = "a", depth_cap: int = DEFAULT_DEPTH_CAP,
-                   audit: bool = True) -> Character:
+                   orbit: str = "a") -> Character:
     """q,t-character of the fundamental module with highest l-weight
-    Y_{node, orbit shift}.
+    Y_{node, orbit shift}, audited by `audit_expansion`.
 
-    Raises NonMinuscule if a second dominant monomial appears,
-    InconsistentExpansion if the per-direction bookkeeping disagrees, and
-    DepthExceeded past ``depth_cap`` lowering steps.
+    The expansion runs down to the lowering degree of the lowest weight,
+    ``window.bound``, and must end on the single monomial
+    Y_{j, orbit shift+h}^{-1} with coefficient 1 there.  Raises
+    NonMinuscule if a second dominant monomial appears and
+    InconsistentExpansion if the per-direction bookkeeping disagrees or
+    the expansion does not end on that lowest weight.
     """
     if not 1 <= node <= datum.rank:
         raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
@@ -152,9 +151,6 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                 if not d.vdeg:
                     continue
                 ivdeg = vdeg + d.vdeg
-                if ivdeg > depth_cap:
-                    raise DepthExceeded(
-                        f"lowering degree {ivdeg} exceeds cap {depth_cap}")
                 if ivdeg > window.bound:
                     raise InconsistentExpansion(
                         f"lowering degree {ivdeg} passes the lowest weight "
@@ -166,9 +162,16 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                     heapq.heappush(heap, (ivdeg, img.v))
 
     terms = {m: c for m, c in result.items() if c}
+    # the expansion ends on the lowest weight Y_{j, orbit shift+h}^{-1}
+    lowest = [(m, window.y(m)) for m in terms if m.vdeg == window.bound]
+    ends = [(o, n, e) for _m, y in lowest for (o, _j, n), e in y.items()]
+    end = shift + datum.coxeter_number
+    if ends != [(orbit, end, -1)] or terms[lowest[0][0]] != 1:
+        raise InconsistentExpansion(
+            f"the expansion does not end on one lowest weight "
+            f"Y_{{j,{end}}}^-1 with coefficient 1 at degree {window.bound}")
     chi = Character(window, terms)
-    if audit:
-        audit_expansion(chi)
+    audit_expansion(chi)
     return chi
 
 

@@ -136,8 +136,7 @@ def twisted_product(datum: RootDatum, chi1: Character,
     return Character(window, terms)
 
 
-def standard_module_qt(datum: RootDatum, factors, depth_cap: int = 200,
-                       audit: bool = True) -> Character:
+def standard_module_qt(datum: RootDatum, factors) -> Character:
     """q,t-character of the standard module with the given fundamental
     factors; independent of the order in which factors are listed."""
     from . import fm
@@ -152,8 +151,7 @@ def standard_module_qt(datum: RootDatum, factors, depth_cap: int = 200,
     for f in specs:
         chi = base.get((f.node, f.orbit))
         if chi is None:
-            chi = fm.fundamental_qt(datum, f.node, 0, f.orbit,
-                                    depth_cap=depth_cap, audit=audit)
+            chi = fm.fundamental_qt(datum, f.node, 0, f.orbit)
             base[(f.node, f.orbit)] = chi
         chis.append(chi.shifted(f.shift) if f.shift else chi)
 

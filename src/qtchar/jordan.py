@@ -181,8 +181,8 @@ def annotate_character(chi) -> dict:
         if profile is None:
             try:
                 profile = profiles[c] = decode(c)
-            except QtCharError as err:
-                raise err.__class__(
-                    f"monomial {chi.window.text(m)}: {err}") from err
+            except QtCharError as err:  # name the monomial, keep the rest
+                err.args = (f"monomial {chi.window.text(m)}: {err}",)
+                raise
         out[m] = profile
     return out

@@ -76,20 +76,6 @@ def decompose_segments(roots) -> list[Segment]:
     return segments
 
 
-def are_linked(s1: Segment, s2: Segment) -> bool:
-    """Whether two segments are linked: same orbit, union again a step-2
-    chain, and neither contains the other."""
-    if s1.orbit != s2.orbit:
-        return False
-    a, b = sorted((s1, s2), key=lambda s: (s.head, -s.length))
-    sa, sb = set(a.shifts()), set(b.shifts())
-    if sa >= sb or sb >= sa:
-        return False
-    union = sorted(sa | sb)
-    chain = all(union[k + 1] - union[k] == 2 for k in range(len(union) - 1))
-    return chain
-
-
 def ladder_character(seg: Segment) -> Character:
     """Thin string character of one segment: length+1 monomials, all with
     coefficient 1, obtained by lowering from the top of the string down."""

@@ -157,7 +157,7 @@ def test_criterion_04_e6_fundamental(tmp_path):
     out = tmp_path / "e6.json"
     wall, rss_mb = run_measured(
         [sys.executable, "-m", "qtchar.cli", "fundamental", "--type", "E6",
-         "--node", "3", "--depth-cap", "300", "--out", str(out)],
+         "--node", "3", "--out", str(out)],
         limit_seconds=600.0)
     assert rss_mb < 4096, f"peak RSS {rss_mb:.0f} MB"
 

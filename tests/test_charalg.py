@@ -6,7 +6,6 @@ from qtchar.charalg import (
     HIGHEST,
     Character,
     Window,
-    monomial_to_lweight,
     parse_monomial,
     render_monomial,
 )
@@ -242,49 +241,7 @@ def test_render_parse_canonicalizes():
         == "2_4^-1 3_1 3_3"
 
 
-# -- l-weight view -----------------------------------------------------
-
-
-def test_lweight_trivial():
-    view = monomial_to_lweight(top(A2, 1).y(HIGHEST))
-    assert view.numerator == {1: [("a", 0)]}
-    assert view.denominator == {}
-
-
-def test_lweight_mixed():
-    win = top(A2, 1)
-    view = monomial_to_lweight(win.y(win.lowered(HIGHEST, 1, {("a", 1): 1})))
-    assert view.numerator == {2: [("a", 1)]}
-    assert view.denominator == {1: [("a", 2)]}
-
-
-def test_lweight_multiplicity_and_reconstruction():
-    win, m = node10()
-    view = monomial_to_lweight(win.y(m))
-    assert view.numerator[2] == [("a", 2), ("a", 2)]
-    assert view.reconstruct_y() == win.y(m)
-
-
-def test_lweight_reconstructs_across_characters():
-    for chi in (fundamental_qt(D4, 2, 0),
-                standard_module_qt(A2, [(1, 0), (1, 0)])):
-        for m in chi.terms:
-            y = chi.window.y(m)
-            assert monomial_to_lweight(y).reconstruct_y() == y
-
-
-# -- drinfeld roots, mass ----------------------------------------------
-
-
-def test_drinfeld_roots():
-    from qtchar.charalg import drinfeld_roots
-
-    chi = fundamental_qt(A2, 1, 0)
-    assert drinfeld_roots(chi) == {1: [("a", 0)], 2: []}
-    chi = standard_module_qt(A2, [(1, 0), (1, 0)])
-    assert drinfeld_roots(chi)[1] == [("a", 0), ("a", 0)]
-    chi = standard_module_qt(A2, [(1, 0), (2, 1)])
-    assert drinfeld_roots(chi) == {1: [("a", 0)], 2: [("a", 1)]}
+# -- mass ------------------------------------------------------------
 
 
 def test_mass_at_t1():

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+import qtchar.cli
 from qtchar.cli import main, parse_factors
-from qtchar.errors import ParseError
+from qtchar.errors import InconsistentExpansion, ParseError
 from qtchar.fusion import FactorSpec
 
 
@@ -204,15 +205,25 @@ def test_byte_identical_runs():
     assert a.stdout == b.stdout
 
 
-def test_exit_codes():
+def test_exit_codes(monkeypatch, capsys):
     assert main(["fundamental", "--type", "X4", "--node", "1"]) == 2
     assert main(["fundamental", "--type", "A2", "--node", "7"]) == 2
     assert main(["standard", "--type", "A2", "--factors", "oops"]) == 2
-    assert main(["fundamental", "--type", "D4", "--node", "2",
-                 "--depth-cap", "2"]) == 3
     assert main(["decode", "/nonexistent/path.json"]) == 2
+    capsys.readouterr()
+
+    def inconsistent(*_args):
+        raise InconsistentExpansion("planted")
+
+    monkeypatch.setattr(qtchar.cli, "fundamental_qt", inconsistent)
+    assert main(["fundamental", "--type", "D4", "--node", "2"]) == 3
+    assert "computation error: planted" in capsys.readouterr().err
     proc = run_cli("bogus-command")
     assert proc.returncode == 2
+    proc = run_cli("fundamental", "--type", "A2", "--node", "1",
+                   "--depth-cap", "300")
+    assert proc.returncode == 2
+    assert "--depth-cap" in proc.stderr
 
 
 def test_fixtures_command(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from qtchar.charalg import render_monomial
-from qtchar.errors import DepthExceeded, InconsistentExpansion
+from qtchar.errors import InconsistentExpansion
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import standard_module_qt
 from qtchar.fm import (
@@ -82,7 +82,7 @@ def test_fundamental_dimensions_across_types():
     assert [fundamental_qt(d5, n, 0).mass_at_t1() for n in d5.nodes] == \
         [10, 46, 130, 16, 16]
     e7 = build_root_datum("E", 7)
-    chi = fundamental_qt(e7, 6, 0, depth_cap=300)
+    chi = fundamental_qt(e7, 6, 0)
     assert chi.mass_at_t1() == len(chi.terms) == 56
     assert all(c == 1 for c in chi.terms.values())
 
@@ -92,13 +92,13 @@ def test_exceptional_fundamental_dimensions():
     # the larger ones (E7 node 3: mass 640871; E8 node 8: mass 185877)
     # also close and audit but are too slow for the suite
     e6 = build_root_datum("E", 6)
-    assert [fundamental_qt(e6, n, 0, depth_cap=300).mass_at_t1()
+    assert [fundamental_qt(e6, n, 0).mass_at_t1()
             for n in e6.nodes] == [27, 378, 3732, 378, 27, 79]
     e7 = build_root_datum("E", 7)
     for node, mass in [(1, 134), (5, 1673), (6, 56), (7, 968)]:
-        assert fundamental_qt(e7, node, 0, depth_cap=400).mass_at_t1() == mass
+        assert fundamental_qt(e7, node, 0).mass_at_t1() == mass
     e8 = build_root_datum("E", 8)
-    chi = fundamental_qt(e8, 7, 0, depth_cap=400)
+    chi = fundamental_qt(e8, 7, 0)
     assert chi.mass_at_t1() == 249  # adjoint plus trivial
     assert sum(1 for c in chi.terms.values() if c != 1) == 1
 
@@ -109,18 +109,24 @@ def test_all_fundamentals_shift_equivariant():
     assert texts(base.shifted(5)) == texts(moved)
 
 
-def test_depth_cap():
-    with pytest.raises(DepthExceeded):
-        fundamental_qt(D4, 2, 0, depth_cap=3)
+def test_expansion_must_end_on_the_lowest_weight():
+    # a bound one past the lowest weight's degree: the expansion empties
+    # its worklist at degree 10 and never reaches the claimed end
+    datum = build_root_datum("D", 4)
+    depths = list(datum.lowest_depths)
+    depths[1] += 1
+    datum.__dict__["lowest_depths"] = tuple(depths)
+    with pytest.raises(InconsistentExpansion, match="lowest weight"):
+        fundamental_qt(datum, 2, 0)
 
 
 def test_audit_passes_on_outputs():
     for datum, node in [(A2, 1), (A2, 2), (D4, 1), (D4, 2)]:
-        audit_expansion(fundamental_qt(datum, node, 0, audit=False))
+        audit_expansion(fundamental_qt(datum, node, 0))
 
 
 def test_audit_rejects_tampered_character():
-    chi = fundamental_qt(D4, 2, 0, audit=False)
+    chi = fundamental_qt(D4, 2, 0)
     target = next(m for m in chi.terms
                   if chi.window.text(m) == "2_2 2_4^-1")
     chi.terms[target] = TPoly.one()  # break the thick coefficient

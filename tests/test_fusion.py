@@ -272,7 +272,7 @@ def test_products_decompose_in_every_direction():
         datum = rng.choice([A2, A3, D4])
         factors = [(rng.randint(1, datum.rank), rng.randint(0, 8))
                    for _ in range(rng.randint(2, 3))]
-        chi = standard_module_qt(datum, factors, audit=False)
+        chi = standard_module_qt(datum, factors)
         for i in datum.nodes:
             decompose_direction(chi, i)
 

@@ -248,7 +248,7 @@ def test_annotate_d4():
 
 def test_annotate_e6_headline():
     E6 = build_root_datum("E", 6)
-    chi = fundamental_qt(E6, 3, 0, depth_cap=300)
+    chi = fundamental_qt(E6, 3, 0)
     notes = annotate_character(chi)
     table = {chi.window.text(m): p for m, p in notes.items()}
     thick = table["2_5 2_7^-1 4_5 4_7^-1 6_5 6_7^-1"]
@@ -261,12 +261,13 @@ def test_annotate_e6_headline():
 
 def test_annotate_rejects_bad_coefficient():
     A2 = build_root_datum("A", 2)
-    chi = fundamental_qt(A2, 1, 0, audit=False)
+    chi = fundamental_qt(A2, 1, 0)
     m = HIGHEST
     chi.terms[m] = poly((0, 1), (4, 1))
     with pytest.raises(NotAPoincarePolynomial) as excinfo:
         annotate_character(chi)
     assert "1_0" in str(excinfo.value)
+    assert excinfo.value.violations == ("unimodal",)
 
 
 def test_annotate_decodes_each_coefficient_once():
@@ -282,7 +283,7 @@ def test_annotate_decodes_each_coefficient_once():
 
 def test_annotate_names_first_failing_monomial():
     A2 = build_root_datum("A", 2)
-    chi = fundamental_qt(A2, 1, 0, audit=False)
+    chi = fundamental_qt(A2, 1, 0)
     first, second = list(chi.terms)[1:]
     chi.terms[first] = chi.terms[second] = poly((1, 1))
     with pytest.raises(NotAPoincarePolynomial) as excinfo:

@@ -8,7 +8,6 @@ from qtchar.fusion import twisted_product
 from qtchar.sl2 import (
     RANK_ONE,
     Segment,
-    are_linked,
     decompose_segments,
     ladder_character,
     sl2_simple_qt,
@@ -25,6 +24,18 @@ def roots(*shifts, orbit="a"):
 
 
 # -- independent oracle: exhaustive non-linked decompositions ----------
+
+
+def are_linked(s1, s2):
+    """Whether two segments are linked: same orbit, union again a step-2
+    chain, and neither contains the other."""
+    if s1.orbit != s2.orbit:
+        return False
+    sa, sb = set(s1.shifts()), set(s2.shifts())
+    if sa >= sb or sb >= sa:
+        return False
+    union = sorted(sa | sb)
+    return all(b - a == 2 for a, b in zip(union, union[1:]))
 
 
 def all_segment_decompositions(shifts):
