@@ -21,6 +21,16 @@ those pieces assemble into a single connected locus and the sum is a
 hard-Lefschetz Poincare polynomial; special interleaving gaps can leave
 the locus reducible, in which case the coefficient is still correct but
 not palindromic.
+
+Coefficients are summed as packed integers (Kronecker substitution): a
+coefficient sum a_e t^e of a factor becomes the integer sum
+a_e 2^(W (e - lo)), lo the factor's lowest t-exponent, so a pair costs
+one multiply, one shift by 2Wp and one add.  The width W is derived, not
+set: no digit of any partial sum exceeds A1 A2 in size, A the absolute
+mass sum |a| of a factor over all its terms, so W = (A1 A2).bit_length()
++ 1 keeps signed digits from carrying into one another, for Laurent,
+negative and arbitrarily large coefficients alike.  Each distinct sum is
+decoded once, so equal coefficients of a product share one TPoly.
 """
 
 from __future__ import annotations
@@ -111,28 +121,70 @@ def twist_rows(chi1: Character, chi2: Character):
     return window, right, rows()
 
 
+def _pack(chi: Character, width: int, lo: int) -> list[int]:
+    """Each coefficient sum a_e t^e of chi, in term order, as the integer
+    sum a_e 2^(width (e - lo)); equal coefficients are packed once."""
+    packed: dict[TPoly, int] = {}
+    out = []
+    for c in chi.terms.values():
+        x = packed.get(c)
+        if x is None:
+            x = packed[c] = sum(a << width * (e - lo) for e, a in c.c.items())
+        out.append(x)
+    return out
+
+
+def _unpack(x: int, width: int, lo: int) -> TPoly:
+    """The polynomial with signed width-bit digits x, lowest at t^lo."""
+    coeffs = {}
+    half, mask = 1 << width - 1, (1 << width) - 1
+    e = lo
+    while x:
+        a = x & mask
+        if a >= half:
+            a -= 1 << width
+        if a:
+            coeffs[e] = a
+        x = (x - a) >> width
+        e += 1
+    return TPoly.from_dict(coeffs)
+
+
 def twisted_product(datum: RootDatum, chi1: Character,
                     chi2: Character) -> Character:
     """Fuse two characters: coefficient of a product monomial is the sum
-    over factorizations of t^{2p} times the product of factor coefficients."""
+    over factorizations of t^{2p} times the product of factor coefficients,
+    summed on packed integers (see the module docstring).  A monomial whose
+    coefficient cancels to zero is kept."""
     assert chi1.datum == chi2.datum == datum
+    coeffs1, coeffs2 = chi1.terms.values(), chi2.terms.values()
+    lo1 = min((e for c in coeffs1 for e in c.c), default=0)
+    lo2 = min((e for c in coeffs2 for e in c.c), default=0)
+    mass1 = sum(abs(a) for c in coeffs1 for a in c.c.values())
+    mass2 = sum(abs(a) for c in coeffs2 for a in c.c.values())
+    width = (mass1 * mass2).bit_length() + 1
     window, right, rows = twist_rows(chi1, chi2)
-    acc: dict[int, tuple[int, dict]] = {}
-    for v1, vdeg1, c1, ps in rows:
-        items1 = c1.c.items()
-        for (v2, vdeg2, c2), p in zip(right, ps):
+    # the lowering degree rides above the packed v, so one add makes both
+    top = window.bits * len(window.keys)
+    right = [(v2 + (vdeg2 << top), x2) for (v2, vdeg2, _c2), x2
+             in zip(right, _pack(chi2, width, lo2))]
+    step = 2 * width
+    acc: dict[int, int] = {}
+    get = acc.get
+    for (v1, vdeg1, _c1, ps), x1 in zip(rows, _pack(chi1, width, lo1)):
+        v1 += vdeg1 << top
+        for (v2, x2), p in zip(right, ps):
             v = v1 + v2
-            entry = acc.get(v)
-            if entry is None:
-                entry = acc[v] = (vdeg1 + vdeg2, {})
-            coeffs = entry[1]
-            shift = 2 * p
-            for e2, a2 in c2.c.items():
-                for e1, a1 in items1:
-                    e = e1 + e2 + shift
-                    coeffs[e] = coeffs.get(e, 0) + a1 * a2
-    terms = {Monomial(v, vdeg): TPoly.from_dict(coeffs)
-             for v, (vdeg, coeffs) in acc.items()}
+            acc[v] = get(v, 0) + (x1 * x2 << step * p)
+    decoded: dict[int, TPoly] = {}
+    terms = {}
+    low, mask = lo1 + lo2, (1 << top) - 1
+    while acc:  # popping frees each packed key and sum once it is read
+        v, x = acc.popitem()
+        c = decoded.get(x)
+        if c is None:
+            c = decoded[x] = _unpack(x, width, low)
+        terms[Monomial(v & mask, v >> top)] = c
     return Character(window, terms)
 
 

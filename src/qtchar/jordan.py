@@ -23,6 +23,7 @@ polynomials and consistent profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     InconsistentProfile,
@@ -55,35 +56,47 @@ class ValidationReport:
         return self.ok
 
 
+_VALID = ValidationReport(True)
+
+
+@lru_cache(maxsize=None)
 def validate_poincare(p: TPoly) -> ValidationReport:
     """Check the hard-Lefschetz shape constraints on one coefficient.
 
     Checks: nonzero; constant term >= 1; support contained in the even
     nonnegative integers; palindromic about half the top degree; positive
-    and unimodal coefficients.  Returns the list of violated checks.
+    and unimodal coefficients.  Returns the list of violated checks; the
+    shape checks run only when the first three pass.  Memoised per
+    coefficient value: a character has few distinct coefficients, so each
+    is checked once however many terms share it.
     """
-    if not p:
+    c = p.c
+    if not c:
         return ValidationReport(False, ("zero",))
+    positive = support = True
+    for e, a in c.items():
+        positive = positive and a > 0
+        support = support and e >= 0 and not e & 1
     violations = []
-    if p.coeff(0) < 1:
+    if c.get(0, 0) < 1:
         violations.append("constant-term")
-    if not p.is_positive():
+    if not positive:
         violations.append("positive")
-    if any(e < 0 or e % 2 for e in p.c):
+    if not support:
         violations.append("support")
-    if not violations:
-        top = p.max_degree()
-        seq = [p.coeff(2 * j) for j in range(top // 2 + 1)]
-        if any(p.coeff(d) != p.coeff(top - d) for d in range(0, top + 1, 2)):
-            violations.append("palindromic")
-        rising = True
-        for a, b in zip(seq, seq[1:]):
-            if b > a and not rising:
-                violations.append("unimodal")
-                break
-            if b < a:
-                rising = False
-    return ValidationReport(not violations, tuple(violations))
+    if violations:
+        return ValidationReport(False, tuple(violations))
+    top = max(c)
+    if any(c.get(top - e) != a for e, a in c.items()):
+        violations.append("palindromic")
+    seq = [c.get(d, 0) for d in range(0, top + 1, 2)]
+    falling = False
+    for a, b in zip(seq, seq[1:]):
+        if b > a and falling:
+            violations.append("unimodal")
+            break
+        falling = falling or b < a
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 @dataclass(frozen=True)

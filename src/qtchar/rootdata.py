@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NodeOutOfRange, UnsupportedType
+from .errors import UnsupportedType
 
 _FAMILIES = ("A", "D", "E")
 
@@ -34,11 +34,6 @@ class RootDatum:
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.rank:
-            raise NodeOutOfRange(f"node {i} not in 1..{self.rank}")
-        return self.adjacency[i - 1]
 
     @property
     def nodes(self) -> range:

@@ -2,7 +2,8 @@
 
 These hold the Poincare-polynomial coefficients of characters, so the
 arithmetic is exact big-integer throughout; no floats anywhere.  Instances
-are treated as immutable: every operation returns a fresh polynomial.
+are treated as immutable: every operation returns a fresh polynomial, and
+the hash is computed once, on first use.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 class TPoly:
     """Map from t-exponent to nonzero integer coefficient."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_hash")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
@@ -120,7 +121,11 @@ class TPoly:
         return isinstance(other, TPoly) and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.c.items()))
+            return h
 
     def coeff(self, e: int) -> int:
         return self.c.get(e, 0)
@@ -128,9 +133,6 @@ class TPoly:
     def pairs(self) -> list[tuple[int, int]]:
         """Sorted (exponent, coefficient) pairs."""
         return sorted(self.c.items())
-
-    def min_degree(self) -> int:
-        return min(self.c)
 
     def max_degree(self) -> int:
         return max(self.c)

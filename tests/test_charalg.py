@@ -36,7 +36,7 @@ def y_exponents(datum, w, v):
     for (orbit, i, n), mult in v.items():
         bump((orbit, i, n - 1), -mult)
         bump((orbit, i, n + 1), -mult)
-        for j in datum.neighbors(i):
+        for j in datum.adjacency[i - 1]:
             bump((orbit, j, n), mult)
     return y
 

@@ -2,9 +2,11 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtchar.charalg import HIGHEST, Character, Window, parse_monomial, \
-    render_monomial
+from qtchar.charalg import HIGHEST, Character, Monomial, Window, \
+    parse_monomial, render_monomial
 from qtchar.errors import NegativeTwist, QtCharError
 from qtchar.fm import fundamental_qt
 from qtchar.fusion import FactorSpec, standard_module_qt, twist_rows, \
@@ -39,7 +41,7 @@ def bb_twist(datum, w1, v1, w2, v2):
             - v2.get((orbit, j, n), 0)
             - v2.get((orbit, j, n - 2), 0)
         )
-        for i in datum.neighbors(j):
+        for i in datum.adjacency[j - 1]:
             p += a * v2.get((orbit, i, n - 1), 0)
     return p
 
@@ -128,6 +130,85 @@ def test_twist_cross_orbit_pairs_vanish():
 
 
 # -- twisted_product -------------------------------------------------------
+
+
+def dict_product(chi1, chi2):
+    """Reference: the product with one exponent -> coefficient dict per
+    product monomial, updated for every exponent pair of every term pair."""
+    window, right, rows = twist_rows(chi1, chi2)
+    acc = {}
+    for v1, vdeg1, c1, ps in rows:
+        for (v2, vdeg2, c2), p in zip(right, ps):
+            coeffs = acc.setdefault(v1 + v2, (vdeg1 + vdeg2, {}))[1]
+            for e2, a2 in c2.c.items():
+                for e1, a1 in c1.c.items():
+                    e = e1 + e2 + 2 * p
+                    coeffs[e] = coeffs.get(e, 0) + a1 * a2
+    return Character(window, {Monomial(v, vdeg): TPoly(coeffs)
+                              for v, (vdeg, coeffs) in acc.items()})
+
+
+def recoefficient(chi, coeffs):
+    """chi's monomials with the given coefficients, in term order."""
+    return Character(chi.window, dict(zip(chi.terms, coeffs)))
+
+
+BASES = {
+    "A2": (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1)),
+    "D4": (fundamental_qt(D4, 2, 0), fundamental_qt(D4, 2, 2)),
+}
+
+_big = 2 ** 70
+coefficients = st.dictionaries(
+    st.integers(-5, 6),
+    st.one_of(st.integers(-3, 3), st.integers(_big - 3, _big + 3),
+              st.integers(-_big - 3, -_big + 3)),
+    max_size=3).map(TPoly)
+
+
+@st.composite
+def factor_pairs(draw):
+    pair = BASES[draw(st.sampled_from(sorted(BASES)))]
+    return tuple(recoefficient(chi, [draw(coefficients) for _ in chi.terms])
+                 for chi in (draw(st.sampled_from(pair)),
+                             draw(st.sampled_from(pair))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs())
+def test_packed_product_matches_dict_reference(pair):
+    chi1, chi2 = pair
+    prod = twisted_product(chi1.datum, chi1, chi2)
+    assert prod.terms == dict_product(chi1, chi2).terms
+
+
+def test_packed_product_keeps_cancelled_monomial():
+    # m1 m2 arises twice: c1(m1) c2(m2) t^2 + c1(m2) c2(m1) = 1 - 1
+    chi = fundamental_qt(A2, 1, 0)
+    m1, m2 = monomial(chi, "2_3^-1"), monomial(chi, "1_2^-1 2_1")
+    chi1 = Character(chi.window, {m1: TPoly.one(), m2: TPoly({0: -1})})
+    chi2 = Character(chi.window, {m1: TPoly.one(), m2: TPoly({-2: 1})})
+    prod = twisted_product(A2, chi1, chi2)
+    assert prod.terms == dict_product(chi1, chi2).terms
+    cancelled = prod.window.solve(parse_monomial("1_2^-1 2_1 2_3^-1", A2))
+    assert prod.terms[cancelled] == 0
+    assert len(prod) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 65])
+@pytest.mark.parametrize("offset", [-1, 0])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_width_boundary(k, offset, sign):
+    # A1 A2 = 2^k - 1 or 2^k, all of it on one digit: a width one bit
+    # short of (A1 A2).bit_length() + 1 reads that digit wrongly
+    a = 2 ** k + offset
+    chi = fundamental_qt(A2, 1, 0)
+    zeros = [TPoly.zero()] * (len(chi) - 1)
+    chi1 = recoefficient(chi, [TPoly({-1: sign * a})] + zeros)
+    chi2 = recoefficient(chi, [TPoly({3: 1})] + zeros)
+    prod = twisted_product(A2, chi1, chi2)
+    assert prod.terms == dict_product(chi1, chi2).terms
+    assert prod.terms[HIGHEST] == TPoly({2: sign * a})
 
 
 def test_a2_square_of_first_fundamental():
@@ -288,3 +369,15 @@ def test_d4_node2_cube_pinned():
         assert sum(1 for c in chi.terms.values()
                    if not validate_poincare(c)) == 465
         assert max(m.vdeg for m in chi.terms) == 30
+
+
+def test_d4_node2_cube_shares_coefficients():
+    # each distinct coefficient of a product is one object and is
+    # validated once, however many terms carry it
+    chi = standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)])
+    coeffs = list(chi.terms.values())
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) == 32
+    validate_poincare.cache_clear()
+    for c in coeffs:
+        validate_poincare(c)
+    assert validate_poincare.cache_info().misses == 32

@@ -13,6 +13,7 @@ from qtchar.fm import fundamental_qt
 from qtchar.fusion import standard_module_qt
 from qtchar.jordan import (
     JordanProfile,
+    ValidationReport,
     annotate_character,
     decode,
     encode,
@@ -74,6 +75,56 @@ def test_validate_gap_fails():
     assert target not in seen
     report = validate_poincare(target)
     assert not report.ok and "unimodal" in report.violations
+
+
+def reference_validate(p):
+    """Reference: the checks one after another on the dense coefficients."""
+    if not p:
+        return ValidationReport(False, ("zero",))
+    violations = []
+    if p.coeff(0) < 1:
+        violations.append("constant-term")
+    if not p.is_positive():
+        violations.append("positive")
+    if any(e < 0 or e % 2 for e in p.c):
+        violations.append("support")
+    if not violations:
+        top = p.max_degree()
+        seq = [p.coeff(2 * j) for j in range(top // 2 + 1)]
+        if any(p.coeff(d) != p.coeff(top - d) for d in range(0, top + 1, 2)):
+            violations.append("palindromic")
+        rising = True
+        for a, b in zip(seq, seq[1:]):
+            if b > a and not rising:
+                violations.append("unimodal")
+                break
+            if b < a:
+                rising = False
+    return ValidationReport(not violations, tuple(violations))
+
+
+def mirrored(half):
+    """The even palindromic polynomial with leading coefficients half."""
+    seq = half + half[-2::-1]
+    return TPoly({2 * j: a for j, a in enumerate(seq)})
+
+
+polys = st.one_of(
+    st.dictionaries(st.integers(-6, 20), st.integers(-3, 5),
+                    max_size=8).map(TPoly),
+    st.builds(lambda a0, rest: TPoly({**rest, 0: a0}), st.integers(1, 5),
+              st.dictionaries(st.integers(1, 10).map(lambda j: 2 * j),
+                              st.integers(1, 5), max_size=6)),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6).map(mirrored),
+    st.just(TPoly.zero()),
+)
+
+
+@given(polys)
+def test_validate_matches_reference(p):
+    report, expected = validate_poincare(p), reference_validate(p)
+    assert (report.ok, report.violations) == (expected.ok,
+                                              expected.violations)
 
 
 def test_validate_more_failures():

@@ -1,6 +1,7 @@
 import pytest
 
 from qtchar.errors import NodeOutOfRange, UnsupportedType
+from qtchar.fm import fundamental_qt
 from qtchar.rootdata import build_root_datum, parse_type
 
 ALL_SUPPORTED = (
@@ -17,30 +18,30 @@ def test_a2_cartan():
 
 def test_d4_trivalent_node():
     datum = build_root_datum("D", 4)
-    assert datum.neighbors(2) == (1, 3, 4)
+    assert datum.adjacency[1] == (1, 3, 4)
 
 
 def test_e6_branch_node():
     datum = build_root_datum("E", 6)
-    assert datum.neighbors(3) == (2, 4, 6)
-    assert datum.neighbors(6) == (3,)
+    assert datum.adjacency[2] == (2, 4, 6)
+    assert datum.adjacency[5] == (3,)
 
 
 @pytest.mark.parametrize("i,expected", [(1, (2,)), (2, (1, 3)), (3, (2,))])
 def test_neighbors_a3(i, expected):
-    assert build_root_datum("A", 3).neighbors(i) == expected
+    assert build_root_datum("A", 3).adjacency[i - 1] == expected
 
 
 def test_neighbors_examples():
-    assert build_root_datum("A", 2).neighbors(1) == (2,)
-    assert build_root_datum("D", 4).neighbors(3) == (2,)
-    assert build_root_datum("E", 6).neighbors(2) == (1, 3)
+    assert build_root_datum("A", 2).adjacency[0] == (2,)
+    assert build_root_datum("D", 4).adjacency[2] == (2,)
+    assert build_root_datum("E", 6).adjacency[1] == (1, 3)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SUPPORTED)
 def test_tree_edge_count(family, rank):
     datum = build_root_datum(family, rank)
-    assert sum(len(datum.neighbors(i)) for i in datum.nodes) == 2 * (rank - 1)
+    assert sum(map(len, datum.adjacency)) == 2 * (rank - 1)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SUPPORTED)
@@ -51,7 +52,7 @@ def test_cartan_matches_adjacency(family, rank):
             entry = datum.cartan[i - 1][j - 1]
             if i == j:
                 assert entry == 2
-            elif j in datum.neighbors(i):
+            elif j in datum.adjacency[i - 1]:
                 assert entry == -1
             else:
                 assert entry == 0
@@ -64,7 +65,7 @@ def test_connected(family, rank):
     seen = {1}
     stack = [1]
     while stack:
-        for j in datum.neighbors(stack.pop()):
+        for j in datum.adjacency[stack.pop() - 1]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -93,9 +94,9 @@ def test_coxeter_numbers_and_lowest_depths():
 def test_node_out_of_range():
     datum = build_root_datum("A", 2)
     with pytest.raises(NodeOutOfRange):
-        datum.neighbors(3)
+        fundamental_qt(datum, 3)
     with pytest.raises(NodeOutOfRange):
-        datum.neighbors(0)
+        fundamental_qt(datum, 0)
 
 
 def test_parse_type():
