@@ -18,13 +18,13 @@ def test_a2_cartan():
 
 def test_d4_trivalent_node():
     datum = build_root_datum("D", 4)
-    assert datum.adjacency[1] == (1, 3, 4)
+    assert datum.adjacency[2 - 1] == (1, 3, 4)
 
 
 def test_e6_branch_node():
     datum = build_root_datum("E", 6)
-    assert datum.adjacency[2] == (2, 4, 6)
-    assert datum.adjacency[5] == (3,)
+    assert datum.adjacency[3 - 1] == (2, 4, 6)
+    assert datum.adjacency[6 - 1] == (3,)
 
 
 @pytest.mark.parametrize("i,expected", [(1, (2,)), (2, (1, 3)), (3, (2,))])
@@ -33,9 +33,9 @@ def test_neighbors_a3(i, expected):
 
 
 def test_neighbors_examples():
-    assert build_root_datum("A", 2).adjacency[0] == (2,)
-    assert build_root_datum("D", 4).adjacency[2] == (2,)
-    assert build_root_datum("E", 6).adjacency[1] == (1, 3)
+    assert build_root_datum("A", 2).adjacency[1 - 1] == (2,)
+    assert build_root_datum("D", 4).adjacency[3 - 1] == (2,)
+    assert build_root_datum("E", 6).adjacency[2 - 1] == (1, 3)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SUPPORTED)
