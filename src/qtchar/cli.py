@@ -67,8 +67,11 @@ def parse_factors(text: str) -> list[FactorSpec]:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ParseError(f"cannot write {out}: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -79,7 +82,7 @@ def _read_doc(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
 
 
@@ -247,8 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NodeOutOfRange, UnsupportedType,
-            json.JSONDecodeError, FileNotFoundError) as err:
+    except (ParseError, NodeOutOfRange, UnsupportedType) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (InconsistentExpansion, NonMinuscule, NegativeTwist) as err:

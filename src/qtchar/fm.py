@@ -32,18 +32,10 @@ from .errors import (
     OutsideWindow,
 )
 from .rootdata import RootDatum
-from .sl2 import sl2_simple_qt
+from .sl2 import root_tuple, sl2_simple_qt
 from .tpoly import TPoly
 
 _ZERO = TPoly.zero()
-
-
-def _ipart_roots(ipart: dict) -> tuple:
-    """Dominant node-i exponent map -> sorted root multiset tuple."""
-    roots = []
-    for (orbit, n), exp in ipart.items():
-        roots.extend([(orbit, n)] * exp)
-    return tuple(sorted(roots))
 
 
 def _string(window: Window, i: int, roots: tuple, cache: dict) -> list:
@@ -68,10 +60,10 @@ def _string(window: Window, i: int, roots: tuple, cache: dict) -> list:
 
 
 @lru_cache(maxsize=None)
-def _template_step_pairs(root_tuple: tuple) -> tuple:
+def _template_step_pairs(roots: tuple) -> tuple:
     """Single lowering steps between members of one rank-one template,
     as (source, target, (orbit, shift)) triples of template monomials."""
-    template = sl2_simple_qt(root_tuple)
+    template = sl2_simple_qt(roots)
     window = template.window
     pairs = []
     for tm in template.terms:
@@ -146,8 +138,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
             ledger[m] = coeff
             if not ipart:
                 continue
-            for d, _tm, tc in _string(window, i, _ipart_roots(ipart),
-                                      strings):
+            for d, _tm, tc in _string(window, i, root_tuple(ipart), strings):
                 if not d.vdeg:
                     continue
                 ivdeg = vdeg + d.vdeg
@@ -175,92 +166,72 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     return chi
 
 
-def _peel(chi: Character, i: int, order: list, parts: dict, strings: dict):
-    """decompose_direction, given the terms ``order``ed by lowering degree
-    and their Y-exponents per node."""
-    window = chi.window
-    residue = dict(chi.terms)
-    sites = []
-    edges = []
-    for m in order:
-        c = residue[m]
-        if not c:
-            continue
-        ipart = parts[m].get(i)
-        if ipart and min(ipart.values()) < 0:
-            raise InconsistentExpansion(
-                f"direction {i}: leftover mass {c} at non-dominant "
-                f"{window.text(m)}")
-        if not c.is_positive():
-            raise InconsistentExpansion(
-                f"direction {i}: negative peel coefficient {c} at "
-                f"{window.text(m)}")
-        sites.append((m, c))
-        if not ipart:
-            residue[m] = _ZERO
-            continue
-        roots = _ipart_roots(ipart)
-        images = {}
-        for d, tm, tc in _string(window, i, roots, strings):
-            img = Monomial(m.v + d.v, m.vdeg + d.vdeg)
-            if img.vdeg > window.bound or img not in residue:
-                raise InconsistentExpansion(
-                    f"direction {i}: a string monomial expected below "
-                    f"{window.text(m)} is missing from the character")
-            images[tm] = img
-            residue[img] = residue[img] - c * tc
-        for src, dst, step in _template_step_pairs(roots):
-            edges.append((images[src], images[dst], i, step))
-    leftovers = [m for m, c in residue.items() if c]
-    if leftovers:
-        raise InconsistentExpansion(
-            f"direction {i}: decomposition does not close; leftover mass at "
-            f"{window.text(leftovers[0])}")
-    return sites, edges
+def _peel(chi: Character, edges: dict | None = None) -> None:
+    """Peel every direction's decomposition off a character.
 
+    In each direction i the character must be a sum over i-dominant
+    monomials m of c_m(t) times the simple rank-one character of the
+    node-i exponents of m, embedded at m, with every c_m nonnegative.
+    When ``edges`` is given, the lowering steps interior to the embedded
+    strings are added to it as (from, to, i, (orbit, shift)) keys.
 
-def _decompositions(chi: Character, nodes):
-    """Yield decompose_direction(chi, i) for each i in ``nodes``, sharing
-    the per-term work between directions."""
-    order = sorted(chi.terms, key=attrgetter("vdeg"))
-    parts = {m: chi.window.parts(m) for m in order}
-    strings: dict = {}
-    for i in nodes:
-        yield _peel(chi, i, order, parts, strings)
-
-
-def decompose_direction(chi: Character, i: int):
-    """Peel the direction-i decomposition off a character.
-
-    Expresses the character as a sum over i-dominant monomials m of
-    c_m(t) times the simple rank-one character of the node-i exponents of
-    m, embedded at m.  Returns (sites, edges) where ``sites`` lists the
-    (monomial, c_m) pairs and ``edges`` the lowering steps interior to the
-    embedded rank-one strings, as (from, to, i, (orbit, shift)) tuples.
-
-    Raises InconsistentExpansion if no such decomposition exists.
+    Raises InconsistentExpansion if some direction has no such
+    decomposition.
     """
-    return next(_decompositions(chi, [i]))
+    window = chi.window
+    order = sorted(chi.terms, key=attrgetter("vdeg"))
+    parts = {m: window.parts(m) for m in order}
+    strings: dict = {}
+    for i in chi.datum.nodes:
+        residue = dict(chi.terms)
+        for m in order:
+            c = residue[m]
+            if not c:
+                continue
+            ipart = parts[m].get(i)
+            if ipart and min(ipart.values()) < 0:
+                raise InconsistentExpansion(
+                    f"direction {i}: leftover mass {c} at non-dominant "
+                    f"{window.text(m)}")
+            if not c.is_positive():
+                raise InconsistentExpansion(
+                    f"direction {i}: negative peel coefficient {c} at "
+                    f"{window.text(m)}")
+            if not ipart:
+                residue[m] = _ZERO
+                continue
+            roots = root_tuple(ipart)
+            string = _string(window, i, roots, strings)
+            for d, _tm, tc in string:
+                img = Monomial(m.v + d.v, m.vdeg + d.vdeg)
+                if img.vdeg > window.bound or img not in residue:
+                    raise InconsistentExpansion(
+                        f"direction {i}: a string monomial expected below "
+                        f"{window.text(m)} is missing from the character")
+                residue[img] = residue[img] - c * tc
+            if edges is not None:
+                images = {tm: Monomial(m.v + d.v, m.vdeg + d.vdeg)
+                          for d, tm, _tc in string}
+                for src, dst, step in _template_step_pairs(roots):
+                    edges[images[src], images[dst], i, step] = None
+        leftovers = [m for m, c in residue.items() if c]
+        if leftovers:
+            raise InconsistentExpansion(
+                f"direction {i}: decomposition does not close; leftover "
+                f"mass at {window.text(leftovers[0])}")
 
 
 def audit_expansion(chi: Character) -> None:
     """Verify that every direction's decomposition of the character exists
     with nonnegative coefficients; hard error otherwise."""
-    for _decomposition in _decompositions(chi, chi.datum.nodes):
-        pass
+    _peel(chi)
 
 
 def string_edges(chi: Character) -> list:
     """All lowering-step edges interior to the per-direction strings of a
     character, deduplicated and canonically sorted.  This is the edge set
     a printed character graph shows."""
-    seen = set()
-    out = []
-    for _sites, edges in _decompositions(chi, chi.datum.nodes):
-        for edge in edges:
-            if edge not in seen:
-                seen.add(edge)
-                out.append(edge)
+    edges: dict = {}  # insertion-ordered set
+    _peel(chi, edges)
     key = {m: chi.window.order(m) for m in chi.terms}
-    out.sort(key=lambda e: (key[e[0]], e[2], key[e[1]]))
-    return out
+    return sorted(edges, key=lambda e: (key[e[0]], e[2], key[e[1]]))

@@ -37,13 +37,15 @@ class Segment:
             raise ValueError("segment length must be >= 1")
 
 
-def _as_root_list(roots) -> list[tuple[str, int]]:
+def root_tuple(roots) -> tuple:
+    """Sorted tuple of a root multiset given as an iterable or a
+    multiplicity map of (orbit, shift)."""
     if isinstance(roots, dict):
         out = []
         for key, mult in roots.items():
             out.extend([key] * mult)
-        return out
-    return list(roots)
+        roots = out
+    return tuple(sorted(roots))
 
 
 def decompose_segments(roots) -> list[Segment]:
@@ -54,7 +56,7 @@ def decompose_segments(roots) -> list[Segment]:
     -length); no two returned segments are linked.
     """
     per_orbit: dict[str, dict[int, int]] = {}
-    for orbit, shift in _as_root_list(roots):
+    for orbit, shift in root_tuple(roots):
         counts = per_orbit.setdefault(orbit, {})
         counts[shift] = counts.get(shift, 0) + 1
 
@@ -106,4 +108,4 @@ def _simple_qt_cached(root_tuple: tuple) -> Character:
 def sl2_simple_qt(roots) -> Character:
     """q,t-character of the simple rank-one module with the given Drinfeld
     root multiset (iterable or multiplicity map of (orbit, shift))."""
-    return _simple_qt_cached(tuple(sorted(_as_root_list(roots))))
+    return _simple_qt_cached(root_tuple(roots))

@@ -31,10 +31,6 @@ class TPoly:
         return cls({0: 1})
 
     @classmethod
-    def t_power(cls, k: int, coeff: int = 1) -> "TPoly":
-        return cls({k: coeff})
-
-    @classmethod
     def from_dict(cls, coeffs: dict) -> "TPoly":
         """Wrap an exponent -> int map, which the result takes over."""
         out = cls.__new__(cls)
@@ -75,18 +71,7 @@ class TPoly:
         out.c = res
         return out
 
-    def __neg__(self) -> "TPoly":
-        out = TPoly.__new__(TPoly)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
-
-    def __mul__(self, other) -> "TPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return TPoly()
-            out = TPoly.__new__(TPoly)
-            out.c = {e: v * other for e, v in self.c.items()}
-            return out
+    def __mul__(self, other: "TPoly") -> "TPoly":
         res = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
@@ -98,14 +83,6 @@ class TPoly:
                     res.pop(e, None)
         out = TPoly.__new__(TPoly)
         out.c = res
-        return out
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "TPoly":
-        """Multiply by t^k."""
-        out = TPoly.__new__(TPoly)
-        out.c = {e + k: v for e, v in self.c.items()}
         return out
 
     # -- queries --------------------------------------------------------

@@ -25,6 +25,7 @@ from qtchar.rootdata import build_root_datum
 from qtchar.sl2 import decompose_segments, sl2_simple_qt
 from qtchar.tpoly import TPoly
 
+from test_cli import CHILD_ENV
 from test_jordan import all_profiles, all_valid_polys
 from test_sl2 import brute_force_fold
 
@@ -64,7 +65,7 @@ print(json.dumps({"exit": os.waitstatus_to_exitcode(status),
 def run_measured(argv, limit_seconds):
     """Run a child process, returning (wall seconds, peak RSS in MB)."""
     out = subprocess.run([sys.executable, "-c", _DRIVER, *argv],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=CHILD_ENV)
     assert out.returncode == 0, out.stderr
     stats = json.loads(out.stdout)
     assert stats["exit"] == 0

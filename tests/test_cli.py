@@ -1,7 +1,10 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +14,15 @@ from qtchar.errors import InconsistentExpansion, ParseError
 from qtchar.fusion import FactorSpec
 
 
+# a child process imports the same qtchar source as this test process
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": str(Path(qtchar.__file__).resolve().parents[1])}
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "qtchar.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
 
 
 def test_parse_factors():
@@ -137,6 +145,25 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command, case):
     assert main([command, str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fundamental", "--type", "A1", "--node", "1"],
+    ["standard", "--type", "A1", "--factors", "1:0"],
+    ["decode", "-"],
+    ["dot", "-"],
+], ids=["fundamental", "standard", "decode", "dot"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            argv):
+    doc = tmp_path / "chi.json"
+    assert main(["fundamental", "--type", "A1", "--node", "1",
+                 "--out", str(doc)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc.read_text()))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
     assert err.count("\n") == 1
 
 

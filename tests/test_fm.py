@@ -1,12 +1,12 @@
 import pytest
 
+from qtchar import fm
 from qtchar.charalg import render_monomial
 from qtchar.errors import InconsistentExpansion
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import standard_module_qt
 from qtchar.fm import (
     audit_expansion,
-    decompose_direction,
     fundamental_qt,
     string_edges,
 )
@@ -16,6 +16,7 @@ from qtchar.tpoly import TPoly
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
 D4 = build_root_datum("D", 4)
+E6 = build_root_datum("E", 6)
 
 ONE_PLUS_T2 = TPoly({0: 1, 2: 1})
 
@@ -126,21 +127,38 @@ def test_audit_passes_on_outputs():
 
 
 def test_audit_rejects_tampered_character():
-    chi = fundamental_qt(D4, 2, 0)
-    target = next(m for m in chi.terms
-                  if chi.window.text(m) == "2_2 2_4^-1")
-    chi.terms[target] = TPoly.one()  # break the thick coefficient
-    with pytest.raises(InconsistentExpansion):
-        audit_expansion(chi)
+    # each tampering breaks a different check of the peel
+    cases = [
+        (lambda chi, m: chi.window.text(m) == "2_2 2_4^-1", TPoly.one(),
+         r"leftover mass -t\^2 at non-dominant 2_2 2_4\^-1"),
+        (lambda chi, m: m.vdeg == 0, TPoly({0: -1}),
+         "negative peel coefficient -1 at 2_0"),
+        (lambda chi, m: m.vdeg == chi.window.bound, None,
+         "a string monomial expected below .* is missing"),
+    ]
+    for pick, coeff, message in cases:
+        chi = fundamental_qt(D4, 2, 0)
+        target = next(m for m in chi.terms if pick(chi, m))
+        if coeff is None:
+            del chi.terms[target]
+        else:
+            chi.terms[target] = coeff
+        with pytest.raises(InconsistentExpansion, match=message):
+            audit_expansion(chi)
 
 
-def test_decompose_direction_sites_are_dominant():
-    chi = fundamental_qt(D4, 2, 0)
-    for i in D4.nodes:
-        sites, _edges = decompose_direction(chi, i)
-        for m, c in sites:
-            assert all(e >= 0 for e in chi.window.parts(m).get(i, {}).values())
-            assert c.is_positive()
+def test_audit_builds_no_edges(monkeypatch):
+    class EdgeBuilt(Exception):
+        pass
+
+    def no_edges(_roots):
+        raise EdgeBuilt
+
+    monkeypatch.setattr(fm, "_template_step_pairs", no_edges)
+    chi = fundamental_qt(E6, 3, 0)  # audits its result
+    audit_expansion(chi)
+    with pytest.raises(EdgeBuilt):
+        string_edges(chi)
 
 
 def test_string_edges_of_a2_standard_graphs():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qtchar.charalg import HIGHEST, Character, Monomial, Window, \
     parse_monomial, render_monomial
 from qtchar.errors import NegativeTwist, QtCharError
-from qtchar.fm import fundamental_qt
+from qtchar.fm import audit_expansion, fundamental_qt
 from qtchar.fusion import FactorSpec, standard_module_qt, twist_rows, \
     twisted_product
 from qtchar.jordan import validate_poincare
@@ -313,14 +313,11 @@ def test_non_generic_gap_consistent_but_not_lefschetz():
     # pinned by the direction-decomposition property, which must close in
     # every direction with nonnegative peels; palindromic "fixes" of the
     # coefficient all break that decomposition.
-    from qtchar.fm import decompose_direction
-
     chi = standard_module_qt(D4, [(1, 0), (2, 3)])
     coeff = chi.coefficient("1_4 2_7^-1")
     assert coeff == TPoly({0: 1, 2: 2})
     assert not validate_poincare(coeff).ok
-    for i in D4.nodes:
-        decompose_direction(chi, i)
+    audit_expansion(chi)
     assert chi.mass_at_t1() == 8 * 29
     flipped = standard_module_qt(D4, [(2, 3), (1, 0)])
     assert texts(flipped) == texts(chi)
@@ -346,16 +343,12 @@ def test_products_decompose_in_every_direction():
     # the intrinsic validity property of a q,t-character: restricted to
     # any one Dynkin direction it peels into simple rank-one characters
     # with nonnegative coefficients; holds for non-generic gaps too
-    from qtchar.fm import decompose_direction
-
     rng = random.Random(31)
     for _ in range(20):
         datum = rng.choice([A2, A3, D4])
         factors = [(rng.randint(1, datum.rank), rng.randint(0, 8))
                    for _ in range(rng.randint(2, 3))]
-        chi = standard_module_qt(datum, factors)
-        for i in datum.nodes:
-            decompose_direction(chi, i)
+        audit_expansion(standard_module_qt(datum, factors))
 
 
 def test_d4_node2_cube_pinned():

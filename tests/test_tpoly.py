@@ -52,16 +52,13 @@ def test_mass_is_value_at_one(a):
 
 def test_basics():
     one = TPoly.one()
-    t2 = TPoly.t_power(2)
-    p = one + t2
+    p = one + TPoly({2: 1})
     assert p.pairs() == [(0, 1), (2, 1)]
     assert p == TPoly({0: 1, 2: 1})
     assert p * p == TPoly({0: 1, 2: 2, 4: 1})
-    assert p.shifted(4).pairs() == [(4, 1), (6, 1)]
     assert (p - p) == TPoly.zero()
     assert not TPoly.zero()
     assert p.mass() == 2
-    assert 3 * p == TPoly({0: 3, 2: 3})
     assert p.coeff(2) == 1 and p.coeff(1) == 0
 
 
