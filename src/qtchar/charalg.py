@@ -62,7 +62,8 @@ class Window:
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
-                 "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves")
+                 "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves",
+                 "_node_rows", "_shapes")
 
     def __init__(self, datum: RootDatum, w: dict):
         self.datum = datum
@@ -107,6 +108,12 @@ class Window:
             (b * k, (1 << b * len(row)) - 1,
              [b * (k + (j - i) * stride) for j in datum.adjacency[i - 1]])
             for i, k, stride, row in self._rows]
+        self._node_rows = [
+            (i, [(r, b * k, (1 << b * len(row)) - 1)
+                 for r, (j, k, _stride, row) in enumerate(self._rows)
+                 if j == i])
+            for i in datum.nodes]
+        self._shapes: dict = {}  # (row, plus row, minus row) -> shape
 
     def pack(self, v: dict) -> Monomial:
         """The monomial with the lowering exponents of the map ``v``."""
@@ -133,16 +140,20 @@ class Window:
         f = self.fields(m.v)
         return dict(zip(compress(self.keys, f), filter(None, f)))
 
-    def _ydense(self, m: Monomial) -> list:
-        # y = w + (v moved to the neighbours) - (v moved up and down)
-        v, b = m.v, self.bits
+    def _yparts(self, v: int) -> tuple[int, int]:
+        # y = w + (v moved to the neighbours) - (v moved up and down); the
+        # two parts are packed like v, and no field of either carries
+        b = self.bits
         plus = self._wpacked
         for start, mask, targets in self._moves:
             row = v >> start & mask
             if row:
                 for offset in targets:
                     plus += row << offset
-        minus = (v >> b) + (v << b)
+        return plus, (v >> b) + (v << b)
+
+    def _ydense(self, m: Monomial) -> list:
+        plus, minus = self._yparts(m.v)
         return list(map(sub, self.fields(plus), self.fields(minus)))
 
     def y(self, m: Monomial) -> dict:
@@ -161,16 +172,38 @@ class Window:
     def text(self, m: Monomial) -> str:
         return render_monomial(self.y(m))
 
-    def parts(self, m: Monomial) -> dict:
-        """Y-exponents of m per node: node -> {(orbit, shift): exponent}."""
-        y = self._ydense(m)
-        out: dict = {}
-        for i, start, _stride, keys in self._rows:
-            row = y[start:start + len(keys)]
-            if any(row):
-                part = zip(compress(keys, row), filter(None, row))
-                out.setdefault(i, {}).update(part)
+    def node_roots(self, m: Monomial) -> dict:
+        """The shape of m's Y-exponents at each node with a nonzero row:
+        None if one of them is negative, else the node's root tuple, the
+        sorted (orbit, shift) multiset of its exponents (see
+        `sl2.root_tuple`), its blocks merged.  Each row's shape is
+        memoised on the row's fields of the packed parts of y."""
+        plus, minus = self._yparts(m.v)
+        shapes = self._shapes
+        out = {}
+        for i, rows in self._node_rows:
+            roots = ()
+            for r, start, mask in rows:
+                p, q = plus >> start & mask, minus >> start & mask
+                if p == q:
+                    continue
+                shape = shapes.get((r, p, q), ())  # () only on a miss
+                if shape == ():
+                    shape = shapes[r, p, q] = self._row_shape(r, p, q)
+                if shape is None:
+                    roots = None
+                    break
+                roots += shape
+            if roots != ():
+                out[i] = roots
         return out
+
+    def _row_shape(self, r: int, p: int, q: int) -> tuple | None:
+        y = list(zip(self._rows[r][3],
+                     map(sub, self.fields(p), self.fields(q))))
+        if min(e for _key, e in y) < 0:
+            return None
+        return tuple(key for key, e in y for _ in range(e))
 
     def lowered(self, m: Monomial, i: int, steps: dict) -> Monomial:
         """m times A_{i, orbit n}^{-mult} for each ((orbit, n), mult)."""

@@ -5,7 +5,7 @@ Subcommands::
     fundamental   compute a fundamental-module q,t-character
     standard      compute a standard-module q,t-character
     decode        annotate a character JSON with Jordan data
-    check         run all validators on a character JSON
+    check         run all validators and the audit on a character JSON
     dot           emit the character graph in DOT format
     fixtures      recompute every shipped fixture and diff exactly
 
@@ -23,6 +23,7 @@ from . import fixtures as fixture_store
 from . import jordan, serialize
 from .charalg import HIGHEST, render_monomial
 from .errors import (
+    FailedAudit,
     InconsistentExpansion,
     MixedHighestWeight,
     NegativeTwist,
@@ -32,7 +33,7 @@ from .errors import (
     QtCharError,
     UnsupportedType,
 )
-from .fm import fundamental_qt, string_edges
+from .fm import audit_expansion, fundamental_qt, string_edges
 from .fusion import FactorSpec, standard_module_qt
 from .rootdata import parse_type
 
@@ -147,6 +148,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
+    chi = None
     try:
         chi = serialize.character_from_doc(_read_doc(args.input))
         highest = chi.terms.get(HIGHEST)
@@ -165,6 +167,11 @@ def cmd_check(args) -> int:
             problems.append(
                 f"{text}: coefficient {coeff} fails "
                 f"{', '.join(report.violations)}")
+    if chi is not None:
+        try:
+            audit_expansion(chi)
+        except InconsistentExpansion as err:
+            problems.append(f"audit: {err}")
     if problems:
         for line in problems:
             print(f"FAIL {line}")
@@ -175,7 +182,11 @@ def cmd_check(args) -> int:
 
 def cmd_dot(args) -> int:
     chi = serialize.character_from_doc(_read_doc(args.input))
-    _write(render_dot(chi), args.out)
+    try:
+        text = render_dot(chi)
+    except InconsistentExpansion as err:  # the document is at fault
+        raise FailedAudit(str(err)) from err
+    _write(text, args.out)
     return 0
 
 

@@ -34,6 +34,12 @@ class InconsistentExpansion(QtCharError):
     expansion."""
 
 
+class FailedAudit(QtCharError):
+    """A character read from a document has no per-direction decomposition
+    with nonnegative coefficients (`fm.audit_expansion`): the input, not
+    the computation, is at fault."""
+
+
 class NonMinuscule(QtCharError):
     """A second dominant monomial turned up during the expansion."""
 

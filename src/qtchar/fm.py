@@ -16,6 +16,36 @@ directions must agree, and a residual at a non-dominant direction must
 vanish.  This converts the unproven bookkeeping assumptions into runtime
 checks, and `audit_expansion` re-verifies the finished character by
 peeling the per-direction decomposition off it from scratch.
+
+Coefficients are packed integers, as in `fusion`: a_e t^e becomes
+a_e 2^(W (e - lo)), so a residual is one subtraction and a string
+application one multiply and one add per image.  Each distinct packed
+value is decoded once, its positivity checked once, and equal
+coefficients of a result share one TPoly.  The packing is exact while
+every digit lies in the signed range (-2^(W-1), 2^(W-1)) and every
+exponent is at least lo; both are proved, not assumed.  A rank-one
+template coefficient is a sum of t^(2p), p >= 0, with positive
+coefficients, so multiplying by it neither lowers an exponent nor turns a
+digit negative, and a product's digits sum to at most mass(c) mass(tc).
+
+* Expansion: lo = 0 and W = 32.  Every ledger entry is a sum of
+  residual x template terms over already-checked positive residuals, so
+  its digits lie in [0, B], B the running budget, the sum of
+  mass(residual) mass(template) over the strings applied so far; a
+  coefficient is 1 or a ledger entry, and a residual the difference of
+  two of them, with digits in [-B, B].  B is checked against 2^(W-1)
+  before each string is applied, and an overrun raises
+  InconsistentExpansion instead of decoding a wrong value.
+* Peel (`audit_expansion`, `string_edges`), which also reads documents:
+  lo is the character's lowest t-exponent and W = (2M).bit_length() + 1,
+  M its absolute mass (the sum of |a_e| over all coefficients).  In one
+  direction a residue is the character's coefficient, digits in [-M, M],
+  minus strings of checked positive peel coefficients, so its digits lie
+  in [-M - B, M], B the direction's running budget.  A valid character
+  is the sum of its peel coefficients times their templates, so at t = 1
+  the budget ends at its mass, at most M: a budget past M rejects the
+  character correctly, and is checked before each string is subtracted.
+  Digits therefore stay in [-2M, M], inside the signed range.
 """
 
 from __future__ import annotations
@@ -31,26 +61,53 @@ from .errors import (
     NonMinuscule,
     OutsideWindow,
 )
+from .fusion import _pack, _unpack
 from .rootdata import RootDatum
-from .sl2 import root_tuple, sl2_simple_qt
+from .sl2 import sl2_simple_qt
 from .tpoly import TPoly
 
-_ZERO = TPoly.zero()
+_WIDTH = 32  # digit width of the expansion's packed coefficients
 
 
-def _string(window: Window, i: int, roots: tuple, cache: dict) -> list:
-    """The rank-one template of ``roots`` embedded in direction i, as
-    (packed lowering, template monomial, template coefficient) triples;
-    adding the lowering to a host monomial gives the image of the template
-    monomial, the template highest mapping to the host itself."""
+class _Decoded(dict):
+    """Packed coefficients with signed ``width``-bit digits, lowest at
+    t^lo, each decoded on first lookup: maps a packed value to its TPoly."""
+
+    def __init__(self, width: int, lo: int):
+        super().__init__()
+        self.width, self.lo = width, lo
+        self.masses: dict[int, int] = {}
+
+    def __missing__(self, x: int) -> TPoly:
+        p = self[x] = _unpack(x, self.width, self.lo)
+        return p
+
+    def positive_mass(self, x: int) -> int | None:
+        """The value at t = 1 of x if all its coefficients are positive,
+        else None; memoised per value."""
+        mass = self.masses.get(x)
+        if mass is None and self[x].is_positive():
+            mass = self.masses[x] = self[x].mass()
+        return mass
+
+
+def _string(window: Window, i: int, roots: tuple, width: int,
+            cache: dict) -> tuple[int, list]:
+    """The rank-one template of ``roots`` embedded in direction i: its mass
+    at t = 1 and its (packed lowering, template monomial, packed template
+    coefficient) triples; adding the lowering to a host monomial gives the
+    image of the template monomial, the template highest mapping to the
+    host itself.  ``cache`` holds one width."""
     out = cache.get((i, roots))
     if out is None:
         template = sl2_simple_qt(roots)
         tv = template.window.v
+        packed = _pack(template.terms.values(), width, 0)
         try:
-            out = [(window.pack({(o, i, n): a for (o, _node, n), a
-                                 in tv(tm).items()}), tm, c)
-                   for tm, c in template.terms.items()]
+            out = (template.mass_at_t1(),
+                   [(window.pack({(o, i, n): a for (o, _node, n), a
+                                  in tv(tm).items()}), tm, x)
+                    for tm, x in zip(template.terms, packed)])
         except OutsideWindow as err:
             raise InconsistentExpansion(
                 f"direction {i}: the string of {roots} leaves the "
@@ -86,59 +143,70 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     ``window.bound``, and must end on the single monomial
     Y_{j, orbit shift+h}^{-1} with coefficient 1 there.  Raises
     NonMinuscule if a second dominant monomial appears and
-    InconsistentExpansion if the per-direction bookkeeping disagrees or
-    the expansion does not end on that lowest weight.
+    InconsistentExpansion if the per-direction bookkeeping disagrees, the
+    coefficient budget overruns the packed digits (see the module
+    docstring) or the expansion does not end on that lowest weight.
     """
     if not 1 <= node <= datum.rank:
         raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
     window = Window(datum, {(orbit, node, shift): 1})
-    result: dict[Monomial, TPoly] = {HIGHEST: TPoly.one()}
-    ledgers: dict[int, dict[Monomial, TPoly]] = {i: {} for i in datum.nodes}
+    decoded = _Decoded(_WIDTH, 0)
+    half = 1 << _WIDTH - 1
+    result: dict[Monomial, int] = {}
+    # per direction: packed v -> packed coefficient generated there
+    ledgers: dict[int, dict[int, int]] = {i: {} for i in datum.nodes}
     heap: list[tuple[int, int]] = [(0, 0)]
-    enqueued = {HIGHEST}
+    enqueued = {0}
     strings: dict = {}
+    budget = 0
 
     while heap:
         vdeg, v = heapq.heappop(heap)
         m = Monomial(v, vdeg)
-        parts = window.parts(m)
+        shape = window.node_roots(m)
 
         if m == HIGHEST:
-            coeff = result[m]
+            coeff = 1
         else:
-            negative = sorted(j for j, part in parts.items()
-                              if min(part.values()) < 0)
+            negative = [j for j, roots in shape.items() if roots is None]
             if not negative:
                 raise NonMinuscule(
                     f"second dominant monomial {window.text(m)}; the "
                     f"expansion only applies to modules with a single "
                     f"dominant l-weight")
-            coeff = ledgers[negative[0]].get(m, _ZERO)
+            coeff = ledgers[negative[0]].get(v, 0)
             for i in negative[1:]:
-                if ledgers[i].get(m, _ZERO) != coeff:
+                if ledgers[i].get(v, 0) != coeff:
                     raise InconsistentExpansion(
                         f"directions {negative[0]} and {i} disagree on the "
                         f"coefficient of {window.text(m)}")
-            result[m] = coeff
+        result[m] = coeff
 
         for i in datum.nodes:
             ledger = ledgers[i]
-            residual = coeff - ledger.get(m, _ZERO)
+            residual = coeff - ledger.get(v, 0)
             if not residual:
                 continue
-            ipart = parts.get(i)
-            if ipart and min(ipart.values()) < 0:
+            roots = shape.get(i, ())
+            if roots is None:
                 raise InconsistentExpansion(
-                    f"unexplained mass {residual} in direction {i} at the "
-                    f"non-dominant monomial {window.text(m)}")
-            if not residual.is_positive():
+                    f"unexplained mass {decoded[residual]} in direction {i} "
+                    f"at the non-dominant monomial {window.text(m)}")
+            mass = decoded.positive_mass(residual)
+            if mass is None:
                 raise InconsistentExpansion(
-                    f"negative residual {residual} in direction {i} at "
-                    f"{window.text(m)}")
-            ledger[m] = coeff
-            if not ipart:
+                    f"negative residual {decoded[residual]} in direction "
+                    f"{i} at {window.text(m)}")
+            ledger[v] = coeff
+            if not roots:
                 continue
-            for d, _tm, tc in _string(window, i, root_tuple(ipart), strings):
+            tmass, string = _string(window, i, roots, _WIDTH, strings)
+            budget += mass * tmass
+            if budget >= half:
+                raise InconsistentExpansion(
+                    f"coefficient budget {budget} overruns the "
+                    f"{_WIDTH}-bit digits at {window.text(m)}")
+            for d, _tm, x in string:
                 if not d.vdeg:
                     continue
                 ivdeg = vdeg + d.vdeg
@@ -146,13 +214,13 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                     raise InconsistentExpansion(
                         f"lowering degree {ivdeg} passes the lowest weight "
                         f"(degree {window.bound})")
-                img = Monomial(v + d.v, ivdeg)
-                ledger[img] = ledger.get(img, _ZERO) + residual * tc
+                img = v + d.v
+                ledger[img] = ledger.get(img, 0) + residual * x
                 if img not in enqueued:
                     enqueued.add(img)
-                    heapq.heappush(heap, (ivdeg, img.v))
+                    heapq.heappush(heap, (ivdeg, img))
 
-    terms = {m: c for m, c in result.items() if c}
+    terms = {m: decoded[x] for m, x in result.items() if x}
     # the expansion ends on the lowest weight Y_{j, orbit shift+h}^{-1}
     lowest = [(m, window.y(m)) for m in terms if m.vdeg == window.bound]
     ends = [(o, n, e) for _m, y in lowest for (o, _j, n), e in y.items()]
@@ -172,53 +240,75 @@ def _peel(chi: Character, edges: dict | None = None) -> None:
     In each direction i the character must be a sum over i-dominant
     monomials m of c_m(t) times the simple rank-one character of the
     node-i exponents of m, embedded at m, with every c_m nonnegative.
-    When ``edges`` is given, the lowering steps interior to the embedded
-    strings are added to it as (from, to, i, (orbit, shift)) keys.
+    Residues are packed with the width and lowest exponent the module
+    docstring derives from the character.  When ``edges`` is given, the
+    lowering steps interior to the embedded strings are added to it as
+    (from, to, i, (orbit, shift)) keys.
 
     Raises InconsistentExpansion if some direction has no such
     decomposition.
     """
     window = chi.window
-    order = sorted(chi.terms, key=attrgetter("vdeg"))
-    parts = {m: window.parts(m) for m in order}
+    coeffs = chi.terms.values()
+    lo = min((e for c in coeffs for e in c.c), default=0)
+    mass = sum(abs(a) for c in coeffs for a in c.c.values())
+    width = (2 * mass).bit_length() + 1
+    decoded = _Decoded(width, lo)
+    packed = dict(zip([m.v for m in chi.terms], _pack(coeffs, width, lo)))
+    rows = [(m, m.v, m.vdeg, window.node_roots(m))
+            for m in sorted(chi.terms, key=attrgetter("vdeg"))]
+    bound = window.bound
     strings: dict = {}
     for i in chi.datum.nodes:
-        residue = dict(chi.terms)
-        for m in order:
-            c = residue[m]
+        residue = dict(packed)
+        budget = 0
+
+        def missing(m):
+            return InconsistentExpansion(
+                f"direction {i}: a string monomial expected below "
+                f"{window.text(m)} is missing from the character")
+
+        for m, v, vdeg, shape in rows:
+            c = residue[v]
             if not c:
                 continue
-            ipart = parts[m].get(i)
-            if ipart and min(ipart.values()) < 0:
+            roots = shape.get(i, ())
+            if roots is None:
                 raise InconsistentExpansion(
-                    f"direction {i}: leftover mass {c} at non-dominant "
-                    f"{window.text(m)}")
-            if not c.is_positive():
+                    f"direction {i}: leftover mass {decoded[c]} at "
+                    f"non-dominant {window.text(m)}")
+            cmass = decoded.positive_mass(c)
+            if cmass is None:
                 raise InconsistentExpansion(
-                    f"direction {i}: negative peel coefficient {c} at "
-                    f"{window.text(m)}")
-            if not ipart:
-                residue[m] = _ZERO
+                    f"direction {i}: negative peel coefficient {decoded[c]} "
+                    f"at {window.text(m)}")
+            if not roots:
+                residue[v] = 0
                 continue
-            roots = root_tuple(ipart)
-            string = _string(window, i, roots, strings)
-            for d, _tm, tc in string:
-                img = Monomial(m.v + d.v, m.vdeg + d.vdeg)
-                if img.vdeg > window.bound or img not in residue:
-                    raise InconsistentExpansion(
-                        f"direction {i}: a string monomial expected below "
-                        f"{window.text(m)} is missing from the character")
-                residue[img] = residue[img] - c * tc
+            tmass, string = _string(window, i, roots, width, strings)
+            budget += cmass * tmass
+            if budget > mass:  # only an invalid character gets here
+                for d, _tm, _x in string:
+                    if vdeg + d.vdeg > bound or v + d.v not in residue:
+                        raise missing(m)
+                raise InconsistentExpansion(
+                    f"direction {i}: the peel coefficients at t = 1 "
+                    f"outweigh the character's absolute mass {mass}")
+            for d, _tm, x in string:
+                img = v + d.v
+                if vdeg + d.vdeg > bound or img not in residue:
+                    raise missing(m)
+                residue[img] -= c * x
             if edges is not None:
-                images = {tm: Monomial(m.v + d.v, m.vdeg + d.vdeg)
-                          for d, tm, _tc in string}
+                images = {tm: Monomial(v + d.v, vdeg + d.vdeg)
+                          for d, tm, _x in string}
                 for src, dst, step in _template_step_pairs(roots):
                     edges[images[src], images[dst], i, step] = None
-        leftovers = [m for m, c in residue.items() if c]
-        if leftovers:
+        if any(residue.values()):
+            m = next(m for m in chi.terms if residue[m.v])
             raise InconsistentExpansion(
                 f"direction {i}: decomposition does not close; leftover "
-                f"mass at {window.text(leftovers[0])}")
+                f"mass at {window.text(m)}")
 
 
 def audit_expansion(chi: Character) -> None:

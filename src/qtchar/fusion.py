@@ -121,12 +121,12 @@ def twist_rows(chi1: Character, chi2: Character):
     return window, right, rows()
 
 
-def _pack(chi: Character, width: int, lo: int) -> list[int]:
-    """Each coefficient sum a_e t^e of chi, in term order, as the integer
-    sum a_e 2^(width (e - lo)); equal coefficients are packed once."""
+def _pack(coeffs, width: int, lo: int) -> list[int]:
+    """Each coefficient sum a_e t^e, in order, as the integer sum
+    a_e 2^(width (e - lo)); equal coefficients are packed once."""
     packed: dict[TPoly, int] = {}
     out = []
-    for c in chi.terms.values():
+    for c in coeffs:
         x = packed.get(c)
         if x is None:
             x = packed[c] = sum(a << width * (e - lo) for e, a in c.c.items())
@@ -167,11 +167,11 @@ def twisted_product(datum: RootDatum, chi1: Character,
     # the lowering degree rides above the packed v, so one add makes both
     top = window.bits * len(window.keys)
     right = [(v2 + (vdeg2 << top), x2) for (v2, vdeg2, _c2), x2
-             in zip(right, _pack(chi2, width, lo2))]
+             in zip(right, _pack(coeffs2, width, lo2))]
     step = 2 * width
     acc: dict[int, int] = {}
     get = acc.get
-    for (v1, vdeg1, _c1, ps), x1 in zip(rows, _pack(chi1, width, lo1)):
+    for (v1, vdeg1, _c1, ps), x1 in zip(rows, _pack(coeffs1, width, lo1)):
         v1 += vdeg1 << top
         for (v2, x2), p in zip(right, ps):
             v = v1 + v2

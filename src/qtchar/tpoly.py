@@ -1,9 +1,10 @@
 """Sparse Laurent polynomials in t with exact integer coefficients.
 
-These hold the Poincare-polynomial coefficients of characters, so the
-arithmetic is exact big-integer throughout; no floats anywhere.  Instances
-are treated as immutable: every operation returns a fresh polynomial, and
-the hash is computed once, on first use.
+These hold the Poincare-polynomial coefficients of characters, exact
+big integers throughout; no floats anywhere.  Instances are treated as
+immutable values, and the hash is computed once, on first use.  The
+expansion, the peel and the twisted product do their arithmetic on
+Kronecker-packed integers instead (`fusion._pack`, `fusion._unpack`).
 """
 
 from __future__ import annotations
@@ -44,46 +45,6 @@ class TPoly:
         for e, v in pairs:
             out[e] = out.get(e, 0) + v
         return cls(out)
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        res = dict(self.c)
-        for e, v in other.c.items():
-            w = res.get(e, 0) + v
-            if w:
-                res[e] = w
-            else:
-                res.pop(e, None)
-        out = TPoly.__new__(TPoly)
-        out.c = res
-        return out
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        res = dict(self.c)
-        for e, v in other.c.items():
-            w = res.get(e, 0) - v
-            if w:
-                res[e] = w
-            else:
-                res.pop(e, None)
-        out = TPoly.__new__(TPoly)
-        out.c = res
-        return out
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        res = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = res.get(e, 0) + v1 * v2
-                if w:
-                    res[e] = w
-                else:
-                    res.pop(e, None)
-        out = TPoly.__new__(TPoly)
-        out.c = res
-        return out
 
     # -- queries --------------------------------------------------------
 

@@ -145,18 +145,40 @@ def node10():
 def test_i_part():
     win, m = node10()
     assert win.text(m) == "1_3^-1 2_2^2 3_3^-1 4_3^-1"
-    assert win.parts(m)[2] == {("a", 2): 2}
-    assert win.parts(m)[1] == {("a", 3): -1}
-    assert 1 not in win.parts(HIGHEST)
+    assert win.node_roots(m) == {1: None, 2: (("a", 2), ("a", 2)),
+                                 3: None, 4: None}
+    assert win.node_roots(HIGHEST) == {2: (("a", 0),)}
 
 
 def test_is_i_dominant():
     win, m = node10()
-    assert min(win.parts(HIGHEST)[2].values()) >= 0
-    assert min(win.parts(m)[1].values()) < 0
+    assert win.node_roots(HIGHEST)[2] is not None
+    assert win.node_roots(m)[1] is None
     thick = win.lowered(m, 2, {("a", 3): 1})
     assert win.text(thick) == "2_2 2_4^-1"
-    assert min(win.parts(thick)[2].values()) < 0
+    assert win.node_roots(thick)[2] is None
+
+
+def reference_node_roots(y):
+    """Reference: node -> None or sorted root multiset, from the y map."""
+    per_node: dict = {}
+    for (o, i, n), e in y.items():
+        per_node.setdefault(i, []).append(((o, n), e))
+    return {i: None if min(e for _k, e in part) < 0 else
+            tuple(sorted(k for k, e in part for _ in range(e)))
+            for i, part in sorted(per_node.items())}
+
+
+def test_node_roots_merge_blocks_and_orbits():
+    # the gapped window of 2_0 2_8 has two blocks per node, and the last
+    # character two orbits; each node's rows merge into one root tuple
+    gapped = standard_module_qt(D4, [(2, 0), (2, 8)])
+    assert gapped.window.node_roots(HIGHEST) == {2: (("a", 0), ("a", 8))}
+    for chi in (gapped, standard_module_qt(D4, [(2, 0), (1, 7), (2, 8)]),
+                standard_module_qt(D4, [(1, 0), (3, 20, "b"), (4, 3, "b")])):
+        for m in chi.terms:
+            assert chi.window.node_roots(m) == \
+                reference_node_roots(chi.window.y(m))
 
 
 # -- coefficient lookup ------------------------------------------------------

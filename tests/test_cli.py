@@ -118,6 +118,39 @@ def test_check_reports_terms_with_another_w(tmp_path, capsys):
         "FAIL 1_0 2_3^-1: w differs from the highest monomial\n")
 
 
+def tampered_d4(tmp_path):
+    """D4 node 2 with the coefficient of 1_1 3_3^-1 4_1 raised from 1 to
+    5: every coefficient stays a Poincare polynomial, but the character
+    has no per-direction decomposition."""
+    src = tmp_path / "tampered.json"
+    main(["fundamental", "--type", "D4", "--node", "2", "--out", str(src)])
+    doc = json.loads(src.read_text())
+    (term,) = [t for t in doc["terms"] if t["monomial"] == "1_1 3_3^-1 4_1"]
+    term["coeff"] = [[0, 5]]
+    src.write_text(json.dumps(doc))
+    return src
+
+
+AUDIT_MESSAGE = ("direction 1: leftover mass -4 at non-dominant "
+                 "1_3^-1 2_2 3_3^-1 4_1")
+
+
+def test_check_runs_the_audit(tmp_path, capsys):
+    src = tampered_d4(tmp_path)
+    capsys.readouterr()
+    assert main(["check", str(src)]) == 4
+    assert capsys.readouterr().out == f"FAIL audit: {AUDIT_MESSAGE}\n"
+
+
+def test_dot_of_a_bad_document_is_a_validation_failure(tmp_path, capsys):
+    src = tampered_d4(tmp_path)
+    capsys.readouterr()
+    assert main(["dot", str(src)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {AUDIT_MESSAGE}\n"
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "A2", "orbits": ["a"], "highest": "1_0",
      "terms": [{"monomial": "1_0", "w": {"1_0": 1}, "v": {}, "coeff": 5}]},

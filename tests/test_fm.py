@@ -1,10 +1,10 @@
 import pytest
 
 from qtchar import fm
-from qtchar.charalg import render_monomial
+from qtchar.charalg import HIGHEST, Character, render_monomial
 from qtchar.errors import InconsistentExpansion
 from qtchar.fixtures import load_fixture
-from qtchar.fusion import standard_module_qt
+from qtchar.fusion import _pack, standard_module_qt
 from qtchar.fm import (
     audit_expansion,
     fundamental_qt,
@@ -145,6 +145,46 @@ def test_audit_rejects_tampered_character():
             chi.terms[target] = coeff
         with pytest.raises(InconsistentExpansion, match=message):
             audit_expansion(chi)
+
+
+def test_audit_width_and_lo_follow_the_character():
+    # 2^70 t^-3 reads as 64 t^-1 under 32-bit digits from t^-3, so
+    # neither may be fixed: both come from the character being peeled
+    assert _pack([TPoly({-3: 2 ** 70})], 32, -3) == \
+        _pack([TPoly({-1: 64})], 32, -3)
+    chi = fundamental_qt(E6, 3, 0)
+    scaled = Character(chi.window, {
+        m: TPoly({e - 3: a * 2 ** 70 for e, a in c.c.items()})
+        for m, c in chi.terms.items()})
+    audit_expansion(scaled)
+    assert len(string_edges(scaled)) == len(string_edges(chi)) == 7796
+    scaled.terms[HIGHEST] = TPoly({-1: 64})
+    with pytest.raises(InconsistentExpansion):
+        audit_expansion(scaled)
+
+
+def test_expansion_budget_overrun_raises(monkeypatch):
+    # 4-bit digits hold a budget below 8: A1 node 1 spends 2, D4 node 2
+    # overruns long before its ledgers could misread
+    monkeypatch.setattr(fm, "_WIDTH", 4)
+    assert len(fundamental_qt(A1, 1, 0)) == 2
+    with pytest.raises(InconsistentExpansion, match="budget 8 overruns"):
+        fundamental_qt(D4, 2, 0)
+
+
+def test_audit_rejects_an_overdrawn_budget():
+    # 2 Y_{1,0} + Y_{1,2}^-1: the peel coefficient 2 times the string's
+    # mass 2 outweighs the absolute mass 3
+    chi = fundamental_qt(A1, 1, 0)
+    chi.terms[HIGHEST] = TPoly({0: 2})
+    with pytest.raises(InconsistentExpansion, match="outweigh .* mass 3"):
+        audit_expansion(chi)
+
+
+def test_equal_coefficients_share_one_tpoly():
+    chi = fundamental_qt(E6, 3, 0)
+    assert len({id(c) for c in chi.terms.values()}) == 7
+    assert len(set(chi.terms.values())) == 7
 
 
 def test_audit_builds_no_edges(monkeypatch):

@@ -261,7 +261,9 @@ def test_cross_orbit_factorization():
     for m1, c1 in chi1.terms.items():
         for m2, c2 in chi2.terms.items():
             text = chi1.window.text(m1) + " " + chi2.window.text(m2)
-            expected[render_monomial(parse_monomial(text, A2))] = c1 * c2
+            expected[render_monomial(parse_monomial(text, A2))] = \
+                TPoly.from_pairs((e1 + e2, a1 * a2) for e1, a1 in c1.c.items()
+                                 for e2, a2 in c2.c.items())
     assert len(prod.terms) == len(chi1.terms) * len(chi2.terms)
     assert texts(prod) == expected
 
