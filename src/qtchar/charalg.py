@@ -59,11 +59,17 @@ class Window:
     v[i,n] to (i, n-1) or (i, n+1), and row copies move it to the
     neighbours of i.  Fields hold ``bound``, the largest lowering degree
     ``w`` allows; ``slots`` maps each key ``v`` may occupy to its field.
+
+    A monomial is read row by row off the packed parts of its ``y``: a
+    row's node shape (`node_roots`) and its label, the row's piece of the
+    order key, of the text and of ``y`` (`order`, `text`, `y`), are each
+    memoised on the row's fields, so a term costs one pass over the rows
+    and not one over the fields.
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
                  "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves",
-                 "_node_rows", "_shapes")
+                 "_row_masks", "_node_rows", "_shapes", "_keysize", "_labels")
 
     def __init__(self, datum: RootDatum, w: dict):
         self.datum = datum
@@ -81,11 +87,7 @@ class Window:
                          for (_o, i, _n), m in self.w.items())
         # a field holds v (<= bound), and w plus neighbouring v for y
         need = max(self.w.values(), default=0) + self.bound
-        size = 1
-        while need >= 1 << 8 * size:
-            size *= 2
-        if size not in _TYPECODES:
-            raise OutsideWindow(f"exponents up to {need} overflow {self!r}")
+        size = self._size(need)
         self.bits = b = 8 * size
         self._code = _TYPECODES[size]
         self._rows = []  # (node, first field, stride, (orbit, shift)s)
@@ -104,16 +106,34 @@ class Window:
         self._nbytes = size * len(self.keys)
         self._wpacked = sum(m << b * self._field[key]
                             for key, m in self.w.items())
-        self._moves = [
-            (b * k, (1 << b * len(row)) - 1,
-             [b * (k + (j - i) * stride) for j in datum.adjacency[i - 1]])
-            for i, k, stride, row in self._rows]
+        # rows that move by the same number of bits move as one mask
+        moves: dict = {}  # bits moved -> mask of the rows moved so
+        for i, k, stride, row in self._rows:
+            mask = (1 << b * len(row)) - 1 << b * k
+            for j in datum.adjacency[i - 1]:
+                shift = b * (j - i) * stride
+                moves[shift] = moves.get(shift, 0) | mask
+        self._moves = sorted(moves.items())
+        self._row_masks = [
+            (r, b * k, (1 << b * len(row)) - 1)
+            for r, (_i, k, _stride, row) in enumerate(self._rows)]
         self._node_rows = [
-            (i, [(r, b * k, (1 << b * len(row)) - 1)
-                 for r, (j, k, _stride, row) in enumerate(self._rows)
-                 if j == i])
+            (i, [rm for rm, row in zip(self._row_masks, self._rows)
+                 if row[0] == i])
             for i in datum.nodes]
         self._shapes: dict = {}  # (row, plus row, minus row) -> shape
+        # an order-key unit holds vdeg, a field or an exponent + bound
+        self._keysize = self._size(max(len(self.keys) - 1, need + self.bound))
+        self._labels: dict = {}  # (row, plus row, minus row) -> row label
+
+    def _size(self, top: int) -> int:
+        # bytes of the least array unit that holds 0 .. top
+        size = 1
+        while top >= 1 << 8 * size:
+            size *= 2
+        if size not in _TYPECODES:
+            raise OutsideWindow(f"exponents up to {top} overflow {self!r}")
+        return size
 
     def pack(self, v: dict) -> Monomial:
         """The monomial with the lowering exponents of the map ``v``."""
@@ -143,34 +163,89 @@ class Window:
     def _yparts(self, v: int) -> tuple[int, int]:
         # y = w + (v moved to the neighbours) - (v moved up and down); the
         # two parts are packed like v, and no field of either carries
-        b = self.bits
         plus = self._wpacked
-        for start, mask, targets in self._moves:
-            row = v >> start & mask
-            if row:
-                for offset in targets:
-                    plus += row << offset
+        for shift, mask in self._moves:
+            if shift > 0:
+                plus += (v & mask) << shift
+            else:
+                plus += (v & mask) >> -shift
+        b = self.bits
         return plus, (v >> b) + (v << b)
-
-    def _ydense(self, m: Monomial) -> list:
-        plus, minus = self._yparts(m.v)
-        return list(map(sub, self.fields(plus), self.fields(minus)))
 
     def y(self, m: Monomial) -> dict:
         """Y-exponents of m, in sorted key order."""
-        y = self._ydense(m)
-        return dict(zip(compress(self.keys, y), filter(None, y)))
+        return dict(chain.from_iterable(
+            y for _key, _text, y in self._row_labels(m)))
 
-    def order(self, m: Monomial) -> tuple:
-        """Sort key of the canonical term order: lowering degree, then the
-        Y-exponents' (key, exponent) pairs in sorted key order, flattened
-        into the one tuple.  It compares monomials of any windows."""
-        y = self._ydense(m)
-        return (m.vdeg, *chain.from_iterable(
-            zip(compress(self.keys, y), filter(None, y))))
+    def order(self, m: Monomial) -> bytes:
+        """Sort key of the canonical term order: by lowering degree, then
+        by the Y-exponents' (key, exponent) pairs in sorted key order.
+
+        The key is a run of equal-width big-endian units: vdeg, then the
+        field and ``bound`` + exponent of each nonzero Y-exponent, in
+        field order.  For any two monomials of this window it sorts like
+        the tuple (vdeg, k1, e1, k2, e2, ...) of those pairs:
+
+        * Every unit fits.  vdeg <= bound and a field is below len(keys).
+          y = w + (v moved to the neighbours) - (v moved up and down)
+          takes its two v-sums from disjoint fields of v, each sum at most
+          vdeg <= bound, so -bound <= e <= max(w) + bound.  The unit is
+          the least array width that holds len(keys) - 1 and
+          max(w) + 2 bound.
+        * ``keys`` is sorted in field order, and e -> e + bound is
+          strictly increasing.  The tuple and the units alternate key and
+          exponent positions alike, so mapping every position strictly
+          increasingly keeps their lexicographic order, and a prefix
+          stays a prefix.
+        * Equal-width big-endian units compare as bytes do: the first
+          differing byte lies in the first differing unit and decides it
+          as it decides the unit, and a prefix of units is a prefix of
+          bytes.
+
+        Keys of different windows do not compare.
+        """
+        return self.label(m)[0]
 
     def text(self, m: Monomial) -> str:
-        return render_monomial(self.y(m))
+        """Canonical text of m, `render_monomial` of its y."""
+        return self.label(m)[1]
+
+    def label(self, m: Monomial) -> tuple[bytes, str]:
+        """`order` and `text` of m, joined from its rows' labels."""
+        labels = self._row_labels(m)
+        return (m.vdeg.to_bytes(self._keysize, "big")
+                + b"".join([key for key, _text, _y in labels]),
+                " ".join([text for _key, text, _y in labels]) or "1")
+
+    def _row_labels(self, m: Monomial) -> list:
+        # the labels of m's rows with a nonzero Y-exponent, in field order,
+        # each memoised on the row's fields of the packed parts of y
+        plus, minus = self._yparts(m.v)
+        labels = self._labels
+        out = []
+        for r, start, mask in self._row_masks:
+            p, q = plus >> start & mask, minus >> start & mask
+            if p != q:
+                label = labels.get((r, p, q))
+                if label is None:
+                    label = labels[r, p, q] = self._row_label(r, p, q)
+                out.append(label)
+        return out
+
+    def _row_label(self, r: int, p: int, q: int) -> tuple:
+        # the row's order-key units, text and Y-exponent items
+        _i, k, _stride, row = self._rows[r]
+        y = [(field, e) for field, e in zip(
+            range(k, k + len(row)), map(sub, self.fields(p), self.fields(q)))
+            if e]
+        units = array(_TYPECODES[self._keysize],
+                      [x for field, e in y for x in (field, e + self.bound)])
+        if sys.byteorder == "little":
+            units.byteswap()
+        keys = self.keys
+        return (units.tobytes(),
+                " ".join(factor_text(keys[field], e) for field, e in y),
+                tuple((keys[field], e) for field, e in y))
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
@@ -288,19 +363,22 @@ def parse_monomial(s: str, datum: RootDatum) -> dict:
     return y
 
 
+def factor_text(key: tuple, exp: int = 1) -> str:
+    """The text ``i_n[@orbit][^exp]`` of Y_{i, orbit n}^exp."""
+    orbit, node, shift = key
+    tag = f"{node}_{shift}"
+    if orbit != DEFAULT_ORBIT:
+        tag += f"@{orbit}"
+    if exp != 1:
+        tag += f"^{exp}"
+    return tag
+
+
 def render_monomial(y: dict) -> str:
     """Canonical text for a Y-exponent map; inverse of parse_monomial."""
     if not y:
         return "1"
-    parts = []
-    for (orbit, node, shift), exp in sorted(y.items()):
-        tag = f"{node}_{shift}"
-        if orbit != DEFAULT_ORBIT:
-            tag += f"@{orbit}"
-        if exp != 1:
-            tag += f"^{exp}"
-        parts.append(tag)
-    return " ".join(parts)
+    return " ".join(factor_text(key, exp) for key, exp in sorted(y.items()))
 
 
 # -- characters --------------------------------------------------------
@@ -319,13 +397,13 @@ class Character:
     datum = property(lambda self: self.window.datum)
     w = property(lambda self: self.window.w)  # shared by every term
 
-    def sorted_terms(self) -> list[tuple[Monomial, dict, TPoly]]:
-        """(monomial, y, coefficient) in `Window.order`: by lowering
+    def sorted_terms(self) -> list[tuple[Monomial, str, TPoly]]:
+        """(monomial, text, coefficient) in `Window.order`: by lowering
         degree, then sorted y."""
-        order = self.window.order
-        rows = [(order(m), m, c) for m, c in self.terms.items()]
+        label = self.window.label
+        rows = [(*label(m), m, c) for m, c in self.terms.items()]
         rows.sort(key=itemgetter(0))
-        return [(m, dict(zip(key[1::2], key[2::2])), c) for key, m, c in rows]
+        return [(m, text, c) for _key, text, m, c in rows]
 
     def coefficient(self, text: str) -> TPoly:
         """Coefficient of the monomial given in text form (0 if absent)."""

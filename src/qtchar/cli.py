@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import fixtures as fixture_store
 from . import jordan, serialize
-from .charalg import HIGHEST, render_monomial
+from .charalg import HIGHEST
 from .errors import (
     FailedAudit,
     InconsistentExpansion,
@@ -93,8 +94,8 @@ def render_dot(chi) -> str:
     labelled by direction."""
     lines = ["digraph character {", "  rankdir=TB;", "  node [shape=box];"]
     texts = {}
-    for m, y, coeff in chi.sorted_terms():
-        texts[m] = text = render_monomial(y)
+    for m, text, coeff in chi.sorted_terms():
+        texts[m] = text
         label = text if coeff == 1 else f"({coeff}) {text}"
         lines.append(f'  "{text}" [label="{label}"];')
     for src, dst, i, _step in string_edges(chi):
@@ -106,8 +107,8 @@ def render_dot(chi) -> str:
 def render_text(chi, annotations=None) -> str:
     """Tab-separated rows: monomial, coefficient, dimension[, blocks]."""
     rows = []
-    for m, y, coeff in chi.sorted_terms():
-        row = [render_monomial(y), str(coeff), str(coeff.mass())]
+    for m, text, coeff in chi.sorted_terms():
+        row = [text, str(coeff), str(coeff.mass())]
         if annotations is not None:
             row.append(",".join(str(b) for b in annotations[m].blocks))
         rows.append("\t".join(row))
@@ -141,6 +142,8 @@ def cmd_standard(args) -> int:
 
 def cmd_decode(args) -> int:
     chi = serialize.character_from_doc(_read_doc(args.input))
+    with _audit_of_a_document():
+        audit_expansion(chi)
     annotations = jordan.annotate_character(chi)
     _write(serialize.dumps(serialize.character_to_doc(chi, annotations)),
            args.out)
@@ -152,8 +155,8 @@ def cmd_check(args) -> int:
     try:
         chi = serialize.character_from_doc(_read_doc(args.input))
         highest = chi.terms.get(HIGHEST)
-        terms = [(render_monomial(y), coeff, False)
-                 for _m, y, coeff in chi.sorted_terms()]
+        terms = [(text, coeff, False)
+                 for _m, text, coeff in chi.sorted_terms()]
     except MixedHighestWeight as err:
         highest, terms = err.highest, err.terms
     problems = []
@@ -180,12 +183,20 @@ def cmd_check(args) -> int:
     return 0
 
 
+@contextmanager
+def _audit_of_a_document():
+    """A peel failure of a character read from a document is a validation
+    failure: the document is at fault, not the program."""
+    try:
+        yield
+    except InconsistentExpansion as err:
+        raise FailedAudit(str(err)) from err
+
+
 def cmd_dot(args) -> int:
     chi = serialize.character_from_doc(_read_doc(args.input))
-    try:
+    with _audit_of_a_document():
         text = render_dot(chi)
-    except InconsistentExpansion as err:  # the document is at fault
-        raise FailedAudit(str(err)) from err
     _write(text, args.out)
     return 0
 

@@ -137,7 +137,8 @@ def _template_step_pairs(roots: tuple) -> tuple:
 def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                    orbit: str = "a") -> Character:
     """q,t-character of the fundamental module with highest l-weight
-    Y_{node, orbit shift}, audited by `audit_expansion`.
+    Y_{node, orbit shift}, audited by `audit_expansion` on the node
+    shapes its expansion computed.
 
     The expansion runs down to the lowering degree of the lowest weight,
     ``window.bound``, and must end on the single monomial
@@ -159,6 +160,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     enqueued = {0}
     strings: dict = {}
     budget = 0
+    rows = []  # (m, v, vdeg, shape) of each term in pop order, for the audit
 
     while heap:
         vdeg, v = heapq.heappop(heap)
@@ -181,6 +183,8 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                         f"directions {negative[0]} and {i} disagree on the "
                         f"coefficient of {window.text(m)}")
         result[m] = coeff
+        if coeff:
+            rows.append((m, v, vdeg, shape))
 
         for i in datum.nodes:
             ledger = ledgers[i]
@@ -230,12 +234,21 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
             f"the expansion does not end on one lowest weight "
             f"Y_{{j,{end}}}^-1 with coefficient 1 at degree {window.bound}")
     chi = Character(window, terms)
-    audit_expansion(chi)
+    audit_expansion(chi, rows)
     return chi
 
 
-def _peel(chi: Character, edges: dict | None = None) -> None:
-    """Peel every direction's decomposition off a character.
+def _peel_rows(chi: Character) -> list:
+    """(m, m.v, m.vdeg, `Window.node_roots` of m) for each term of chi,
+    by lowering degree."""
+    node_roots = chi.window.node_roots
+    return [(m, m.v, m.vdeg, node_roots(m))
+            for m in sorted(chi.terms, key=attrgetter("vdeg"))]
+
+
+def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
+    """Peel every direction's decomposition off a character whose terms
+    come in ``rows`` as `_peel_rows` gives them.
 
     In each direction i the character must be a sum over i-dominant
     monomials m of c_m(t) times the simple rank-one character of the
@@ -255,8 +268,6 @@ def _peel(chi: Character, edges: dict | None = None) -> None:
     width = (2 * mass).bit_length() + 1
     decoded = _Decoded(width, lo)
     packed = dict(zip([m.v for m in chi.terms], _pack(coeffs, width, lo)))
-    rows = [(m, m.v, m.vdeg, window.node_roots(m))
-            for m in sorted(chi.terms, key=attrgetter("vdeg"))]
     bound = window.bound
     strings: dict = {}
     for i in chi.datum.nodes:
@@ -311,10 +322,12 @@ def _peel(chi: Character, edges: dict | None = None) -> None:
                 f"mass at {window.text(m)}")
 
 
-def audit_expansion(chi: Character) -> None:
+def audit_expansion(chi: Character, rows: list | None = None) -> None:
     """Verify that every direction's decomposition of the character exists
-    with nonnegative coefficients; hard error otherwise."""
-    _peel(chi)
+    with nonnegative coefficients; hard error otherwise.  ``rows`` are
+    the terms' shapes as `_peel_rows` gives them, when the caller has them:
+    `fundamental_qt` hands over those of its expansion."""
+    _peel(chi, _peel_rows(chi) if rows is None else rows)
 
 
 def string_edges(chi: Character) -> list:
@@ -322,6 +335,6 @@ def string_edges(chi: Character) -> list:
     character, deduplicated and canonically sorted.  This is the edge set
     a printed character graph shows."""
     edges: dict = {}  # insertion-ordered set
-    _peel(chi, edges)
+    _peel(chi, _peel_rows(chi), edges)
     key = {m: chi.window.order(m) for m in chi.terms}
     return sorted(edges, key=lambda e: (key[e[0]], e[2], key[e[1]]))

@@ -20,10 +20,17 @@ exponent; ``w``/``v`` use the same ``i_n[@orbit]`` key syntax as monomial
 factors.  Terms are sorted by lowering degree, then canonical monomial
 order, so serialization is byte-stable.  Round-trips are bit-exact.
 
-`character_to_doc` renders each window field's tag once, and each
-distinct coefficient and Jordan profile once, shared by the terms that
-have it, like ``w``; `dumps` writes the bytes of
-``json.dumps(doc, indent=2)`` with an exact encoder for these types.
+`character_to_doc` takes each term's monomial text from
+`Character.sorted_terms`, which joins it from the window's memoised row
+pieces in the pass that builds the order key, renders each window
+field's tag once, and each distinct coefficient and Jordan profile once,
+shared by the terms that have it, like ``w``.
+
+`dumps` writes the bytes of ``json.dumps(doc, indent=2)`` with an exact
+encoder for these types.  It quotes each dict key once per call, writes
+integers in place, renders the items of an integer-valued container
+from a per-call table, renders a list or dict that recurs by identity
+at the same indent once, and joins the text once from its pieces.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .charalg import (
     HIGHEST,
     Character,
     Window,
+    factor_text,
     parse_monomial,
     render_monomial,
 )
@@ -48,11 +56,6 @@ _KEY_RE = re.compile(r"^(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?$")
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _tag(key) -> str:
-    orbit, node, shift = key
-    return f"{node}_{shift}" + (f"@{orbit}" if orbit != "a" else "")
 
 
 def _parse_map(doc) -> dict:
@@ -84,20 +87,18 @@ def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
     """The character document; every term shares ``w``, and equal
     coefficients and Jordan profiles share their rendered values."""
     window = chi.window
-    tags = [_tag(key) for key in window.keys]  # one per field
-    tag = dict(zip(window.keys, tags))
-    w = {tag[key]: mult for key, mult in chi.w.items()}
+    tags = list(map(factor_text, window.keys))  # one per field
+    w = {factor_text(key): mult for key, mult in chi.w.items()}
     coeffs: dict = {}
     jordans: dict = {}
     terms = []
-    for m, y, c in chi.sorted_terms():
+    for m, text, c in chi.sorted_terms():
         coeff = coeffs.get(c)
         if coeff is None:
             coeff = coeffs[c] = [[e, x] for e, x in c.pairs()]
         v = window.fields(m.v)
         term = {
-            "monomial": " ".join([tag[key] if e == 1 else f"{tag[key]}^{e}"
-                                  for key, e in y.items()]) or "1",
+            "monomial": text,
             "w": w,
             "v": dict(zip(compress(tags, v), filter(None, v))),
             "coeff": coeff,
@@ -178,7 +179,9 @@ def character_from_doc(doc) -> Character:
         raise ParseError("stated highest monomial is not the v = 0 term")
     mixed = [tw.text(m) for tw, m, _c, differs in listing if differs]
     if mixed:
-        listing.sort(key=lambda term: term[0].order(term[1]))
+        # the windows differ, so sort on the order's definition
+        listing.sort(key=lambda term: (term[1].vdeg,
+                                       list(term[0].y(term[1]).items())))
         raise MixedHighestWeight(
             f"{len(mixed)} terms do not share the highest monomial's w, "
             f"first {mixed[0]!r}",
@@ -199,30 +202,119 @@ def _window(datum, w: dict, type_name: str) -> Window:
 
 
 def dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` plus a newline, in one pass that
-    joins the items of each container; the document may hold dicts with
-    string keys, lists, strings and integers, anything else is a
-    TypeError."""
-    return _encode(doc, "\n") + "\n"
+    """``json.dumps(doc, indent=2)`` plus a newline.  The document may
+    hold dicts with string keys, lists, strings and integers; anything
+    else is a TypeError.  The text is joined once, from pieces."""
+    out: list = []
+    _Encoder(out).put(doc, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(obj, newline: str) -> str:
-    kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if kind is dict:
-        if not obj:
-            return "{}"
-        items = [_quote(key) + ": " + _encode(value, inner)
-                 for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list:
-        if not obj:
-            return "[]"
-        items = [_encode(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"{kind.__name__} {obj!r} is not a str, int, list or "
-                    f"dict with str keys")
+_INT = {int}
+
+
+class _Keys(dict):
+    """Each dict key's quoted text and ": ", made on first use."""
+
+    def __missing__(self, key) -> str:
+        text = self[key] = _quote(key) + ": "
+        return text
+
+
+class _Items(dict):
+    """The text of each (key, integer) item, made on first use; looked up
+    only with exact integers, so never with a bool or a float."""
+
+    def __init__(self, keys: _Keys):
+        super().__init__()
+        self.keys = keys
+
+    def __missing__(self, item: tuple) -> str:
+        key, value = item
+        text = self[item] = self.keys[key] + int.__repr__(value)
+        return text
+
+
+class _Encoder:
+    """One `dumps` call, appending pieces of the text to ``out``.  Keys
+    and integer-valued items are rendered once per call, and a list or
+    dict met again at the same indent reuses its first text."""
+
+    __slots__ = ("out", "keys", "items", "seen", "shared")
+
+    def __init__(self, out: list):
+        self.out = out
+        self.keys = _Keys()
+        self.items = _Items(self.keys)
+        self.seen: set = set()  # ids of the containers met so far
+        self.shared: dict = {}  # id -> (newline, text) of a recurring one
+
+    def put(self, obj, newline: str) -> None:
+        """Append the text of obj, its inner lines starting ``newline``."""
+        out = self.out
+        kind = type(obj)
+        if kind is str:
+            out.append(_quote(obj))
+            return
+        if kind is int:
+            out.append(int.__repr__(obj))
+            return
+        if kind is dict:
+            if not obj:
+                out.append("{}")
+                return
+        elif kind is list:
+            if not obj:
+                out.append("[]")
+                return
+        else:
+            raise TypeError(f"{kind.__name__} {obj!r} is not a str, int, "
+                            f"list or dict with str keys")
+        ident = id(obj)
+        memo = self.shared.get(ident)
+        if memo is not None and memo[0] == newline:
+            out.append(memo[1])
+            return
+        start = len(out)
+        inner = newline + "  "
+        sep = "," + inner
+        if kind is dict:
+            if set(map(type, obj.values())) == _INT:
+                out.append("{" + inner + sep.join(
+                    map(self.items.__getitem__, obj.items())) + newline + "}")
+            else:
+                keys = self.keys
+                head = "{" + inner
+                for key, value in obj.items():
+                    self.put_item(head + keys[key], value, inner)
+                    head = sep
+                out.append(newline + "}")
+        elif set(map(type, obj)) == _INT:
+            out.append("[" + inner + sep.join(map(int.__repr__, obj))
+                       + newline + "]")
+        else:
+            head = "[" + inner
+            for value in obj:
+                self.put_item(head, value, inner)
+                head = sep
+            out.append(newline + "]")
+        if ident in self.seen:
+            if memo is None:
+                text = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+                self.shared[ident] = (newline, text)
+        else:
+            self.seen.add(ident)
+
+    def put_item(self, head: str, value, newline: str) -> None:
+        """Append ``head`` and the text of a container's item."""
+        kind = type(value)
+        if kind is str:
+            self.out.append(head + _quote(value))
+        elif kind is int:
+            self.out.append(head + int.__repr__(value))
+        else:
+            self.out.append(head)
+            self.put(value, newline)

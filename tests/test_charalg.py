@@ -1,3 +1,7 @@
+import random
+from collections import defaultdict
+from itertools import chain
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,23 +26,13 @@ D4 = build_root_datum("D", 4)
 def y_exponents(datum, w, v):
     """Reference: the Y-exponent map of (w, v), one dict bump per
     A-variable factor."""
-    y = {}
-
-    def bump(key, delta):
-        val = y.get(key, 0) + delta
-        if val:
-            y[key] = val
-        else:
-            y.pop(key, None)
-
-    for key, mult in w.items():
-        bump(key, mult)
+    y = defaultdict(int, w)
     for (orbit, i, n), mult in v.items():
-        bump((orbit, i, n - 1), -mult)
-        bump((orbit, i, n + 1), -mult)
+        y[orbit, i, n - 1] -= mult
+        y[orbit, i, n + 1] -= mult
         for j in datum.adjacency[i - 1]:
-            bump((orbit, j, n), mult)
-    return y
+            y[orbit, j, n] += mult
+    return {key: e for key, e in y.items() if e}
 
 
 def top(datum, node, shift=0, orbit="a"):
@@ -285,16 +279,73 @@ def test_y_regenerates_from_wv_everywhere():
                 chi.window.y(m)
 
 
+def assert_order_matches_reference(window, monomials):
+    """`Window.order` sorts like the reference tuple: lowering degree, then
+    the flattened (key, exponent) pairs of the reference Y-exponents in
+    sorted key order; `Window.text` renders those Y-exponents."""
+    ys = {m: y_exponents(window.datum, window.w, window.v(m))
+          for m in monomials}
+    want = sorted(monomials, key=lambda m: (
+        m.vdeg, *chain.from_iterable(sorted(ys[m].items()))))
+    assert sorted(monomials, key=window.order) == want
+    assert list(map(window.text, want)) == [render_monomial(ys[m])
+                                            for m in want]
+
+
+GAPPED = [[(2, 0), (2, 8)], [(2, 0), (1, 7), (2, 8)],
+          [(1, 0), (3, 20, "b"), (4, 3, "b")]]
+
+
 def test_term_order_on_gapped_windows():
-    # windows with several blocks on one orbit still order terms by
-    # lowering degree, then sorted Y-exponents
-    for factors in ([(2, 0), (2, 8)], [(2, 0), (1, 7), (2, 8)],
-                    [(1, 0), (3, 20, "b"), (4, 3, "b")]):
+    # windows with several blocks on one orbit, or two orbits, still order
+    # terms by lowering degree, then sorted Y-exponents
+    for factors in GAPPED:
         chi = standard_module_qt(D4, factors)
         rows = chi.sorted_terms()
-        assert all(list(y) == sorted(y) for _m, y, _c in rows)
-        keys = [(m.vdeg, tuple(sorted(y.items()))) for m, y, _c in rows]
+        ys = [chi.window.y(m) for m, _text, _c in rows]
+        assert all(list(y) == sorted(y) for y in ys)
+        assert [text for _m, text, _c in rows] == \
+            list(map(render_monomial, ys))
+        keys = [(m.vdeg, tuple(sorted(y.items())))
+                for (m, _text, _c), y in zip(rows, ys)]
         assert keys == sorted(keys)
+        assert_order_matches_reference(chi.window, list(chi.terms))
+
+
+# every fundamental of these types but E7 node 3, which takes minutes
+FUNDAMENTALS = [("A", rank) for rank in range(1, 9)] + \
+    [("D", rank) for rank in range(4, 9)] + [("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("family,rank", FUNDAMENTALS,
+                         ids=[f"{f}{r}" for f, r in FUNDAMENTALS])
+def test_order_key_sorts_like_the_tuple_on_fundamentals(family, rank):
+    datum = build_root_datum(family, rank)
+    for node in datum.nodes:
+        if (family, rank, node) != ("E", 7, 3):
+            chi = fundamental_qt(datum, node, 0)
+            assert_order_matches_reference(chi.window, list(chi.terms))
+
+
+@pytest.mark.parametrize("datum,w,bits", [
+    (A2, {("a", 1, 0): 200}, 16),  # 16-bit fields
+    (build_root_datum("A", 3), {("a", 2, 0): 40}, 8),  # 16-bit key units
+])
+def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):
+    window = Window(datum, w)
+    assert window.bits == bits
+    rng = random.Random(7)
+    slots = sorted(window.slots)
+    monomials = {HIGHEST}
+    while len(monomials) < 400:
+        v = {}
+        for key in rng.sample(slots, rng.randint(1, 3)):
+            v[key] = rng.randint(0, window.bound - sum(v.values()))
+        monomials.add(window.pack(v))
+    exps = [e for m in monomials
+            for e in y_exponents(datum, window.w, window.v(m)).values()]
+    assert min(exps) < -127 and max(exps) > 127
+    assert_order_matches_reference(window, list(monomials))
 
 
 def test_merge_monomials_sums_payloads():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qtchar.cli
+from qtchar import serialize
 from qtchar.cli import main, parse_factors
 from qtchar.errors import InconsistentExpansion, ParseError
 from qtchar.fusion import FactorSpec
@@ -69,12 +70,13 @@ def test_decode_command(tmp_path):
 
 
 def test_decode_single_term_file(tmp_path):
-    # a one-term document whose coefficient is 1 + 4t^2 + t^4
+    # a one-term document whose coefficient is 1 + 4t^2 + t^4: the trivial
+    # module's monomial, which has no string in any direction to audit
     doc = {
         "type": "E6",
-        "orbits": ["a"],
-        "highest": "3_0",
-        "terms": [{"monomial": "3_0", "w": {"3_0": 1}, "v": {},
+        "orbits": [],
+        "highest": "1",
+        "terms": [{"monomial": "1", "w": {}, "v": {},
                    "coeff": [[0, 1], [2, 4], [4, 1]]}],
     }
     src = tmp_path / "one.json"
@@ -149,6 +151,17 @@ def test_dot_of_a_bad_document_is_a_validation_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"validation error: {AUDIT_MESSAGE}\n"
+
+
+def test_decode_of_a_bad_document_is_a_validation_failure(tmp_path, capsys):
+    src = tampered_d4(tmp_path)
+    out = tmp_path / "decoded.json"
+    capsys.readouterr()
+    assert main(["decode", str(src), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {AUDIT_MESSAGE}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -228,6 +241,23 @@ def test_output_bytes_pinned(tmp_path, argv, sha):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+def test_json_goes_through_the_serializer(tmp_path, monkeypatch):
+    # the JSON output is built by serialize.character_to_doc and written
+    # by serialize.dumps, the two calls a tracer can wrap by name
+    calls = []
+    for name in ("character_to_doc", "dumps"):
+        def traced(*args, _fn=getattr(serialize, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(serialize, name, traced)
+    src = tmp_path / "chi.json"
+    assert main(["fundamental", "--type", "A2", "--node", "1",
+                 "--format", "json", "--out", str(src)]) == 0
+    assert calls == ["character_to_doc", "dumps"]
+    assert main(["decode", str(src), "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == ["character_to_doc", "dumps"] * 2
 
 
 def test_dot_output(tmp_path):

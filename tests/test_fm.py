@@ -1,7 +1,7 @@
 import pytest
 
 from qtchar import fm
-from qtchar.charalg import HIGHEST, Character, render_monomial
+from qtchar.charalg import HIGHEST, Character
 from qtchar.errors import InconsistentExpansion
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import _pack, standard_module_qt
@@ -126,6 +126,22 @@ def test_audit_passes_on_outputs():
         audit_expansion(fundamental_qt(datum, node, 0))
 
 
+def test_expansion_hands_the_audit_its_own_rows(monkeypatch):
+    # the node shapes the expansion computed are those the audit would
+    # compute itself, in the same order, so every peel check is unchanged
+    handed = []
+    audit = fm.audit_expansion
+
+    def spy(chi, rows=None):
+        handed.append(rows)
+        audit(chi, rows)
+
+    monkeypatch.setattr(fm, "audit_expansion", spy)
+    for datum, node in [(A2, 1), (D4, 2), (E6, 3)]:
+        chi = fundamental_qt(datum, node, 0)
+        assert handed.pop() == fm._peel_rows(chi)
+
+
 def test_audit_rejects_tampered_character():
     # each tampering breaks a different check of the peel
     cases = [
@@ -239,10 +255,8 @@ def test_string_edges_of_a2_standard_graphs():
 
 
 def test_determinism():
-    a = [(render_monomial(y), c) for _m, y, c in
-         fundamental_qt(D4, 2, 0).sorted_terms()]
-    b = [(render_monomial(y), c) for _m, y, c in
-         fundamental_qt(D4, 2, 0).sorted_terms()]
+    a = [(text, c) for _m, text, c in fundamental_qt(D4, 2, 0).sorted_terms()]
+    b = [(text, c) for _m, text, c in fundamental_qt(D4, 2, 0).sorted_terms()]
     assert a == b
 
 

@@ -59,7 +59,8 @@ def test_jordan_annotations_serialized():
 def test_term_order_stable():
     chi = fundamental_qt(D4, 2, 0)
     doc = character_to_doc(chi)
-    keys = [(m.vdeg, tuple(y.items())) for m, y, _ in chi.sorted_terms()]
+    keys = [(m.vdeg, tuple(chi.window.y(m).items()))
+            for m, _text, _c in chi.sorted_terms()]
     assert keys == sorted(keys)
     assert doc["terms"][0]["monomial"] == "2_0"
     assert doc["terms"][-1]["monomial"] == "2_6^-1"
@@ -139,6 +140,26 @@ _trees = st.recursive(
 
 @given(_trees)
 def test_dumps_is_json_dumps_with_indent(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def _shared_values():
+    lst, dct, empty_list, empty_dict = [1, ["x"]], {"k": [2, 3]}, [], {}
+    return [
+        # one list object at two depths
+        {"a": lst, "b": [lst, {"c": lst}], "d": lst},
+        # one dict repeated at the same depth, and under other keys
+        [dct, dct, {"x": dct, "y": dct}, dct],
+        # shared empty containers
+        {"a": empty_list, "b": [empty_list, empty_dict, {"c": empty_dict}],
+         "d": empty_dict, "e": [[empty_list]]},
+    ]
+
+
+@pytest.mark.parametrize("obj", _shared_values(),
+                         ids=["list-at-two-depths", "dict-at-one-depth",
+                              "empty-containers"])
+def test_dumps_of_shared_values_is_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
 
 
