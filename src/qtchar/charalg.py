@@ -60,16 +60,16 @@ class Window:
     neighbours of i.  Fields hold ``bound``, the largest lowering degree
     ``w`` allows; ``slots`` maps each key ``v`` may occupy to its field.
 
-    A monomial is read row by row off the packed parts of its ``y``: a
-    row's node shape (`node_roots`) and its label, the row's piece of the
-    order key, of the text and of ``y`` (`order`, `text`, `y`), are each
-    memoised on the row's fields, so a term costs one pass over the rows
-    and not one over the fields.
+    A monomial is read row by row off the packed parts of its ``y``.  One
+    memo, keyed by a row and its fields of those parts, holds the row's
+    record: its piece of the order key, of the text and of ``y`` (`order`,
+    `text`, `y`) and its node shape (`node_roots`).  So a term costs one
+    pass over the rows and not one over the fields.
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
                  "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves",
-                 "_row_masks", "_node_rows", "_shapes", "_keysize", "_labels")
+                 "_row_masks", "_node_rows", "_keysize", "_records")
 
     def __init__(self, datum: RootDatum, w: dict):
         self.datum = datum
@@ -121,10 +121,9 @@ class Window:
             (i, [rm for rm, row in zip(self._row_masks, self._rows)
                  if row[0] == i])
             for i in datum.nodes]
-        self._shapes: dict = {}  # (row, plus row, minus row) -> shape
         # an order-key unit holds vdeg, a field or an exponent + bound
         self._keysize = self._size(max(len(self.keys) - 1, need + self.bound))
-        self._labels: dict = {}  # (row, plus row, minus row) -> row label
+        self._records: dict = {}  # (row, plus row, minus row) -> record
 
     def _size(self, top: int) -> int:
         # bytes of the least array unit that holds 0 .. top
@@ -175,7 +174,7 @@ class Window:
     def y(self, m: Monomial) -> dict:
         """Y-exponents of m, in sorted key order."""
         return dict(chain.from_iterable(
-            y for _key, _text, y in self._row_labels(m)))
+            record[2] for record in self._row_records(m)))
 
     def order(self, m: Monomial) -> bytes:
         """Sort key of the canonical term order: by lowering degree, then
@@ -211,50 +210,52 @@ class Window:
         return self.label(m)[1]
 
     def label(self, m: Monomial) -> tuple[bytes, str]:
-        """`order` and `text` of m, joined from its rows' labels."""
-        labels = self._row_labels(m)
+        """`order` and `text` of m, joined from its rows' records."""
+        records = self._row_records(m)
         return (m.vdeg.to_bytes(self._keysize, "big")
-                + b"".join([key for key, _text, _y in labels]),
-                " ".join([text for _key, text, _y in labels]) or "1")
+                + b"".join([record[0] for record in records]),
+                " ".join([record[1] for record in records]) or "1")
 
-    def _row_labels(self, m: Monomial) -> list:
-        # the labels of m's rows with a nonzero Y-exponent, in field order,
-        # each memoised on the row's fields of the packed parts of y
+    def _row_records(self, m: Monomial) -> list:
+        # the records of m's rows with a nonzero Y-exponent, in field order
         plus, minus = self._yparts(m.v)
-        labels = self._labels
+        records = self._records
         out = []
         for r, start, mask in self._row_masks:
             p, q = plus >> start & mask, minus >> start & mask
             if p != q:
-                label = labels.get((r, p, q))
-                if label is None:
-                    label = labels[r, p, q] = self._row_label(r, p, q)
-                out.append(label)
+                record = records.get((r, p, q))
+                if record is None:
+                    record = records[r, p, q] = self._row_record(r, p, q)
+                out.append(record)
         return out
 
-    def _row_label(self, r: int, p: int, q: int) -> tuple:
-        # the row's order-key units, text and Y-exponent items
+    def _row_record(self, r: int, p: int, q: int) -> tuple:
+        # a row with Y-exponents p - q: its order-key units, text, Y-items
+        # and node shape, None if an exponent is negative, else the
+        # (orbit, shift) of each exponent unit
         _i, k, _stride, row = self._rows[r]
-        y = [(field, e) for field, e in zip(
-            range(k, k + len(row)), map(sub, self.fields(p), self.fields(q)))
-            if e]
+        es = list(map(sub, self.fields(p), self.fields(q)))[:len(row)]
+        y = [(field, e) for field, e in enumerate(es, k) if e]
         units = array(_TYPECODES[self._keysize],
                       [x for field, e in y for x in (field, e + self.bound)])
         if sys.byteorder == "little":
             units.byteswap()
         keys = self.keys
+        shape = None if min(es) < 0 else tuple(
+            key for key, e in zip(row, es) for _ in range(e))
         return (units.tobytes(),
                 " ".join(factor_text(keys[field], e) for field, e in y),
-                tuple((keys[field], e) for field, e in y))
+                tuple((keys[field], e) for field, e in y), shape)
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
         None if one of them is negative, else the node's root tuple, the
         sorted (orbit, shift) multiset of its exponents (see
-        `sl2.root_tuple`), its blocks merged.  Each row's shape is
-        memoised on the row's fields of the packed parts of y."""
+        `sl2.root_tuple`), its blocks merged.  Each row's shape is read
+        from its record in the row memo."""
         plus, minus = self._yparts(m.v)
-        shapes = self._shapes
+        records = self._records
         out = {}
         for i, rows in self._node_rows:
             roots = ()
@@ -262,9 +263,10 @@ class Window:
                 p, q = plus >> start & mask, minus >> start & mask
                 if p == q:
                     continue
-                shape = shapes.get((r, p, q), ())  # () only on a miss
-                if shape == ():
-                    shape = shapes[r, p, q] = self._row_shape(r, p, q)
+                record = records.get((r, p, q))
+                if record is None:
+                    record = records[r, p, q] = self._row_record(r, p, q)
+                shape = record[3]
                 if shape is None:
                     roots = None
                     break
@@ -272,20 +274,6 @@ class Window:
             if roots != ():
                 out[i] = roots
         return out
-
-    def _row_shape(self, r: int, p: int, q: int) -> tuple | None:
-        y = list(zip(self._rows[r][3],
-                     map(sub, self.fields(p), self.fields(q))))
-        if min(e for _key, e in y) < 0:
-            return None
-        return tuple(key for key, e in y for _ in range(e))
-
-    def lowered(self, m: Monomial, i: int, steps: dict) -> Monomial:
-        """m times A_{i, orbit n}^{-mult} for each ((orbit, n), mult)."""
-        v = self.v(m)
-        for (o, n), a in steps.items():
-            v[o, i, n] = v.get((o, i, n), 0) + a
-        return self.pack(v)
 
     def shifted(self, delta: int) -> "Window":
         """The window of w shifted by ``delta``; packed v carry over."""

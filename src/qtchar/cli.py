@@ -67,15 +67,25 @@ def parse_factors(text: str) -> list[FactorSpec]:
     return specs
 
 
+_SLICE = 1 << 20  # characters encoded and written at a time
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise ParseError(f"cannot write {out}: {err}") from err
-    else:
-        sys.stdout.write(text)
+    """Write text to the path ``out``, or to stdout, one slice at a time,
+    so that no encoded copy of the whole text is made."""
+    if not out:
+        _write_slices(text, sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_slices(text, fh)
+    except OSError as err:
+        raise ParseError(f"cannot write {out}: {err}") from err
+
+
+def _write_slices(text: str, fh) -> None:
+    for start in range(0, len(text), _SLICE):
+        fh.write(text[start:start + _SLICE])
 
 
 def _read_doc(path: str) -> dict:

@@ -17,16 +17,17 @@ vanish.  This converts the unproven bookkeeping assumptions into runtime
 checks, and `audit_expansion` re-verifies the finished character by
 peeling the per-direction decomposition off it from scratch.
 
-Coefficients are packed integers, as in `fusion`: a_e t^e becomes
-a_e 2^(W (e - lo)), so a residual is one subtraction and a string
-application one multiply and one add per image.  Each distinct packed
-value is decoded once, its positivity checked once, and equal
-coefficients of a result share one TPoly.  The packing is exact while
-every digit lies in the signed range (-2^(W-1), 2^(W-1)) and every
-exponent is at least lo; both are proved, not assumed.  A rank-one
-template coefficient is a sum of t^(2p), p >= 0, with positive
-coefficients, so multiplying by it neither lowers an exponent nor turns a
-digit negative, and a product's digits sum to at most mass(c) mass(tc).
+Coefficients are packed integers, as in `fusion`, through the codec of
+`tpoly` (`pack`, `Decoded`): a_e t^e becomes a_e 2^(W (e - lo)), so a
+residual is one subtraction and a string application one multiply and
+one add per image.  Each distinct packed value is decoded once, its
+positivity checked once, and equal coefficients of a result share one
+TPoly.  The packing is exact while every digit lies in the signed range
+(-2^(W-1), 2^(W-1)) and every exponent is at least lo; both are proved,
+not assumed.  A rank-one template coefficient is a sum of t^(2p), p >= 0,
+with positive coefficients, so multiplying by it neither lowers an
+exponent nor turns a digit negative, and a product's digits sum to at
+most mass(c) mass(tc).
 
 * Expansion: lo = 0 and W = 32.  Every ledger entry is a sum of
   residual x template terms over already-checked positive residuals, so
@@ -51,7 +52,6 @@ digit negative, and a product's digits sum to at most mass(c) mass(tc).
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 from operator import attrgetter
 
 from .charalg import HIGHEST, Character, Monomial, Window
@@ -61,52 +61,29 @@ from .errors import (
     NonMinuscule,
     OutsideWindow,
 )
-from .fusion import _pack, _unpack
 from .rootdata import RootDatum
 from .sl2 import sl2_simple_qt
-from .tpoly import TPoly
+from .tpoly import Decoded, lo_and_mass, pack
 
 _WIDTH = 32  # digit width of the expansion's packed coefficients
-
-
-class _Decoded(dict):
-    """Packed coefficients with signed ``width``-bit digits, lowest at
-    t^lo, each decoded on first lookup: maps a packed value to its TPoly."""
-
-    def __init__(self, width: int, lo: int):
-        super().__init__()
-        self.width, self.lo = width, lo
-        self.masses: dict[int, int] = {}
-
-    def __missing__(self, x: int) -> TPoly:
-        p = self[x] = _unpack(x, self.width, self.lo)
-        return p
-
-    def positive_mass(self, x: int) -> int | None:
-        """The value at t = 1 of x if all its coefficients are positive,
-        else None; memoised per value."""
-        mass = self.masses.get(x)
-        if mass is None and self[x].is_positive():
-            mass = self.masses[x] = self[x].mass()
-        return mass
 
 
 def _string(window: Window, i: int, roots: tuple, width: int,
             cache: dict) -> tuple[int, list]:
     """The rank-one template of ``roots`` embedded in direction i: its mass
-    at t = 1 and its (packed lowering, template monomial, packed template
-    coefficient) triples; adding the lowering to a host monomial gives the
-    image of the template monomial, the template highest mapping to the
+    at t = 1 and its (packed lowering, packed template coefficient) pairs,
+    one per template monomial; adding the lowering to a host monomial
+    gives the image of that monomial, the template highest mapping to the
     host itself.  ``cache`` holds one width."""
     out = cache.get((i, roots))
     if out is None:
         template = sl2_simple_qt(roots)
         tv = template.window.v
-        packed = _pack(template.terms.values(), width, 0)
+        packed = pack(template.terms.values(), width, 0)
         try:
             out = (template.mass_at_t1(),
                    [(window.pack({(o, i, n): a for (o, _node, n), a
-                                  in tv(tm).items()}), tm, x)
+                                  in tv(tm).items()}), x)
                     for tm, x in zip(template.terms, packed)])
         except OutsideWindow as err:
             raise InconsistentExpansion(
@@ -116,22 +93,20 @@ def _string(window: Window, i: int, roots: tuple, width: int,
     return out
 
 
-@lru_cache(maxsize=None)
-def _template_step_pairs(roots: tuple) -> tuple:
-    """Single lowering steps between members of one rank-one template,
-    as (source, target, (orbit, shift)) triples of template monomials."""
-    template = sl2_simple_qt(roots)
-    window = template.window
-    pairs = []
-    for tm in template.terms:
-        for orbit, _one, n in window.keys:
-            try:
-                t2 = window.lowered(tm, 1, {(orbit, n): 1})
-            except OutsideWindow:
-                continue
-            if t2 in template.terms:
-                pairs.append((tm, t2, (orbit, n)))
-    return tuple(pairs)
+def _string_steps(window: Window, i: int, string: list) -> list:
+    """The single lowering steps inside a string of `_string`, as
+    (d1, d2, (orbit, n)) with d2 = d1 times A_{i, orbit n}^{-1}.
+
+    Such a pair differs by one unit in the field (orbit, i, n): d2.v - d1.v
+    is that field's unit.  A difference of one unit with a carry out of a
+    field would change the lowering degree by other than +1, so checking
+    d2.vdeg = d1.vdeg + 1 as well leaves no other pair."""
+    unit = {1 << window.bits * k: (o, n)
+            for (o, j, n), k in window.slots.items() if j == i}
+    lowerings = [d for d, _x in string]
+    return [(d1, d2, unit[d2.v - d1.v])
+            for d1 in lowerings for d2 in lowerings
+            if d2.vdeg == d1.vdeg + 1 and d2.v - d1.v in unit]
 
 
 def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
@@ -151,7 +126,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     if not 1 <= node <= datum.rank:
         raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
     window = Window(datum, {(orbit, node, shift): 1})
-    decoded = _Decoded(_WIDTH, 0)
+    decoded = Decoded(_WIDTH, 0)
     half = 1 << _WIDTH - 1
     result: dict[Monomial, int] = {}
     # per direction: packed v -> packed coefficient generated there
@@ -210,7 +185,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                 raise InconsistentExpansion(
                     f"coefficient budget {budget} overruns the "
                     f"{_WIDTH}-bit digits at {window.text(m)}")
-            for d, _tm, x in string:
+            for d, x in string:
                 if not d.vdeg:
                     continue
                 ivdeg = vdeg + d.vdeg
@@ -255,21 +230,22 @@ def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
     node-i exponents of m, embedded at m, with every c_m nonnegative.
     Residues are packed with the width and lowest exponent the module
     docstring derives from the character.  When ``edges`` is given, the
-    lowering steps interior to the embedded strings are added to it as
-    (from, to, i, (orbit, shift)) keys.
+    lowering steps interior to the embedded strings (`_string_steps`, one
+    list per direction and root tuple) are added to it as (from, to, i,
+    (orbit, shift)) keys.
 
     Raises InconsistentExpansion if some direction has no such
     decomposition.
     """
     window = chi.window
     coeffs = chi.terms.values()
-    lo = min((e for c in coeffs for e in c.c), default=0)
-    mass = sum(abs(a) for c in coeffs for a in c.c.values())
+    lo, mass = lo_and_mass(coeffs)
     width = (2 * mass).bit_length() + 1
-    decoded = _Decoded(width, lo)
-    packed = dict(zip([m.v for m in chi.terms], _pack(coeffs, width, lo)))
+    decoded = Decoded(width, lo)
+    packed = dict(zip([m.v for m in chi.terms], pack(coeffs, width, lo)))
     bound = window.bound
     strings: dict = {}
+    steps: dict = {}  # (i, roots) -> `_string_steps`, for ``edges`` only
     for i in chi.datum.nodes:
         residue = dict(packed)
         budget = 0
@@ -299,22 +275,24 @@ def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
             tmass, string = _string(window, i, roots, width, strings)
             budget += cmass * tmass
             if budget > mass:  # only an invalid character gets here
-                for d, _tm, _x in string:
+                for d, _x in string:
                     if vdeg + d.vdeg > bound or v + d.v not in residue:
                         raise missing(m)
                 raise InconsistentExpansion(
                     f"direction {i}: the peel coefficients at t = 1 "
                     f"outweigh the character's absolute mass {mass}")
-            for d, _tm, x in string:
+            for d, x in string:
                 img = v + d.v
                 if vdeg + d.vdeg > bound or img not in residue:
                     raise missing(m)
                 residue[img] -= c * x
             if edges is not None:
-                images = {tm: Monomial(v + d.v, vdeg + d.vdeg)
-                          for d, tm, _x in string}
-                for src, dst, step in _template_step_pairs(roots):
-                    edges[images[src], images[dst], i, step] = None
+                pairs = steps.get((i, roots))
+                if pairs is None:
+                    pairs = steps[i, roots] = _string_steps(window, i, string)
+                for d1, d2, step in pairs:
+                    edges[Monomial(v + d1.v, vdeg + d1.vdeg),
+                          Monomial(v + d2.v, vdeg + d2.vdeg), i, step] = None
         if any(residue.values()):
             m = next(m for m in chi.terms if residue[m.v])
             raise InconsistentExpansion(

@@ -29,8 +29,9 @@ one multiply, one shift by 2Wp and one add.  The width W is derived, not
 set: no digit of any partial sum exceeds A1 A2 in size, A the absolute
 mass sum |a| of a factor over all its terms, so W = (A1 A2).bit_length()
 + 1 keeps signed digits from carrying into one another, for Laurent,
-negative and arbitrarily large coefficients alike.  Each distinct sum is
-decoded once, so equal coefficients of a product share one TPoly.
+negative and arbitrarily large coefficients alike.  Packing and decoding
+are `tpoly.pack` and `tpoly.Decoded`: each distinct sum is decoded once,
+so equal coefficients of a product share one TPoly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
 from .errors import NegativeTwist, QtCharError
 from .rootdata import RootDatum
-from .tpoly import TPoly
+from .tpoly import Decoded, lo_and_mass, pack
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ def twist_rows(chi1: Character, chi2: Character):
         c(m1) = sum of v1[j,n] w2[j,n-1]
         u(m1)[i,n] = w1[i,n+1] - v1[i,n] - v1[i,n+2] + sum_{j~i} v1[j,n+1]
 
-    Returns (window, right, rows): ``right`` lists (v2, vdeg2, c2) for the
+    Returns (window, right, rows): ``right`` lists (v2, vdeg2) for the
     terms of chi2, packed in the window, and ``rows`` yields (v1, vdeg1,
-    c1, ps) for each term of chi1, where ps[k] is the twist against
-    right[k].  Raises NegativeTwist on a pair with p < 0.
+    ps) for each term of chi1, where ps[k] is the twist against right[k].
+    Raises NegativeTwist on a pair with p < 0.
     """
     datum = chi1.datum
     w1, w2 = chi1.w, chi2.w
@@ -93,18 +94,18 @@ def twist_rows(chi1: Character, chi2: Character):
     def embed(chi):
         src = chi.window
         moved = [slot(key) for key in src.keys]
-        for m, c in chi.terms.items():
+        for m in chi.terms:
             nz = [(moved[k], a) for k, a in enumerate(src.fields(m.v)) if a]
-            yield m, sum(a << bits * k for k, a in nz), c, nz
+            yield m, sum(a << bits * k for k, a in nz), nz
 
     right = []
     dots = []  # fields of v2, each repeated by its exponent
-    for m2, v2, c2, nz in embed(chi2):
-        right.append((v2, m2.vdeg, c2))
+    for m2, v2, nz in embed(chi2):
+        right.append((v2, m2.vdeg))
         dots.append(tuple(k for k, a in nz for _ in range(a)))
 
     def rows():
-        for m1, v1, c1, nz in embed(chi1):
+        for m1, v1, nz in embed(chi1):
             c = sum(a * w2_below[k] for k, a in nz)
             u = u0[:]
             for k, a in nz:
@@ -116,38 +117,9 @@ def twist_rows(chi1: Character, chi2: Character):
                 raise NegativeTwist(
                     f"negative attracting rank {min(ps)} for pair "
                     f"({chi1.window.text(m1)}, {chi2.window.text(m2)})")
-            yield v1, m1.vdeg, c1, ps
+            yield v1, m1.vdeg, ps
 
     return window, right, rows()
-
-
-def _pack(coeffs, width: int, lo: int) -> list[int]:
-    """Each coefficient sum a_e t^e, in order, as the integer sum
-    a_e 2^(width (e - lo)); equal coefficients are packed once."""
-    packed: dict[TPoly, int] = {}
-    out = []
-    for c in coeffs:
-        x = packed.get(c)
-        if x is None:
-            x = packed[c] = sum(a << width * (e - lo) for e, a in c.c.items())
-        out.append(x)
-    return out
-
-
-def _unpack(x: int, width: int, lo: int) -> TPoly:
-    """The polynomial with signed width-bit digits x, lowest at t^lo."""
-    coeffs = {}
-    half, mask = 1 << width - 1, (1 << width) - 1
-    e = lo
-    while x:
-        a = x & mask
-        if a >= half:
-            a -= 1 << width
-        if a:
-            coeffs[e] = a
-        x = (x - a) >> width
-        e += 1
-    return TPoly.from_dict(coeffs)
 
 
 def twisted_product(datum: RootDatum, chi1: Character,
@@ -158,33 +130,28 @@ def twisted_product(datum: RootDatum, chi1: Character,
     coefficient cancels to zero is kept."""
     assert chi1.datum == chi2.datum == datum
     coeffs1, coeffs2 = chi1.terms.values(), chi2.terms.values()
-    lo1 = min((e for c in coeffs1 for e in c.c), default=0)
-    lo2 = min((e for c in coeffs2 for e in c.c), default=0)
-    mass1 = sum(abs(a) for c in coeffs1 for a in c.c.values())
-    mass2 = sum(abs(a) for c in coeffs2 for a in c.c.values())
+    lo1, mass1 = lo_and_mass(coeffs1)
+    lo2, mass2 = lo_and_mass(coeffs2)
     width = (mass1 * mass2).bit_length() + 1
     window, right, rows = twist_rows(chi1, chi2)
     # the lowering degree rides above the packed v, so one add makes both
     top = window.bits * len(window.keys)
-    right = [(v2 + (vdeg2 << top), x2) for (v2, vdeg2, _c2), x2
-             in zip(right, _pack(coeffs2, width, lo2))]
+    right = [(v2 + (vdeg2 << top), x2) for (v2, vdeg2), x2
+             in zip(right, pack(coeffs2, width, lo2))]
     step = 2 * width
     acc: dict[int, int] = {}
     get = acc.get
-    for (v1, vdeg1, _c1, ps), x1 in zip(rows, _pack(coeffs1, width, lo1)):
+    for (v1, vdeg1, ps), x1 in zip(rows, pack(coeffs1, width, lo1)):
         v1 += vdeg1 << top
         for (v2, x2), p in zip(right, ps):
             v = v1 + v2
             acc[v] = get(v, 0) + (x1 * x2 << step * p)
-    decoded: dict[int, TPoly] = {}
+    decoded = Decoded(width, lo1 + lo2)
     terms = {}
-    low, mask = lo1 + lo2, (1 << top) - 1
+    mask = (1 << top) - 1
     while acc:  # popping frees each packed key and sum once it is read
         v, x = acc.popitem()
-        c = decoded.get(x)
-        if c is None:
-            c = decoded[x] = _unpack(x, width, low)
-        terms[Monomial(v & mask, v >> top)] = c
+        terms[Monomial(v & mask, v >> top)] = decoded[x]
     return Character(window, terms)
 
 

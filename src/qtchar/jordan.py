@@ -113,10 +113,6 @@ class JordanProfile:
     graded: tuple[int, ...]
     sigma: tuple[int, ...] = field(default=())
 
-    @property
-    def dimension(self) -> int:
-        return sum(self.blocks)
-
 
 def profile_from_blocks(blocks) -> JordanProfile:
     """Build a full profile from a block multiset alone."""

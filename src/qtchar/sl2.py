@@ -38,13 +38,8 @@ class Segment:
 
 
 def root_tuple(roots) -> tuple:
-    """Sorted tuple of a root multiset given as an iterable or a
-    multiplicity map of (orbit, shift)."""
-    if isinstance(roots, dict):
-        out = []
-        for key, mult in roots.items():
-            out.extend([key] * mult)
-        roots = out
+    """Sorted tuple of a root multiset given as an iterable of
+    (orbit, shift), each root repeated by its multiplicity."""
     return tuple(sorted(roots))
 
 
@@ -83,12 +78,11 @@ def ladder_character(seg: Segment) -> Character:
     coefficient 1, obtained by lowering from the top of the string down."""
     one = TPoly.one()
     window = Window(RANK_ONE, {(seg.orbit, 1, n): 1 for n in seg.shifts()})
-    m = HIGHEST
-    terms = {m: one}
+    terms = {HIGHEST: one}
+    v = {}  # each step lowers once more, at the next shift down
     for k in range(seg.length):
-        step = (seg.orbit, seg.head + 2 * (seg.length - k) - 1)
-        m = window.lowered(m, 1, {step: 1})
-        terms[m] = one
+        v[seg.orbit, 1, seg.head + 2 * (seg.length - k) - 1] = 1
+        terms[window.pack(v)] = one
     return Character(window, terms)
 
 
@@ -107,5 +101,5 @@ def _simple_qt_cached(root_tuple: tuple) -> Character:
 
 def sl2_simple_qt(roots) -> Character:
     """q,t-character of the simple rank-one module with the given Drinfeld
-    root multiset (iterable or multiplicity map of (orbit, shift))."""
+    root multiset, an iterable of (orbit, shift) (see `root_tuple`)."""
     return _simple_qt_cached(root_tuple(roots))

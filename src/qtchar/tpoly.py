@@ -2,9 +2,14 @@
 
 These hold the Poincare-polynomial coefficients of characters, exact
 big integers throughout; no floats anywhere.  Instances are treated as
-immutable values, and the hash is computed once, on first use.  The
-expansion, the peel and the twisted product do their arithmetic on
-Kronecker-packed integers instead (`fusion._pack`, `fusion._unpack`).
+immutable values, and the hash is computed once, on first use.
+
+The expansion, the peel and the twisted product do their arithmetic on
+Kronecker-packed integers instead, through the one codec here: `pack`
+writes a_e t^e as the integer sum a_e 2^(W (e - lo)), and `Decoded` reads
+the signed W-bit digits back, once per distinct value.  `lo_and_mass`
+gives the lowest exponent and the absolute mass from which each caller
+derives, and proves, its width W (see `fm` and `fusion`).
 """
 
 from __future__ import annotations
@@ -98,3 +103,62 @@ class TPoly:
 
     def __repr__(self):
         return f"TPoly({self.c!r})"
+
+
+# -- packed coefficients ----------------------------------------------------
+
+
+def lo_and_mass(coeffs) -> tuple[int, int]:
+    """The lowest t-exponent (0 if there is none) and the absolute mass,
+    the sum of |a_e| over every coefficient of ``coeffs``, a collection
+    that is read twice."""
+    lo = min((e for c in coeffs for e in c.c), default=0)
+    return lo, sum(abs(a) for c in coeffs for a in c.c.values())
+
+
+def pack(coeffs, width: int, lo: int) -> list[int]:
+    """Each coefficient sum a_e t^e, in order, as the integer sum
+    a_e 2^(width (e - lo)); equal coefficients are packed once."""
+    packed: dict[TPoly, int] = {}
+    out = []
+    for c in coeffs:
+        x = packed.get(c)
+        if x is None:
+            x = packed[c] = sum(a << width * (e - lo) for e, a in c.c.items())
+        out.append(x)
+    return out
+
+
+class Decoded(dict):
+    """Packed coefficients with signed ``width``-bit digits, lowest at
+    t^lo, each decoded on first lookup: maps a packed value to its TPoly,
+    so equal values share one."""
+
+    def __init__(self, width: int, lo: int):
+        super().__init__()
+        self.width, self.lo = width, lo
+        self.masses: dict[int, int] = {}
+
+    def __missing__(self, x: int) -> TPoly:
+        coeffs = {}
+        width = self.width
+        half, mask = 1 << width - 1, (1 << width) - 1
+        e, y = self.lo, x
+        while y:
+            a = y & mask
+            if a >= half:
+                a -= 1 << width
+            if a:
+                coeffs[e] = a
+            y = (y - a) >> width
+            e += 1
+        p = self[x] = TPoly.from_dict(coeffs)
+        return p
+
+    def positive_mass(self, x: int) -> int | None:
+        """The value at t = 1 of x if all its coefficients are positive,
+        else None; memoised per value."""
+        mass = self.masses.get(x)
+        if mass is None and self[x].is_positive():
+            mass = self.masses[x] = self[x].mass()
+        return mass

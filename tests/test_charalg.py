@@ -92,38 +92,16 @@ def test_pack_rejects_outside_window():
 
 def test_apply_lowering_d4():
     win = top(D4, 2)
-    m = win.lowered(HIGHEST, 2, {("a", 1): 1})
+    m = win.pack({("a", 2, 1): 1})
     assert win.text(m) == "1_1 2_2^-1 3_1 4_1"
 
 
 def test_apply_lowering_a2():
     # hand expansion of Y_{1,0} * A_{1,1}^{-1}
     win = top(A2, 1)
-    m = win.lowered(HIGHEST, 1, {("a", 1): 1})
+    m = win.pack({("a", 1, 1): 1})
     assert win.text(m) == "1_2^-1 2_1"
     assert win.v(m) == {("a", 1, 1): 1}
-
-
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)),
-                min_size=0, max_size=6))
-def test_apply_lowering_order_free(steps):
-    win = top(D4, 2)
-    m1 = m2 = HIGHEST
-    for i, n in steps:
-        m1 = win.lowered(m1, i, {("a", n): 1})
-    for i, n in reversed(steps):
-        m2 = win.lowered(m2, i, {("a", n): 1})
-    assert m1 == m2 and win.y(m1) == win.y(m2)
-
-
-def test_lowered_many_matches_single_steps():
-    win = top(D4, 2)
-    stepwise = HIGHEST
-    for i, n in [(2, 1), (1, 2), (1, 2)]:
-        stepwise = win.lowered(stepwise, i, {("a", n): 1})
-    bulk = win.lowered(win.lowered(HIGHEST, 2, {("a", 1): 1}),
-                       1, {("a", 2): 2})
-    assert stepwise == bulk and win.v(stepwise) == win.v(bulk)
 
 
 # -- per-node exponents ----------------------------------------------------
@@ -148,7 +126,7 @@ def test_is_i_dominant():
     win, m = node10()
     assert win.node_roots(HIGHEST)[2] is not None
     assert win.node_roots(m)[1] is None
-    thick = win.lowered(m, 2, {("a", 3): 1})
+    thick = win.pack({**win.v(m), ("a", 2, 3): 1})
     assert win.text(thick) == "2_2 2_4^-1"
     assert win.node_roots(thick)[2] is None
 
@@ -185,9 +163,9 @@ def test_coefficient_of_absent_monomial():
     assert chi.coefficient("2_0^2 2_2^-1") == TPoly.zero()
     # a lowering vector of the window that is not a term
     win = chi.window
-    lowered = win.lowered(HIGHEST, 1, {("a", 1): 1})
-    assert lowered not in chi.terms
-    assert chi.coefficient(win.text(lowered)) == TPoly.zero()
+    m = win.pack({("a", 1, 1): 1})
+    assert m not in chi.terms
+    assert chi.coefficient(win.text(m)) == TPoly.zero()
 
 
 def test_coefficient_outside_window():
@@ -350,7 +328,7 @@ def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):
 
 def test_merge_monomials_sums_payloads():
     win1, win2 = top(A2, 1), top(A2, 2, 1)
-    m1 = win1.lowered(HIGHEST, 1, {("a", 1): 1})
+    m1 = win1.pack({("a", 1, 1): 1})
     prod = twisted_product(A2, Character(win1, {m1: TPoly.one()}),
                            Character(win2, {HIGHEST: TPoly.one()}))
     (m,) = prod.terms

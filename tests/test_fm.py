@@ -1,17 +1,19 @@
+import hashlib
+
 import pytest
 
 from qtchar import fm
 from qtchar.charalg import HIGHEST, Character
 from qtchar.errors import InconsistentExpansion
 from qtchar.fixtures import load_fixture
-from qtchar.fusion import _pack, standard_module_qt
+from qtchar.fusion import standard_module_qt
 from qtchar.fm import (
     audit_expansion,
     fundamental_qt,
     string_edges,
 )
 from qtchar.rootdata import build_root_datum
-from qtchar.tpoly import TPoly
+from qtchar.tpoly import TPoly, pack
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -166,8 +168,8 @@ def test_audit_rejects_tampered_character():
 def test_audit_width_and_lo_follow_the_character():
     # 2^70 t^-3 reads as 64 t^-1 under 32-bit digits from t^-3, so
     # neither may be fixed: both come from the character being peeled
-    assert _pack([TPoly({-3: 2 ** 70})], 32, -3) == \
-        _pack([TPoly({-1: 64})], 32, -3)
+    assert pack([TPoly({-3: 2 ** 70})], 32, -3) == \
+        pack([TPoly({-1: 64})], 32, -3)
     chi = fundamental_qt(E6, 3, 0)
     scaled = Character(chi.window, {
         m: TPoly({e - 3: a * 2 ** 70 for e, a in c.c.items()})
@@ -207,10 +209,10 @@ def test_audit_builds_no_edges(monkeypatch):
     class EdgeBuilt(Exception):
         pass
 
-    def no_edges(_roots):
+    def no_edges(_window, _i, _string):
         raise EdgeBuilt
 
-    monkeypatch.setattr(fm, "_template_step_pairs", no_edges)
+    monkeypatch.setattr(fm, "_string_steps", no_edges)
     chi = fundamental_qt(E6, 3, 0)  # audits its result
     audit_expansion(chi)
     with pytest.raises(EdgeBuilt):
@@ -248,10 +250,50 @@ def test_string_edges_of_a2_standard_graphs():
     # one extra plain single-step pair exists but lies outside every
     # string, so the graph omits it
     src = next(m for m in chi.terms if chi.window.text(m) == "1_0 1_2 2_3^-1")
-    stepped = chi.window.lowered(src, 1, {("a", 1): 1})
+    stepped = chi.window.pack({**chi.window.v(src), ("a", 1, 1): 1})
     assert chi.window.text(stepped) == "2_1 2_3^-1"
     assert any(m == stepped for m in chi.terms)
     assert ("1_0 1_2 2_3^-1", "2_1 2_3^-1", 1) not in got
+
+
+# SHA-256 of the edge texts of `edge_modules`, one line per edge and a
+# separator per module, pinned from the rank-one-template edge builder
+EDGE_DIGEST = \
+    "6e6409a85af0f19dad45746c67c5968fb6d853a4dbfc753a3e045c4a65998003"
+
+
+def edge_modules():
+    """Every fundamental of A1-A8, D4-D8 and E6, E7 nodes 1, 2, 5, 6 and
+    7, and standard modules with a gap, with a factor in the gap and on
+    two orbits."""
+    for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)),
+                          ("E", (6,))):
+        for rank in ranks:
+            datum = build_root_datum(family, rank)
+            for node in datum.nodes:
+                yield fundamental_qt(datum, node, 0)
+    e7 = build_root_datum("E", 7)
+    for node in (1, 2, 5, 6, 7):
+        yield fundamental_qt(e7, node, 0)
+    yield standard_module_qt(D4, [(2, 0), (2, 8)])
+    yield standard_module_qt(D4, [(2, 0), (1, 7), (2, 8)])
+    yield standard_module_qt(A2, [(1, 0), (2, 1, "b"), (1, 2)])
+
+
+def test_string_edges_are_pinned_single_steps():
+    # every edge multiplies its source by one A_{i, orbit n}^-1, and the
+    # edge set is the one pinned above
+    digest = hashlib.sha256()
+    for chi in edge_modules():
+        win = chi.window
+        for src, dst, i, (o, n) in string_edges(chi):
+            v = win.v(src)
+            v[o, i, n] = v.get((o, i, n), 0) + 1
+            assert win.v(dst) == v
+            digest.update(f"{win.text(src)}\t{win.text(dst)}\t{i}\t{o}\t{n}\n"
+                          .encode())
+        digest.update(b"--\n")
+    assert digest.hexdigest() == EDGE_DIGEST
 
 
 def test_determinism():

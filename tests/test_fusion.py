@@ -50,7 +50,7 @@ def kernel_twists(chi1, chi2):
     """p(m1, m2) of every pair, as the product kernel computes it."""
     _window, _right, rows = twist_rows(chi1, chi2)
     return {(m1, m2): p
-            for m1, (_v1, _vdeg1, _c1, ps) in zip(chi1.terms, rows)
+            for m1, (_v1, _vdeg1, ps) in zip(chi1.terms, rows)
             for m2, p in zip(chi2.terms, ps)}
 
 
@@ -136,9 +136,10 @@ def dict_product(chi1, chi2):
     """Reference: the product with one exponent -> coefficient dict per
     product monomial, updated for every exponent pair of every term pair."""
     window, right, rows = twist_rows(chi1, chi2)
+    right = list(zip(right, chi2.terms.values()))
     acc = {}
-    for v1, vdeg1, c1, ps in rows:
-        for (v2, vdeg2, c2), p in zip(right, ps):
+    for (v1, vdeg1, ps), c1 in zip(rows, chi1.terms.values()):
+        for ((v2, vdeg2), c2), p in zip(right, ps):
             coeffs = acc.setdefault(v1 + v2, (vdeg1 + vdeg2, {}))[1]
             for e2, a2 in c2.c.items():
                 for e1, a1 in c1.c.items():

@@ -1,8 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtchar.fusion import _pack, _unpack
-from qtchar.tpoly import TPoly
+from qtchar.tpoly import Decoded, TPoly, lo_and_mass, pack
 
 # independent dense reference: polynomials as {exp: coeff} dicts handled
 # with plain loops, no TPoly machinery; the ring operations run on the
@@ -25,7 +24,11 @@ def dense_mul(a, b):
 
 
 def packed(a, width, lo):
-    return _pack([TPoly(a)], width, lo)[0]
+    return pack([TPoly(a)], width, lo)[0]
+
+
+def unpack(x, width, lo):
+    return Decoded(width, lo)[x]
 
 
 def abs_mass(a):
@@ -43,7 +46,7 @@ coeff_dicts = st.dictionaries(
 def test_add_matches_dense(a, b):
     width = (abs_mass(a) + abs_mass(b)).bit_length() + 1
     x = packed(a, width, -6) + packed(b, width, -6)
-    assert _unpack(x, width, -6).c == dense_add(a, b)
+    assert unpack(x, width, -6).c == dense_add(a, b)
 
 
 @given(coeff_dicts, coeff_dicts)
@@ -51,7 +54,7 @@ def test_mul_matches_dense(a, b):
     # the product's width rule: (A1 A2).bit_length() + 1
     width = (abs_mass(a) * abs_mass(b)).bit_length() + 1
     x = packed(a, width, -6) * packed(b, width, -6)
-    assert _unpack(x, width, -12).c == dense_mul(a, b)
+    assert unpack(x, width, -12).c == dense_mul(a, b)
 
 
 @given(coeff_dicts, coeff_dicts)
@@ -59,8 +62,27 @@ def test_sub_then_add_roundtrips(a, b):
     width = (abs_mass(a) + abs_mass(b)).bit_length() + 1
     pa, pb = packed(a, width, -6), packed(b, width, -6)
     neg_b = {e: -v for e, v in b.items()}
-    assert _unpack(pa - pb, width, -6).c == dense_add(a, neg_b)
-    assert _unpack(pa - pb + pb, width, -6) == TPoly(a)
+    assert unpack(pa - pb, width, -6).c == dense_add(a, neg_b)
+    assert unpack(pa - pb + pb, width, -6) == TPoly(a)
+
+
+@given(st.lists(coeff_dicts, max_size=4))
+def test_lo_and_mass_match_dense(coeffs):
+    exps = [e for a in coeffs for e in a]
+    assert lo_and_mass([TPoly(a) for a in coeffs]) == \
+        (min(exps, default=0), sum(map(abs_mass, coeffs)))
+
+
+def test_decoded_shares_values_and_checks_positivity():
+    width, lo = 8, -2
+    decoded = Decoded(width, lo)
+    x, y, neg = pack([TPoly({0: 1, 2: 3}), TPoly({-2: 2}),
+                      TPoly({0: 1, 1: -1})], width, lo)
+    assert decoded[x] is decoded[x] == TPoly({0: 1, 2: 3})
+    assert decoded.positive_mass(x) == 4
+    assert decoded.positive_mass(y) == 2
+    assert decoded.positive_mass(neg) is None
+    assert decoded[0] == TPoly.zero()
 
 
 @given(coeff_dicts)
