@@ -94,7 +94,10 @@ def _read_doc(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and an
+        # integer past the interpreter's digit limit; RecursionError is
+        # nesting past the decoder's recursion limit
         raise ParseError(f"cannot read {path}: {err}") from err
 
 

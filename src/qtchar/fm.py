@@ -1,17 +1,16 @@
-"""Worklist expansion of q,t-characters of minuscule modules.
+"""Degree-by-degree expansion of q,t-characters of minuscule modules.
 
-Starting from the single dominant monomial, monomials are processed in
-non-decreasing lowering degree.  Whenever a direction i still has
-unexplained mass at a popped monomial whose node-i exponents are all
-nonnegative, that residual is expanded by the simple rank-one
-q,t-character of the node-i exponent multiset, embedded back through the
-inverse A-variables of node i.
+Starting from the single dominant monomial, monomials are processed one
+lowering degree at a time.  Whenever a direction i still has unexplained
+mass at a monomial whose node-i exponents are all nonnegative, that
+residual is expanded by the simple rank-one q,t-character of the node-i
+exponent multiset, embedded back through the inverse A-variables of node i.
 
-Bookkeeping: a per-direction ledger records how much coefficient mass each
-direction has generated at every monomial.  A popped monomial's
-coefficient is pinned by the ledgers of the directions in which it carries
-a negative exponent (every generator of the monomial has strictly smaller
-lowering degree, so those ledgers are complete by pop time); all such
+Bookkeeping: layer d maps each monomial of lowering degree d that a string
+reached to the coefficient mass each direction generated there.  Images lie
+strictly deeper than their host, so a layer is complete when the expansion
+reaches it, and it is dropped once read.  A monomial's coefficient is
+pinned by the directions in which it carries a negative exponent; all such
 directions must agree, and a residual at a non-dominant direction must
 vanish.  This converts the unproven bookkeeping assumptions into runtime
 checks, and `audit_expansion` re-verifies the finished character by
@@ -29,11 +28,11 @@ with positive coefficients, so multiplying by it neither lowers an
 exponent nor turns a digit negative, and a product's digits sum to at
 most mass(c) mass(tc).
 
-* Expansion: lo = 0 and W = 32.  Every ledger entry is a sum of
+* Expansion: lo = 0 and W = 32.  Every layer entry is a sum of
   residual x template terms over already-checked positive residuals, so
   its digits lie in [0, B], B the running budget, the sum of
   mass(residual) mass(template) over the strings applied so far; a
-  coefficient is 1 or a ledger entry, and a residual the difference of
+  coefficient is 1 or a layer entry, and a residual the difference of
   two of them, with digits in [-B, B].  B is checked against 2^(W-1)
   before each string is applied, and an overrun raises
   InconsistentExpansion instead of decoding a wrong value.
@@ -51,7 +50,6 @@ most mass(c) mass(tc).
 
 from __future__ import annotations
 
-import heapq
 from operator import attrgetter
 
 from .charalg import HIGHEST, Character, Monomial, Window
@@ -126,88 +124,86 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     if not 1 <= node <= datum.rank:
         raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
     window = Window(datum, {(orbit, node, shift): 1})
+    bound = window.bound
     decoded = Decoded(_WIDTH, 0)
     half = 1 << _WIDTH - 1
-    result: dict[Monomial, int] = {}
-    # per direction: packed v -> packed coefficient generated there
-    ledgers: dict[int, dict[int, int]] = {i: {} for i in datum.nodes}
-    heap: list[tuple[int, int]] = [(0, 0)]
-    enqueued = {0}
+    # layers[d]: packed v of degree d -> the packed coefficient each
+    # direction generated there; images lie strictly deeper than their
+    # host, so a layer is complete when it is reached
+    layers = [{0: [0] * datum.rank}] + [{} for _ in range(bound)]
     strings: dict = {}
     budget = 0
-    rows = []  # (m, v, vdeg, shape) of each term in pop order, for the audit
+    terms: dict = {}
+    rows = []  # (m, v, vdeg, shape) of each term by degree, for the audit
 
-    while heap:
-        vdeg, v = heapq.heappop(heap)
-        m = Monomial(v, vdeg)
-        shape = window.node_roots(m)
-
-        if m == HIGHEST:
-            coeff = 1
-        else:
-            negative = [j for j, roots in shape.items() if roots is None]
-            if not negative:
-                raise NonMinuscule(
-                    f"second dominant monomial {window.text(m)}; the "
-                    f"expansion only applies to modules with a single "
-                    f"dominant l-weight")
-            coeff = ledgers[negative[0]].get(v, 0)
-            for i in negative[1:]:
-                if ledgers[i].get(v, 0) != coeff:
-                    raise InconsistentExpansion(
-                        f"directions {negative[0]} and {i} disagree on the "
-                        f"coefficient of {window.text(m)}")
-        result[m] = coeff
-        if coeff:
+    for vdeg in range(bound + 1):
+        layer, layers[vdeg] = layers[vdeg], None
+        for v, generated in layer.items():
+            m = Monomial(v, vdeg)
+            shape = window.node_roots(m)
+            if m == HIGHEST:
+                coeff = 1
+            else:
+                negative = [j for j, roots in shape.items() if roots is None]
+                if not negative:
+                    raise NonMinuscule(
+                        f"second dominant monomial {window.text(m)}; the "
+                        f"expansion only applies to modules with a single "
+                        f"dominant l-weight")
+                coeff = generated[negative[0] - 1]
+                for i in negative[1:]:
+                    if generated[i - 1] != coeff:
+                        raise InconsistentExpansion(
+                            f"directions {negative[0]} and {i} disagree on "
+                            f"the coefficient of {window.text(m)}")
+            # a zero coeff never lands here: it leaves a nonzero residual
+            # in a direction that generated m, which raises below
+            terms[m] = decoded[coeff]
             rows.append((m, v, vdeg, shape))
 
-        for i in datum.nodes:
-            ledger = ledgers[i]
-            residual = coeff - ledger.get(v, 0)
-            if not residual:
-                continue
-            roots = shape.get(i, ())
-            if roots is None:
-                raise InconsistentExpansion(
-                    f"unexplained mass {decoded[residual]} in direction {i} "
-                    f"at the non-dominant monomial {window.text(m)}")
-            mass = decoded.positive_mass(residual)
-            if mass is None:
-                raise InconsistentExpansion(
-                    f"negative residual {decoded[residual]} in direction "
-                    f"{i} at {window.text(m)}")
-            ledger[v] = coeff
-            if not roots:
-                continue
-            tmass, string = _string(window, i, roots, _WIDTH, strings)
-            budget += mass * tmass
-            if budget >= half:
-                raise InconsistentExpansion(
-                    f"coefficient budget {budget} overruns the "
-                    f"{_WIDTH}-bit digits at {window.text(m)}")
-            for d, x in string:
-                if not d.vdeg:
+            for i, made in zip(datum.nodes, generated):
+                residual = coeff - made
+                if not residual:
                     continue
-                ivdeg = vdeg + d.vdeg
-                if ivdeg > window.bound:
+                roots = shape.get(i, ())
+                if roots is None:
                     raise InconsistentExpansion(
-                        f"lowering degree {ivdeg} passes the lowest weight "
-                        f"(degree {window.bound})")
-                img = v + d.v
-                ledger[img] = ledger.get(img, 0) + residual * x
-                if img not in enqueued:
-                    enqueued.add(img)
-                    heapq.heappush(heap, (ivdeg, img))
+                        f"unexplained mass {decoded[residual]} in direction "
+                        f"{i} at the non-dominant monomial {window.text(m)}")
+                mass = decoded.positive_mass(residual)
+                if mass is None:
+                    raise InconsistentExpansion(
+                        f"negative residual {decoded[residual]} in direction "
+                        f"{i} at {window.text(m)}")
+                if not roots:
+                    continue
+                tmass, string = _string(window, i, roots, _WIDTH, strings)
+                budget += mass * tmass
+                if budget >= half:
+                    raise InconsistentExpansion(
+                        f"coefficient budget {budget} overruns the "
+                        f"{_WIDTH}-bit digits at {window.text(m)}")
+                for d, x in string:
+                    if not d.vdeg:
+                        continue
+                    ivdeg = vdeg + d.vdeg
+                    if ivdeg > bound:
+                        raise InconsistentExpansion(
+                            f"lowering degree {ivdeg} passes the lowest "
+                            f"weight (degree {bound})")
+                    layers[ivdeg].setdefault(
+                        v + d.v, [0] * datum.rank)[i - 1] += residual * x
 
-    terms = {m: decoded[x] for m, x in result.items() if x}
-    # the expansion ends on the lowest weight Y_{j, orbit shift+h}^{-1}
-    lowest = [(m, window.y(m)) for m in terms if m.vdeg == window.bound]
-    ends = [(o, n, e) for _m, y in lowest for (o, _j, n), e in y.items()]
+    # the expansion ends on the lowest weight Y_{j, orbit shift+h}^{-1},
+    # the one monomial of the last layer, with coefficient 1
+    lowest = [Monomial(v, bound) for v in layer]
     end = shift + datum.coxeter_number
-    if ends != [(orbit, end, -1)] or terms[lowest[0][0]] != 1:
+    if len(lowest) != 1 or terms[lowest[0]] != 1 or [
+            (o, n, e) for (o, _j, n), e in window.y(lowest[0]).items()
+            ] != [(orbit, end, -1)]:
         raise InconsistentExpansion(
             f"the expansion does not end on one lowest weight "
-            f"Y_{{j,{end}}}^-1 with coefficient 1 at degree {window.bound}")
+            f"Y_{{j,{end}}}^-1 with coefficient 1 at degree {bound}")
     chi = Character(window, terms)
     audit_expansion(chi, rows)
     return chi

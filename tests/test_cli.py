@@ -194,6 +194,19 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command, case):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    lambda: "[" * 200000,
+    lambda: '{"type": "A2", "terms": [%s]}' % ("7" * 5000),
+], ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
+def test_undecodable_json_is_a_usage_error(tmp_path, capsys, text):
+    src = tmp_path / "bad.json"
+    src.write_text(text())
+    assert main(["check", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["fundamental", "--type", "A1", "--node", "1"],
     ["standard", "--type", "A1", "--factors", "1:0"],

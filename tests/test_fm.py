@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from qtchar import fm
-from qtchar.charalg import HIGHEST, Character
-from qtchar.errors import InconsistentExpansion
+from qtchar.charalg import HIGHEST, Character, Window
+from qtchar.errors import InconsistentExpansion, NonMinuscule
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import standard_module_qt
 from qtchar.fm import (
@@ -12,7 +12,7 @@ from qtchar.fm import (
     fundamental_qt,
     string_edges,
 )
-from qtchar.rootdata import build_root_datum
+from qtchar.rootdata import RootDatum, build_root_datum
 from qtchar.tpoly import TPoly, pack
 
 A1 = build_root_datum("A", 1)
@@ -113,8 +113,8 @@ def test_all_fundamentals_shift_equivariant():
 
 
 def test_expansion_must_end_on_the_lowest_weight():
-    # a bound one past the lowest weight's degree: the expansion empties
-    # its worklist at degree 10 and never reaches the claimed end
+    # a bound one past the lowest weight's degree: the expansion's last
+    # monomial lies at degree 10, so the layer of degree 11 is empty
     datum = build_root_datum("D", 4)
     depths = list(datum.lowest_depths)
     depths[1] += 1
@@ -309,3 +309,79 @@ def test_coefficients_pass_validators():
         chi = fundamental_qt(datum, node, 0)
         for c in chi.terms.values():
             assert validate_poincare(c).ok
+
+
+def doubled_direction_1(monkeypatch):
+    string = fm._string
+
+    def doubled(window, i, roots, width, cache):
+        tmass, images = string(window, i, roots, width, cache)
+        if i == 1:
+            images = [(d, 2 * x) for d, x in images]
+        return tmass, images
+
+    monkeypatch.setattr(fm, "_string", doubled)
+
+
+def test_expansion_checks_directions_agree(monkeypatch):
+    doubled_direction_1(monkeypatch)
+    with pytest.raises(InconsistentExpansion,
+                       match="directions 1 and 2 disagree"):
+        fundamental_qt(D4, 2, 0)
+
+
+def test_expansion_checks_the_degree_bound():
+    datum = build_root_datum("D", 4)
+    depths = list(datum.lowest_depths)
+    depths[1] -= 1
+    datum.__dict__["lowest_depths"] = tuple(depths)
+    with pytest.raises(InconsistentExpansion, match=r"lowering degree 10 "
+                       r"passes the lowest weight \(degree 9\)"):
+        fundamental_qt(datum, 2, 0)
+
+
+def test_expansion_checks_the_window():
+    # a 1-3 edge closes A3's diagram into a cycle, whose strings run on
+    # past the shifts of A3's window
+    a3 = build_root_datum("A", 3)
+    adjacency = ((2, 3), (1, 3), (1, 2))
+    cartan = tuple(tuple(2 if i == j else -1 for j in range(3))
+                   for i in range(3))
+    datum = RootDatum("A", 3, cartan, adjacency)
+    datum.__dict__["lowest_depths"] = tuple(
+        d + 2 for d in a3.lowest_depths)
+    with pytest.raises(InconsistentExpansion,
+                       match=r"the string of .* leaves the window"):
+        fundamental_qt(datum, 1, 0)
+
+
+def test_expansion_checks_residuals_are_positive(monkeypatch):
+    # negated direction-1 images pin Y_{1,2}^-1 Y_{2,1} at -1, whose
+    # direction-2 residual is then negative
+    string = fm._string
+
+    def negated(window, i, roots, width, cache):
+        tmass, images = string(window, i, roots, width, cache)
+        if i == 1:
+            images = [(d, -x if d.vdeg else x) for d, x in images]
+        return tmass, images
+
+    monkeypatch.setattr(fm, "_string", negated)
+    with pytest.raises(InconsistentExpansion,
+                       match=r"negative residual -1 in direction 2 "
+                       r"at 1_2\^-1 2_1"):
+        fundamental_qt(A2, 1, 0)
+
+
+def test_expansion_checks_for_a_second_dominant_monomial(monkeypatch):
+    # a shape without negative exponents below the highest monomial
+    node_roots = Window.node_roots
+
+    def dominant(window, m):
+        shape = node_roots(window, m)
+        return {i: r for i, r in shape.items() if r is not None}
+
+    monkeypatch.setattr(Window, "node_roots", dominant)
+    with pytest.raises(NonMinuscule, match=r"second dominant monomial "
+                       r"1_2\^-1 2_1"):
+        fundamental_qt(A2, 1, 0)
