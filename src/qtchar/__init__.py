@@ -1,9 +1,9 @@
 """q,t-characters of simply laced quantum affine algebras.
 
-Computes fundamental- and standard-module q,t-characters by a worklist
-expansion from the dominant monomial plus a twisted fusion product, and
-decodes each coefficient polynomial into the Jordan filtration structure
-of the corresponding l-weight space.
+Computes fundamental- and standard-module q,t-characters by a
+degree-by-degree expansion from the dominant monomial plus a twisted fusion
+product, and decodes each coefficient polynomial into the Jordan filtration
+structure of the corresponding l-weight space.
 """
 
 from .charalg import (

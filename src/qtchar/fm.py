@@ -156,8 +156,9 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                         raise InconsistentExpansion(
                             f"directions {negative[0]} and {i} disagree on "
                             f"the coefficient of {window.text(m)}")
-            # a zero coeff never lands here: it leaves a nonzero residual
-            # in a direction that generated m, which raises below
+            # no zero coeff is kept: some direction generated a nonzero
+            # entry at m, which a zero coeff fails to agree with above or
+            # leaves as a negative residual below
             terms[m] = decoded[coeff]
             rows.append((m, v, vdeg, shape))
 

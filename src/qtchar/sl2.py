@@ -5,7 +5,7 @@ shifts.  A multiset of parameters decomposes uniquely into pairwise
 non-linked segments (greedy longest-chain extraction); the simple module
 attached to the multiset factors over that decomposition, and its
 q,t-character is the twisted product of the thin segment ladders.  These
-rank-one characters are the expansion templates used by the worklist
+rank-one characters are the expansion templates used by the degree-layer
 expansion of minuscule modules.
 """
 
