@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 from . import fixtures as fixture_store
 from . import jordan, serialize
@@ -67,25 +69,33 @@ def parse_factors(text: str) -> list[FactorSpec]:
     return specs
 
 
-_SLICE = 1 << 20  # characters encoded and written at a time
-
-
-def _write(text: str, out: str | None) -> None:
-    """Write text to the path ``out``, or to stdout, one slice at a time,
-    so that no encoded copy of the whole text is made."""
-    if not out:
-        _write_slices(text, sys.stdout)
-        return
+def _emit(out: str | None, write) -> None:
+    """Call ``write`` with the file at the path ``out``, or with stdout.
+    Any OSError while writing is a ParseError: ``error: cannot write``."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            _write_slices(text, fh)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                write(fh)
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
     except OSError as err:
-        raise ParseError(f"cannot write {out}: {err}") from err
+        if not out:
+            _silence_stdout()
+        raise ParseError(f"cannot write {out or 'stdout'}: {err}") from err
 
 
-def _write_slices(text: str, fh) -> None:
-    for start in range(0, len(text), _SLICE):
-        fh.write(text[start:start + _SLICE])
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the text left
+    in its buffer cannot fail again when the interpreter flushes it at
+    exit (a closed pipe would print "Exception ignored")."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # stdout is not a file, so nothing flushes to a descriptor
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _read_doc(path: str) -> dict:
@@ -101,42 +111,45 @@ def _read_doc(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {err}") from err
 
 
-def render_dot(chi) -> str:
-    """DOT digraph: nodes are monomials labelled with their coefficient,
-    edges are the lowering steps interior to the expansion strings,
-    labelled by direction."""
-    lines = ["digraph character {", "  rankdir=TB;", "  node [shape=box];"]
+def render_dot(chi):
+    """DOT digraph lines: nodes are monomials labelled with their
+    coefficient, edges are the lowering steps interior to the expansion
+    strings, labelled by direction.  The character is peeled for its
+    edges before the first line comes, so a failing audit writes nothing."""
+    terms = chi.sorted_terms()
+    return _dot_lines(terms, string_edges(chi))
+
+
+def _dot_lines(terms, edges):
+    yield "digraph character {\n  rankdir=TB;\n  node [shape=box];\n"
     texts = {}
-    for m, text, coeff in chi.sorted_terms():
+    for m, text, coeff in terms:
         texts[m] = text
         label = text if coeff == 1 else f"({coeff}) {text}"
-        lines.append(f'  "{text}" [label="{label}"];')
-    for src, dst, i, _step in string_edges(chi):
-        lines.append(f'  "{texts[src]}" -> "{texts[dst]}" [label="{i}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{text}" [label="{label}"];\n'
+    for src, dst, i, _step in edges:
+        yield f'  "{texts[src]}" -> "{texts[dst]}" [label="{i}"];\n'
+    yield "}\n"
 
 
-def render_text(chi, annotations=None) -> str:
-    """Tab-separated rows: monomial, coefficient, dimension[, blocks]."""
-    rows = []
+def render_text(chi, annotations=None):
+    """Tab-separated lines: monomial, coefficient, dimension[, blocks]."""
     for m, text, coeff in chi.sorted_terms():
         row = [text, str(coeff), str(coeff.mass())]
         if annotations is not None:
             row.append(",".join(str(b) for b in annotations[m].blocks))
-        rows.append("\t".join(row))
-    return "\n".join(rows) + "\n"
+        yield "\t".join(row) + "\n"
 
 
 def _emit_character(chi, args) -> None:
     annotations = jordan.annotate_character(chi) if args.decode else None
     if args.format == "json":
-        _write(serialize.dumps(serialize.character_to_doc(chi, annotations)),
-               args.out)
-    elif args.format == "dot":
-        _write(render_dot(chi), args.out)
+        write = partial(serialize.write_character, chi, annotations)
     else:
-        _write(render_text(chi, annotations), args.out)
+        lines = (render_dot(chi) if args.format == "dot"
+                 else render_text(chi, annotations))
+        write = partial(serialize.write_pieces, lines)
+    _emit(args.out, write)
 
 
 def cmd_fundamental(args) -> int:
@@ -158,8 +171,7 @@ def cmd_decode(args) -> int:
     with _audit_of_a_document():
         audit_expansion(chi)
     annotations = jordan.annotate_character(chi)
-    _write(serialize.dumps(serialize.character_to_doc(chi, annotations)),
-           args.out)
+    _emit(args.out, partial(serialize.write_character, chi, annotations))
     return 0
 
 
@@ -209,8 +221,8 @@ def _audit_of_a_document():
 def cmd_dot(args) -> int:
     chi = serialize.character_from_doc(_read_doc(args.input))
     with _audit_of_a_document():
-        text = render_dot(chi)
-    _write(text, args.out)
+        lines = render_dot(chi)
+    _emit(args.out, partial(serialize.write_pieces, lines))
     return 0
 
 

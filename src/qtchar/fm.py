@@ -239,12 +239,12 @@ def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
     lo, mass = lo_and_mass(coeffs)
     width = (2 * mass).bit_length() + 1
     decoded = Decoded(width, lo)
-    packed = dict(zip([m.v for m in chi.terms], pack(coeffs, width, lo)))
+    packed = pack(coeffs, width, lo)  # aligned with chi.terms
     bound = window.bound
     strings: dict = {}
     steps: dict = {}  # (i, roots) -> `_string_steps`, for ``edges`` only
     for i in chi.datum.nodes:
-        residue = dict(packed)
+        residue = dict(zip(map(attrgetter("v"), chi.terms), packed))
         budget = 0
 
         def missing(m):

@@ -20,21 +20,20 @@ exponent; ``w``/``v`` use the same ``i_n[@orbit]`` key syntax as monomial
 factors.  Terms are sorted by lowering degree, then canonical monomial
 order, so serialization is byte-stable.  Round-trips are bit-exact.
 
-`character_to_doc` takes each term's monomial text from
-`Character.sorted_terms`, which joins it from the window's memoised row
-pieces in the pass that builds the order key, renders each window
-field's tag once, and each distinct coefficient and Jordan profile once,
-shared by the terms that have it, like ``w``.
-
-`dumps` writes the bytes of ``json.dumps(doc, indent=2)`` with an exact
-encoder for these types.  It quotes each dict key once per call, writes
-integers in place, renders the items of an integer-valued container
-from a per-call table, renders a list or dict that recurs by identity
-at the same indent once, and joins the text once from its pieces.
+`write_character` writes the text of a document term by term, exactly
+``json.dumps(doc, indent=2)`` and a newline, with no document and no
+whole text held: each term is rendered from `Character.sorted_terms`,
+which joins its monomial text from the window's memoised row pieces in
+the pass that builds the order key.  Only the ``w`` block, each window
+field's quoted tag, and each distinct coefficient and Jordan profile are
+rendered once and reused.  The pieces go out in writes of about
+`_SLICE` characters.  `character_to_doc` reads that text back, so the
+schema is rendered in one place, and `dumps` is ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
@@ -52,6 +51,7 @@ from .rootdata import parse_type
 from .tpoly import TPoly
 
 _KEY_RE = re.compile(r"^(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?$")
+_SLICE = 1 << 20  # characters gathered before each write
 
 
 def _is_int(x) -> bool:
@@ -83,43 +83,71 @@ def _parse_coeff(pairs) -> TPoly:
     return TPoly.from_pairs(pairs)
 
 
-def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
-    """The character document; every term shares ``w``, and equal
-    coefficients and Jordan profiles share their rendered values."""
+def write_pieces(pieces, fh) -> None:
+    """Write the strings ``pieces`` to the text file ``fh`` in order,
+    gathered into writes of about `_SLICE` characters each."""
+    buf, size = [], 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= _SLICE:
+            fh.write("".join(buf))
+            buf, size = [], 0
+    fh.write("".join(buf))
+
+
+def write_character(chi: Character, annotations: dict | None,
+                    fh) -> None:
+    """Write the character document to the text file ``fh`` term by term:
+    ``dumps(character_to_doc(chi, annotations))``, without either."""
+    write_pieces(_pieces(chi, annotations), fh)
+
+
+def _nested(value) -> str:
+    """``json.dumps(value, indent=2)`` for a value of a term's field."""
+    return json.dumps(value, indent=2).replace("\n", "\n      ")
+
+
+def _pieces(chi: Character, annotations: dict | None):
+    """The document's text: the head, one piece per term, the tail."""
     window = chi.window
-    tags = list(map(factor_text, window.keys))  # one per field
-    w = {factor_text(key): mult for key, mult in chi.w.items()}
+    head = json.dumps({"type": f"{chi.datum.family}{chi.datum.rank}",
+                       "orbits": list(window.orbits),
+                       "highest": render_monomial(chi.w)}, indent=2)
+    yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
+    tags = ["\n        " + _quote(factor_text(key)) + ": "
+            for key in window.keys]  # one per field
+    slots = range(len(tags))
+    w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}
     jordans: dict = {}
-    terms = []
+    sep = "\n    "
     for m, text, c in chi.sorted_terms():
         coeff = coeffs.get(c)
         if coeff is None:
-            coeff = coeffs[c] = [[e, x] for e, x in c.pairs()]
-        v = window.fields(m.v)
-        term = {
-            "monomial": text,
-            "w": w,
-            "v": dict(zip(compress(tags, v), filter(None, v))),
-            "coeff": coeff,
-        }
+            coeff = coeffs[c] = _nested([[e, x] for e, x in c.pairs()])
+        f = window.fields(m.v)
+        v = ",".join([tags[k] + str(f[k]) for k in compress(slots, f)])
+        v = "{" + v + "\n      }" if v else "{}"
+        jordan = ""
         if annotations is not None and m in annotations:
             profile = annotations[m]
             jordan = jordans.get(profile)
             if jordan is None:
-                jordan = jordans[profile] = {
+                jordan = jordans[profile] = ',\n      "jordan": ' + _nested({
                     "n": profile.n,
                     "blocks": list(profile.blocks),
                     "graded": list(profile.graded),
-                }
-            term["jordan"] = jordan
-        terms.append(term)
-    return {
-        "type": f"{chi.datum.family}{chi.datum.rank}",
-        "orbits": list(window.orbits),
-        "highest": render_monomial(chi.w),
-        "terms": terms,
-    }
+                })
+        yield (f'{sep}{{\n      "monomial": {_quote(text)},\n      "w": {w},'
+               f'\n      "v": {v},\n      "coeff": {coeff}{jordan}\n    }}')
+        sep = ",\n    "
+    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"  # [] if no term
+
+
+def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
+    """The character document, read back from `write_character`'s text."""
+    return json.loads("".join(_pieces(chi, annotations)))
 
 
 def character_from_doc(doc) -> Character:
@@ -202,119 +230,6 @@ def _window(datum, w: dict, type_name: str) -> Window:
 
 
 def dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` plus a newline.  The document may
-    hold dicts with string keys, lists, strings and integers; anything
-    else is a TypeError.  The text is joined once, from pieces."""
-    out: list = []
-    _Encoder(out).put(doc, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-_INT = {int}
-
-
-class _Keys(dict):
-    """Each dict key's quoted text and ": ", made on first use."""
-
-    def __missing__(self, key) -> str:
-        text = self[key] = _quote(key) + ": "
-        return text
-
-
-class _Items(dict):
-    """The text of each (key, integer) item, made on first use; looked up
-    only with exact integers, so never with a bool or a float."""
-
-    def __init__(self, keys: _Keys):
-        super().__init__()
-        self.keys = keys
-
-    def __missing__(self, item: tuple) -> str:
-        key, value = item
-        text = self[item] = self.keys[key] + int.__repr__(value)
-        return text
-
-
-class _Encoder:
-    """One `dumps` call, appending pieces of the text to ``out``.  Keys
-    and integer-valued items are rendered once per call, and a list or
-    dict met again at the same indent reuses its first text."""
-
-    __slots__ = ("out", "keys", "items", "seen", "shared")
-
-    def __init__(self, out: list):
-        self.out = out
-        self.keys = _Keys()
-        self.items = _Items(self.keys)
-        self.seen: set = set()  # ids of the containers met so far
-        self.shared: dict = {}  # id -> (newline, text) of a recurring one
-
-    def put(self, obj, newline: str) -> None:
-        """Append the text of obj, its inner lines starting ``newline``."""
-        out = self.out
-        kind = type(obj)
-        if kind is str:
-            out.append(_quote(obj))
-            return
-        if kind is int:
-            out.append(int.__repr__(obj))
-            return
-        if kind is dict:
-            if not obj:
-                out.append("{}")
-                return
-        elif kind is list:
-            if not obj:
-                out.append("[]")
-                return
-        else:
-            raise TypeError(f"{kind.__name__} {obj!r} is not a str, int, "
-                            f"list or dict with str keys")
-        ident = id(obj)
-        memo = self.shared.get(ident)
-        if memo is not None and memo[0] == newline:
-            out.append(memo[1])
-            return
-        start = len(out)
-        inner = newline + "  "
-        sep = "," + inner
-        if kind is dict:
-            if set(map(type, obj.values())) == _INT:
-                out.append("{" + inner + sep.join(
-                    map(self.items.__getitem__, obj.items())) + newline + "}")
-            else:
-                keys = self.keys
-                head = "{" + inner
-                for key, value in obj.items():
-                    self.put_item(head + keys[key], value, inner)
-                    head = sep
-                out.append(newline + "}")
-        elif set(map(type, obj)) == _INT:
-            out.append("[" + inner + sep.join(map(int.__repr__, obj))
-                       + newline + "]")
-        else:
-            head = "[" + inner
-            for value in obj:
-                self.put_item(head, value, inner)
-                head = sep
-            out.append(newline + "]")
-        if ident in self.seen:
-            if memo is None:
-                text = "".join(out[start:])
-                del out[start:]
-                out.append(text)
-                self.shared[ident] = (newline, text)
-        else:
-            self.seen.add(ident)
-
-    def put_item(self, head: str, value, newline: str) -> None:
-        """Append ``head`` and the text of a container's item."""
-        kind = type(value)
-        if kind is str:
-            self.out.append(head + _quote(value))
-        elif kind is int:
-            self.out.append(head + int.__repr__(value))
-        else:
-            self.out.append(head)
-            self.put(value, newline)
+    """The text of a character document: ``json.dumps(doc, indent=2)``
+    and a newline, which `write_character` writes term by term."""
+    return json.dumps(doc, indent=2) + "\n"

@@ -153,6 +153,14 @@ def test_dot_of_a_bad_document_is_a_validation_failure(tmp_path, capsys):
     assert captured.err == f"validation error: {AUDIT_MESSAGE}\n"
 
 
+def test_dot_of_a_bad_document_writes_no_file(tmp_path, capsys):
+    # the strings are peeled before the output is opened
+    src = tampered_d4(tmp_path)
+    out = tmp_path / "chi.dot"
+    assert main(["dot", str(src), "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 def test_decode_of_a_bad_document_is_a_validation_failure(tmp_path, capsys):
     src = tampered_d4(tmp_path)
     out = tmp_path / "decoded.json"
@@ -257,20 +265,45 @@ def test_output_bytes_pinned(tmp_path, argv, sha):
 
 
 def test_json_goes_through_the_serializer(tmp_path, monkeypatch):
-    # the JSON output is built by serialize.character_to_doc and written
-    # by serialize.dumps, the two calls a tracer can wrap by name
+    # every JSON output is written term by term by
+    # serialize.write_character, with no document or whole text built
     calls = []
-    for name in ("character_to_doc", "dumps"):
-        def traced(*args, _fn=getattr(serialize, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(serialize, name, traced)
+    write_character = serialize.write_character
+
+    def traced(chi, annotations, fh):
+        calls.append(annotations is not None)
+        return write_character(chi, annotations, fh)
+
+    def unused(*_args):
+        raise AssertionError("the CLI builds no document and no whole text")
+
+    monkeypatch.setattr(serialize, "write_character", traced)
+    monkeypatch.setattr(serialize, "character_to_doc", unused)
+    monkeypatch.setattr(serialize, "dumps", unused)
     src = tmp_path / "chi.json"
     assert main(["fundamental", "--type", "A2", "--node", "1",
                  "--format", "json", "--out", str(src)]) == 0
-    assert calls == ["character_to_doc", "dumps"]
+    assert main(["standard", "--type", "A2", "--factors", "1:0,2:1",
+                 "--decode", "--out", str(tmp_path / "std.json")]) == 0
     assert main(["decode", str(src), "--out", str(tmp_path / "out.json")]) == 0
-    assert calls == ["character_to_doc", "dumps"] * 2
+    assert calls == [False, True, True]
+
+
+def test_closed_stdout_pipe_is_a_usage_error():
+    # the reader takes 100 bytes and goes away; the JSON is 1.5 MB
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtchar.cli", "fundamental", "--type", "E6",
+         "--node", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=CHILD_ENV)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_dot_output(tmp_path):

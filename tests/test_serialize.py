@@ -1,15 +1,25 @@
+import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtchar.charalg import Character
 from qtchar.errors import MixedHighestWeight, ParseError
 from qtchar.fm import fundamental_qt
 from qtchar.fusion import FactorSpec, standard_module_qt
 from qtchar.jordan import annotate_character
 from qtchar.rootdata import build_root_datum
-from qtchar.serialize import character_from_doc, character_to_doc, dumps
+from qtchar.serialize import (
+    _SLICE,
+    character_from_doc,
+    character_to_doc,
+    dumps,
+    write_character,
+    write_pieces,
+)
 
 A2 = build_root_datum("A", 2)
 D4 = build_root_datum("D", 4)
@@ -127,7 +137,81 @@ def test_malformed_documents_raise_parse_error(edit):
         character_from_doc([doc])
 
 
-# -- the encoder ---------------------------------------------------------
+# -- the writer ----------------------------------------------------------
+
+def _written(chi, annotations=None) -> str:
+    fh = io.StringIO()
+    write_character(chi, annotations, fh)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("case", ["e6-node-3", "a2-standard", "d4-node-2"])
+def test_writer_is_json_dumps_and_round_trips(case):
+    if case == "e6-node-3":  # decoded, as `fundamental --decode` writes it
+        chi = fundamental_qt(build_root_datum("E", 6), 3, 0)
+        annotations = annotate_character(chi)
+    elif case == "a2-standard":  # two orbits, Jordan blocks of several sizes
+        chi = standard_module_qt(A2, [FactorSpec(1, 0), FactorSpec(2, 1, "b"),
+                                      FactorSpec(1, 2)])
+        annotations = annotate_character(chi)
+    else:  # the highest term's empty v, no annotations
+        chi, annotations = fundamental_qt(D4, 2, 0), None
+    text = _written(chi, annotations)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert [t["v"] for t in doc["terms"]].count({}) == 1
+    assert ("jordan" in doc["terms"][0]) == (annotations is not None)
+    back = character_from_doc(doc)
+    assert back.w == chi.w
+    assert back.terms == chi.terms
+
+
+def test_writer_of_a_character_without_terms():
+    chi = fundamental_qt(A2, 1, 0)
+    text = _written(Character(chi.window, {}))
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert json.loads(text)["terms"] == []
+
+
+def test_write_pieces_gathers_writes_of_about_a_slice():
+    class Writes(list):
+        write = list.append
+
+    pieces = [f"{k:07d}" for k in range(400000)]  # 2.8 MB
+    writes = Writes()
+    write_pieces(pieces, writes)
+    assert "".join(writes) == "".join(pieces)
+    assert len(writes) == 3
+    assert all(_SLICE <= len(w) < _SLICE + 7 for w in writes[:-1])
+
+
+class _Length:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text: str) -> None:
+        self.length += len(text)
+
+
+def test_writer_holds_less_than_half_its_output():
+    # the document tree and its joined text hold more than twice the
+    # output; the writer holds one term's text and the memoised pieces
+    chi = fundamental_qt(build_root_datum("E", 7), 4, 0)
+    annotations = annotate_character(chi)
+    sink = _Length()
+    tracemalloc.start()
+    try:
+        write_character(chi, annotations, sink)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.length == 23692597
+    assert peak < sink.length / 2
+
+
+# -- dumps ---------------------------------------------------------
 
 _strings = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028')
                    | st.characters(), max_size=6)
@@ -161,15 +245,6 @@ def _shared_values():
                               "empty-containers"])
 def test_dumps_of_shared_values_is_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("obj", [
-    1.5, True, None, ("a",), {"k": [0, False]}, {"k": None}, {1: "v"},
-], ids=["float", "bool", "none", "tuple", "nested-bool", "nested-none",
-        "int-key"])
-def test_dumps_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        dumps(obj)
 
 
 def test_dumps_is_json_dumps_on_documents():
