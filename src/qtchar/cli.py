@@ -77,8 +77,18 @@ def _emit(out: str | None, write) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 write(fh)
         else:
-            write(sys.stdout)
             sys.stdout.flush()
+            try:
+                fd = sys.stdout.fileno()
+            except (OSError, ValueError):  # no descriptor, as under capture
+                write(sys.stdout)
+                sys.stdout.flush()
+            else:
+                # a buffered writer retries a short write and raises on a
+                # closed pipe; unbuffered stdout (PYTHONUNBUFFERED) takes a
+                # short write as complete
+                with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                    write(fh)
     except OSError as err:
         if not out:
             _silence_stdout()

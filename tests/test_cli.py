@@ -289,13 +289,19 @@ def test_json_goes_through_the_serializer(tmp_path, monkeypatch):
     assert calls == [False, True, True]
 
 
-def test_closed_stdout_pipe_is_a_usage_error():
-    # the reader takes 100 bytes and goes away; the JSON is 1.5 MB
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+def test_closed_stdout_pipe_is_a_usage_error(fmt, unbuffered):
+    # the reader takes 100 bytes and goes away; the output (114 kB to
+    # 1.5 MB) is more than a pipe holds, and with PYTHONUNBUFFERED=1 stdout
+    # has no buffer of its own to retry a short write
+    env = {k: a for k, a in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "qtchar.cli", "fundamental", "--type", "E6",
-         "--node", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=CHILD_ENV)
+         "--node", "3", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read()

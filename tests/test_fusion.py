@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -47,11 +48,17 @@ def bb_twist(datum, w1, v1, w2, v2):
 
 
 def kernel_twists(chi1, chi2):
-    """p(m1, m2) of every pair, as the product kernel computes it."""
-    _window, _right, rows = twist_rows(chi1, chi2)
+    """p(m1, m2) of every pair, as the product kernel computes it: each
+    class's row of twists, expanded back to the class's terms."""
+    _window, _right, classes = twist_rows(chi1, chi2)
     return {(m1, m2): p
-            for m1, (_v1, _vdeg1, ps) in zip(chi1.terms, rows)
+            for ps, left in classes for m1, _v1 in left
             for m2, p in zip(chi2.terms, ps)}
+
+
+def highest_term(chi):
+    """chi's highest monomial alone, with chi's window and w."""
+    return Character(chi.window, {HIGHEST: chi.terms[HIGHEST]})
 
 
 def monomial(chi, text):
@@ -64,12 +71,37 @@ def test_twist_kernel_matches_reference():
         (fundamental_qt(D4, 2, 0), fundamental_qt(D4, 2, 2)),
         (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1, orbit="b")),
         (fundamental_qt(D4, 2, 0), fundamental_qt(D4, 2, 7)),
+        # a right factor that occupies no field: only c(m1) tells apart
+        (fundamental_qt(D4, 2, 0), highest_term(fundamental_qt(D4, 2, 2))),
+        # a gapped left factor, then the three-factor product of the cube
+        (standard_module_qt(D4, [(2, 0), (2, 8)]), fundamental_qt(D4, 2, 16)),
+        (standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)]),
+         fundamental_qt(D4, 2, 6)),
     ]:
         got = kernel_twists(chi1, chi2)
         assert len(got) == len(chi1) * len(chi2)
+        v1s = {m1: chi1.window.v(m1) for m1 in chi1.terms}
+        v2s = {m2: chi2.window.v(m2) for m2 in chi2.terms}
         for (m1, m2), p in got.items():
-            assert p == bb_twist(chi1.datum, chi1.w, chi1.window.v(m1),
-                                 chi2.w, chi2.window.v(m2))
+            assert p == bb_twist(chi1.datum, chi1.w, v1s[m1], chi2.w, v2s[m2])
+
+
+def test_twist_classes_of_the_cube_times_a_fourth_factor():
+    # the 14638 left terms of D4 node 2 at 0,2,4 times node 2 at 6 restrict
+    # to 23 distinct masks, so 23 rows of twists serve 14638 * 28 pairs
+    chi1 = standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)])
+    chi2 = fundamental_qt(D4, 2, 6)
+    _window, right, classes = twist_rows(chi1, chi2)
+    position = {m1: pos for pos, m1 in enumerate(chi1.terms)}
+    classes = [[position[m1] for m1, _v1 in left] for _ps, left in classes]
+    assert len(classes) == 23
+    assert (len(chi1), len(right)) == (14638, 28)
+    assert sorted(pos for poss in classes for pos in poss) == \
+        list(range(14638))
+    # classes come in order of first appearance, terms in chi1's order
+    firsts = [poss[0] for poss in classes]
+    assert firsts == sorted(firsts) and firsts[0] == 0
+    assert all(poss == sorted(poss) for poss in classes)
 
 
 def test_twist_of_highest_pair_vanishes():
@@ -118,8 +150,51 @@ def test_negative_twist_raises():
     window = Window(A2, {("a", 1, 0): 1})
     bad = window.pack({("a", 1, 1): 2})
     chi = Character(window, {bad: TPoly.one()})
-    with pytest.raises(NegativeTwist):
+    with pytest.raises(NegativeTwist, match=re.escape(
+            "negative attracting rank -2 for pair "
+            "(1_0^-1 1_2^-2 2_1^2, 1_0^-1 1_2^-2 2_1^2)")):
         twisted_product(A2, chi, chi)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_negative_twist_names_the_first_failing_pair(seed):
+    # a standard module's terms with a few made-up lowerings mixed in, in
+    # shuffled order: the error names the first pair with p < 0 in chi1's
+    # order, and in chi2's among that term's twists, as the pair-by-pair
+    # reference finds it
+    rng = random.Random(seed)
+    base = standard_module_qt(A2, [(1, 0), (2, 1)])
+    window = base.window
+    slots = sorted(window.slots)
+    extra = [window.pack({rng.choice(slots): 1, rng.choice(slots): 1})
+             for _ in range(4)]
+    terms = list(base.terms) + extra
+    rng.shuffle(terms)
+    chi = Character(window, dict.fromkeys(terms, TPoly.one()))
+    for chi1, chi2 in ((chi, base), (base, chi), (chi, chi)):
+        v1s = [window.v(m) for m in chi1.terms]
+        v2s = [window.v(m) for m in chi2.terms]
+        expected = None
+        for m1, v1 in zip(chi1.terms, v1s):
+            ps = [bb_twist(A2, chi1.w, v1, chi2.w, v2) for v2 in v2s]
+            if min(ps) < 0:
+                m2 = list(chi2.terms)[ps.index(min(ps))]
+                expected = (f"negative attracting rank {min(ps)} for pair "
+                            f"({window.text(m1)}, {window.text(m2)})")
+                break
+        if expected is None:
+            twisted_product(A2, chi1, chi2)
+        else:
+            with pytest.raises(NegativeTwist, match=re.escape(expected)):
+                twisted_product(A2, chi1, chi2)
+
+
+def test_mixed_types_raise():
+    chi1, chi2 = fundamental_qt(A2, 1, 0), fundamental_qt(D4, 2, 0)
+    for args in ((A2, chi1, chi2), (D4, chi1, chi2), (D4, chi1, chi1)):
+        with pytest.raises(QtCharError, match=r"RootDatum\(A2\)") as err:
+            twisted_product(*args)
+        assert "RootDatum(D4)" in str(err.value)
 
 
 def test_twist_cross_orbit_pairs_vanish():
@@ -135,10 +210,13 @@ def test_twist_cross_orbit_pairs_vanish():
 def dict_product(chi1, chi2):
     """Reference: the product with one exponent -> coefficient dict per
     product monomial, updated for every exponent pair of every term pair."""
-    window, right, rows = twist_rows(chi1, chi2)
+    window, right, classes = twist_rows(chi1, chi2)
     right = list(zip(right, chi2.terms.values()))
+    rows = {m1: (v1, ps) for ps, left in classes for m1, v1 in left}
     acc = {}
-    for (v1, vdeg1, ps), c1 in zip(rows, chi1.terms.values()):
+    for m1, c1 in chi1.terms.items():
+        v1, ps = rows[m1]
+        vdeg1 = m1.vdeg
         for ((v2, vdeg2), c2), p in zip(right, ps):
             coeffs = acc.setdefault(v1 + v2, (vdeg1 + vdeg2, {}))[1]
             for e2, a2 in c2.c.items():
