@@ -62,14 +62,14 @@ class Window:
 
     A monomial is read row by row off the packed parts of its ``y``.  One
     memo, keyed by a row and its fields of those parts, holds the row's
-    record: its piece of the order key, of the text and of ``y`` (`order`,
-    `text`, `y`) and its node shape (`node_roots`).  So a term costs one
+    record: its piece of the order key, of the text and of ``y`` (`label`,
+    `y`), its node and its node shape (`node_roots`).  So a term costs one
     pass over the rows and not one over the fields.
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
                  "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves",
-                 "_row_masks", "_node_rows", "_keysize", "_records")
+                 "_row_masks", "_keysize", "_records")
 
     def __init__(self, datum: RootDatum, w: dict):
         self.datum = datum
@@ -117,10 +117,6 @@ class Window:
         self._row_masks = [
             (r, b * k, (1 << b * len(row)) - 1)
             for r, (_i, k, _stride, row) in enumerate(self._rows)]
-        self._node_rows = [
-            (i, [rm for rm, row in zip(self._row_masks, self._rows)
-                 if row[0] == i])
-            for i in datum.nodes]
         # an order-key unit holds vdeg, a field or an exponent + bound
         self._keysize = self._size(max(len(self.keys) - 1, need + self.bound))
         self._records: dict = {}  # (row, plus row, minus row) -> record
@@ -176,9 +172,14 @@ class Window:
         return dict(chain.from_iterable(
             record[2] for record in self._row_records(m)))
 
-    def order(self, m: Monomial) -> bytes:
-        """Sort key of the canonical term order: by lowering degree, then
-        by the Y-exponents' (key, exponent) pairs in sorted key order.
+    def text(self, m: Monomial) -> str:
+        """Canonical text of m, `render_monomial` of its y."""
+        return self.label(m)[1]
+
+    def label(self, m: Monomial) -> tuple[bytes, str]:
+        """The sort key of m in the canonical term order, and its `text`,
+        joined from its rows' records.  The order is by lowering degree,
+        then by the Y-exponents' (key, exponent) pairs in sorted key order.
 
         The key is a run of equal-width big-endian units: vdeg, then the
         field and ``bound`` + exponent of each nonzero Y-exponent, in
@@ -203,14 +204,6 @@ class Window:
 
         Keys of different windows do not compare.
         """
-        return self.label(m)[0]
-
-    def text(self, m: Monomial) -> str:
-        """Canonical text of m, `render_monomial` of its y."""
-        return self.label(m)[1]
-
-    def label(self, m: Monomial) -> tuple[bytes, str]:
-        """`order` and `text` of m, joined from its rows' records."""
         records = self._row_records(m)
         return (m.vdeg.to_bytes(self._keysize, "big")
                 + b"".join([record[0] for record in records]),
@@ -231,10 +224,10 @@ class Window:
         return out
 
     def _row_record(self, r: int, p: int, q: int) -> tuple:
-        # a row with Y-exponents p - q: its order-key units, text, Y-items
-        # and node shape, None if an exponent is negative, else the
+        # a row with Y-exponents p - q: its order-key units, text, Y-items,
+        # node and node shape, None if an exponent is negative, else the
         # (orbit, shift) of each exponent unit
-        _i, k, _stride, row = self._rows[r]
+        i, k, _stride, row = self._rows[r]
         es = list(map(sub, self.fields(p), self.fields(q)))[:len(row)]
         y = [(field, e) for field, e in enumerate(es, k) if e]
         units = array(_TYPECODES[self._keysize],
@@ -246,33 +239,21 @@ class Window:
             key for key, e in zip(row, es) for _ in range(e))
         return (units.tobytes(),
                 " ".join(factor_text(keys[field], e) for field, e in y),
-                tuple((keys[field], e) for field, e in y), shape)
+                tuple((keys[field], e) for field, e in y), i, shape)
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
         None if one of them is negative, else the node's root tuple, the
         sorted (orbit, shift) multiset of its exponents (see
         `sl2.root_tuple`), its blocks merged.  Each row's shape is read
-        from its record in the row memo."""
-        plus, minus = self._yparts(m.v)
-        records = self._records
-        out = {}
-        for i, rows in self._node_rows:
-            roots = ()
-            for r, start, mask in rows:
-                p, q = plus >> start & mask, minus >> start & mask
-                if p == q:
-                    continue
-                record = records.get((r, p, q))
-                if record is None:
-                    record = records[r, p, q] = self._row_record(r, p, q)
-                shape = record[3]
-                if shape is None:
-                    roots = None
-                    break
-                roots += shape
-            if roots != ():
-                out[i] = roots
+        from its record, and a node's rows come in field order: by orbit,
+        then by block."""
+        out: dict = {}
+        for record in self._row_records(m):
+            i, shape = record[3], record[4]
+            roots = out.get(i, ())
+            if roots is not None:
+                out[i] = None if shape is None else roots + shape
         return out
 
     def shifted(self, delta: int) -> "Window":
@@ -314,11 +295,40 @@ class Window:
 #
 # Each factor Y_{i, orbit shift}^m is written ``i_n``, ``i_n^m`` or, on a
 # non-default orbit, ``i_n@orbit^m``; factors are space separated and the
-# identity monomial renders as ``1``.
+# identity monomial renders as ``1``.  An orbit name is [A-Za-z][A-Za-z0-9]*.
+# One pattern, in ASCII and on whole strings, reads factors, document keys
+# ``i_n[@orbit]`` and orbit names.
 
 _FACTOR_RE = re.compile(
-    r"^(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?(?:\^(-?\d+))?$"
-)
+    r"(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?(?:\^(-?\d+))?", re.ASCII)
+
+
+def _parse_factor(text: str) -> tuple[tuple, int | None] | None:
+    # the key and exponent (None if unwritten) of the factor text, or None
+    m = _FACTOR_RE.fullmatch(text)
+    if m is None:
+        return None
+    node, shift, orbit, exp = m.groups()
+    try:
+        return ((orbit or DEFAULT_ORBIT, int(node), int(shift)),
+                None if exp is None else int(exp))
+    except ValueError:  # a numeral past the interpreter's digit limit
+        return None
+
+
+def parse_key(tag: str) -> tuple:
+    """The key (orbit, node, shift) of the text ``i_n[@orbit]``."""
+    parsed = _parse_factor(tag)
+    if parsed is None or parsed[1] is not None:
+        raise ParseError(f"malformed exponent key {tag!r}")
+    return parsed[0]
+
+
+def check_orbit(name: str) -> str:
+    """``name``, if it is an orbit name: what may follow ``@`` in a key."""
+    if _parse_factor(f"1_0@{name}") != ((name, 1, 0), None):
+        raise ParseError(f"bad orbit name {name!r}")
+    return name
 
 
 def parse_monomial(s: str, datum: RootDatum) -> dict:
@@ -330,19 +340,15 @@ def parse_monomial(s: str, datum: RootDatum) -> dict:
     pos = 0
     for factor in text.split():
         pos = s.index(factor, pos)
-        m = _FACTOR_RE.match(factor)
-        if not m:
+        parsed = _parse_factor(factor)
+        if parsed is None:
             raise ParseError(f"malformed factor {factor!r} at position {pos}",
                              position=pos)
-        node = int(m.group(1))
-        if not 1 <= node <= datum.rank:
+        key, exp = parsed
+        if not 1 <= key[1] <= datum.rank:
             raise NodeOutOfRange(
-                f"node {node} not in 1..{datum.rank} (factor {factor!r})")
-        shift = int(m.group(2))
-        orbit = m.group(3) or DEFAULT_ORBIT
-        exp = int(m.group(4)) if m.group(4) else 1
-        key = (orbit, node, shift)
-        val = y.get(key, 0) + exp
+                f"node {key[1]} not in 1..{datum.rank} (factor {factor!r})")
+        val = y.get(key, 0) + (1 if exp is None else exp)
         if val:
             y[key] = val
         else:
@@ -386,8 +392,8 @@ class Character:
     w = property(lambda self: self.window.w)  # shared by every term
 
     def sorted_terms(self) -> list[tuple[Monomial, str, TPoly]]:
-        """(monomial, text, coefficient) in `Window.order`: by lowering
-        degree, then sorted y."""
+        """(monomial, text, coefficient) in the order of `Window.label`: by
+        lowering degree, then sorted y."""
         label = self.window.label
         rows = [(*label(m), m, c) for m, c in self.terms.items()]
         rows.sort(key=itemgetter(0))

@@ -24,7 +24,7 @@ from functools import partial
 
 from . import fixtures as fixture_store
 from . import jordan, serialize
-from .charalg import HIGHEST
+from .charalg import HIGHEST, check_orbit
 from .errors import (
     FailedAudit,
     InconsistentExpansion,
@@ -56,8 +56,7 @@ def parse_factors(text: str) -> list[FactorSpec]:
         orbit = "a"
         if "@" in chunk:
             chunk, orbit = chunk.split("@", 1)
-            if not orbit.isalnum() or not orbit[0].isalpha():
-                raise ParseError(f"bad orbit name {orbit!r}")
+            check_orbit(orbit)
         try:
             node_text, shift_text = chunk.split(":")
             specs.append(FactorSpec(int(node_text), int(shift_text), orbit))
@@ -164,7 +163,8 @@ def _emit_character(chi, args) -> None:
 
 def cmd_fundamental(args) -> int:
     datum = parse_type(args.type)
-    chi = fundamental_qt(datum, args.node, args.shift, args.orbit)
+    chi = fundamental_qt(datum, args.node, args.shift,
+                         check_orbit(args.orbit))
     _emit_character(chi, args)
     return 0
 

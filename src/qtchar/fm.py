@@ -10,11 +10,11 @@ Bookkeeping: layer d maps each monomial of lowering degree d that a string
 reached to the coefficient mass each direction generated there.  Images lie
 strictly deeper than their host, so a layer is complete when the expansion
 reaches it, and it is dropped once read.  A monomial's coefficient is
-pinned by the directions in which it carries a negative exponent; all such
-directions must agree, and a residual at a non-dominant direction must
-vanish.  This converts the unproven bookkeeping assumptions into runtime
-checks, and `audit_expansion` re-verifies the finished character by
-peeling the per-direction decomposition off it from scratch.
+pinned by the first direction in which it carries a negative exponent, and
+the residual at every other such direction must vanish.  This converts the
+unproven bookkeeping assumptions into runtime checks, and `audit_expansion`
+re-verifies the finished character by peeling the per-direction
+decomposition off it, by the node shapes the expansion computed.
 
 Coefficients are packed integers, as in `fusion`, through the codec of
 `tpoly` (`pack`, `Decoded`): a_e t^e becomes a_e 2^(W (e - lo)), so a
@@ -134,33 +134,29 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     strings: dict = {}
     budget = 0
     terms: dict = {}
-    rows = []  # (m, v, vdeg, shape) of each term by degree, for the audit
+    shapes = []  # `Window.node_roots` of each term, aligned with terms
 
     for vdeg in range(bound + 1):
         layer, layers[vdeg] = layers[vdeg], None
         for v, generated in layer.items():
             m = Monomial(v, vdeg)
             shape = window.node_roots(m)
+            # the first direction with a negative exponent pins coeff
+            pin = next((j for j, roots in shape.items() if roots is None),
+                       None)
             if m == HIGHEST:
                 coeff = 1
+            elif pin is None:
+                raise NonMinuscule(
+                    f"second dominant monomial {window.text(m)}; the "
+                    f"expansion only applies to modules with a single "
+                    f"dominant l-weight")
             else:
-                negative = [j for j, roots in shape.items() if roots is None]
-                if not negative:
-                    raise NonMinuscule(
-                        f"second dominant monomial {window.text(m)}; the "
-                        f"expansion only applies to modules with a single "
-                        f"dominant l-weight")
-                coeff = generated[negative[0] - 1]
-                for i in negative[1:]:
-                    if generated[i - 1] != coeff:
-                        raise InconsistentExpansion(
-                            f"directions {negative[0]} and {i} disagree on "
-                            f"the coefficient of {window.text(m)}")
+                coeff = generated[pin - 1]
             # no zero coeff is kept: some direction generated a nonzero
-            # entry at m, which a zero coeff fails to agree with above or
-            # leaves as a negative residual below
+            # entry at m, which a zero coeff leaves as a nonzero residual
             terms[m] = decoded[coeff]
-            rows.append((m, v, vdeg, shape))
+            shapes.append(shape)
 
             for i, made in zip(datum.nodes, generated):
                 residual = coeff - made
@@ -169,8 +165,8 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                 roots = shape.get(i, ())
                 if roots is None:
                     raise InconsistentExpansion(
-                        f"unexplained mass {decoded[residual]} in direction "
-                        f"{i} at the non-dominant monomial {window.text(m)}")
+                        f"directions {pin} and {i} disagree on the "
+                        f"coefficient of {window.text(m)}")
                 mass = decoded.positive_mass(residual)
                 if mass is None:
                     raise InconsistentExpansion(
@@ -206,21 +202,14 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
             f"the expansion does not end on one lowest weight "
             f"Y_{{j,{end}}}^-1 with coefficient 1 at degree {bound}")
     chi = Character(window, terms)
-    audit_expansion(chi, rows)
+    audit_expansion(chi, shapes)
     return chi
 
 
-def _peel_rows(chi: Character) -> list:
-    """(m, m.v, m.vdeg, `Window.node_roots` of m) for each term of chi,
-    by lowering degree."""
-    node_roots = chi.window.node_roots
-    return [(m, m.v, m.vdeg, node_roots(m))
-            for m in sorted(chi.terms, key=attrgetter("vdeg"))]
-
-
-def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
-    """Peel every direction's decomposition off a character whose terms
-    come in ``rows`` as `_peel_rows` gives them.
+def _peel(chi: Character, shapes: list | None = None,
+          edges: dict | None = None) -> None:
+    """Peel every direction's decomposition off a character, its terms
+    sorted stably by lowering degree, ``shapes`` as `audit_expansion` has.
 
     In each direction i the character must be a sum over i-dominant
     monomials m of c_m(t) times the simple rank-one character of the
@@ -241,6 +230,9 @@ def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
     decoded = Decoded(width, lo)
     packed = pack(coeffs, width, lo)  # aligned with chi.terms
     bound = window.bound
+    terms = sorted(chi.terms, key=attrgetter("vdeg"))
+    if shapes is None:
+        shapes = list(map(window.node_roots, terms))
     strings: dict = {}
     steps: dict = {}  # (i, roots) -> `_string_steps`, for ``edges`` only
     for i in chi.datum.nodes:
@@ -252,7 +244,8 @@ def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
                 f"direction {i}: a string monomial expected below "
                 f"{window.text(m)} is missing from the character")
 
-        for m, v, vdeg, shape in rows:
+        for m, shape in zip(terms, shapes):
+            v, vdeg = m
             c = residue[v]
             if not c:
                 continue
@@ -297,12 +290,13 @@ def _peel(chi: Character, rows: list, edges: dict | None = None) -> None:
                 f"mass at {window.text(m)}")
 
 
-def audit_expansion(chi: Character, rows: list | None = None) -> None:
+def audit_expansion(chi: Character, shapes: list | None = None) -> None:
     """Verify that every direction's decomposition of the character exists
-    with nonnegative coefficients; hard error otherwise.  ``rows`` are
-    the terms' shapes as `_peel_rows` gives them, when the caller has them:
-    `fundamental_qt` hands over those of its expansion."""
-    _peel(chi, _peel_rows(chi) if rows is None else rows)
+    with nonnegative coefficients; hard error otherwise.  ``shapes``, when
+    the caller has them, are the terms' `Window.node_roots` in the order of
+    ``chi.terms``, which must then come by lowering degree, as the layers
+    of `fundamental_qt` build them."""
+    _peel(chi, shapes)
 
 
 def string_edges(chi: Character) -> list:
@@ -310,6 +304,6 @@ def string_edges(chi: Character) -> list:
     character, deduplicated and canonically sorted.  This is the edge set
     a printed character graph shows."""
     edges: dict = {}  # insertion-ordered set
-    _peel(chi, _peel_rows(chi), edges)
-    key = {m: chi.window.order(m) for m in chi.terms}
+    _peel(chi, None, edges)
+    key = {m: chi.window.label(m)[0] for m in chi.terms}
     return sorted(edges, key=lambda e: (key[e[0]], e[2], key[e[1]]))

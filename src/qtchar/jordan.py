@@ -129,23 +129,12 @@ def profile_from_blocks(blocks) -> JordanProfile:
 
 
 def _check_profile(profile: JordanProfile) -> None:
-    blocks = tuple(sorted(profile.blocks, reverse=True))
-    if not blocks or blocks[-1] < 1:
-        raise InconsistentProfile("empty or nonpositive block multiset")
-    if blocks[0] != profile.n + 1:
+    want = profile_from_blocks(profile.blocks)
+    if (profile.n, tuple(profile.graded)) != (want.n, want.graded) or (
+            profile.sigma and tuple(profile.sigma) != want.sigma):
         raise InconsistentProfile(
-            f"longest block {blocks[0]} must equal n+1 = {profile.n + 1}")
-    if any((b - profile.n - 1) % 2 for b in blocks):
-        raise InconsistentProfile(
-            f"block lengths {blocks} not congruent to n+1 mod 2")
-    graded = tuple(sum(1 for b in blocks if b > k)
-                   for k in range(profile.n + 1))
-    if tuple(profile.graded) != graded:
-        raise InconsistentProfile(
-            f"graded dimensions {profile.graded} do not match blocks "
-            f"{blocks} (expected {graded})")
-    if profile.sigma and tuple(profile.sigma) != sigma_permutation(profile.n):
-        raise InconsistentProfile("sigma does not match the layer formula")
+            f"{profile} does not match its blocks, which give n = {want.n}, "
+            f"graded {want.graded} and sigma {want.sigma}")
 
 
 def decode(p: TPoly) -> JordanProfile:

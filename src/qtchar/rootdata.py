@@ -119,7 +119,10 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
 def parse_type(text: str) -> RootDatum:
     """Parse a label like ``"D4"`` or ``"e6"`` into a root datum."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in _FAMILIES or not text[1:].isdigit():
+    family, rank = text[:1].upper(), text[1:]
+    # ASCII digits, too few for int()'s digit limit and for any buildable rank
+    if not (family in _FAMILIES and rank.isascii() and rank.isdigit()
+            and len(rank) < 10):
         raise UnsupportedType(f"cannot parse Dynkin type {text!r}")
-    return build_root_datum(text[0].upper(), int(text[1:]))
+    return build_root_datum(family, int(rank))
 

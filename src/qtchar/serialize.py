@@ -34,7 +34,6 @@ schema is rendered in one place, and `dumps` is ``json.dumps``.
 from __future__ import annotations
 
 import json
-import re
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -43,6 +42,7 @@ from .charalg import (
     Character,
     Window,
     factor_text,
+    parse_key,
     parse_monomial,
     render_monomial,
 )
@@ -50,7 +50,6 @@ from .errors import MixedHighestWeight, OutsideWindow, ParseError
 from .rootdata import parse_type
 from .tpoly import TPoly
 
-_KEY_RE = re.compile(r"^(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?$")
 _SLICE = 1 << 20  # characters gathered before each write
 
 
@@ -63,15 +62,14 @@ def _parse_map(doc) -> dict:
         raise ParseError(f"exponent map {doc!r} is not an object")
     out = {}
     for tag, mult in doc.items():
-        m = _KEY_RE.match(tag)
-        if not m:
-            raise ParseError(f"malformed exponent key {tag!r}")
+        key = parse_key(tag)
         if not _is_int(mult):
             raise ParseError(f"exponent {mult!r} at {tag!r} is not an integer")
-        if mult:
-            orbit = m.group(3) or "a"
-            out[(orbit, int(m.group(1)), int(m.group(2)))] = mult
-    return out
+        if key in out:
+            raise ParseError(f"exponent key {tag!r} repeats "
+                             f"{factor_text(key)!r}")
+        out[key] = mult
+    return {key: mult for key, mult in out.items() if mult}
 
 
 def _parse_coeff(pairs) -> TPoly:
@@ -151,7 +149,8 @@ def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
 
 
 def character_from_doc(doc) -> Character:
-    """Read a character document; ParseError on anything malformed.
+    """Read a character document; ParseError on anything malformed,
+    a repeated (w, v) included.
 
     Raises MixedHighestWeight if terms do not share the highest monomial's
     w, since one character cannot hold them; it carries every coefficient
@@ -185,6 +184,7 @@ def character_from_doc(doc) -> Character:
         raise ParseError("character document has no monomial with v = 0")
     windows: dict = {}
     terms, listing = {}, []
+    seen = set()  # (window, m) of every term so far
     for text, tw, v, coeff in rows:
         key = tuple(sorted(tw.items()))
         if key not in windows:
@@ -194,6 +194,10 @@ def character_from_doc(doc) -> Character:
             m = window.pack(v)
         except OutsideWindow as err:
             raise ParseError(f"term {text!r}: {err}") from err
+        if (window, m) in seen:
+            raise ParseError(f"term {text!r} repeats the (w, v) of an "
+                             f"earlier term")
+        seen.add((window, m))
         y = window.y(m)
         if y != parse_monomial(text, datum):
             raise ParseError(

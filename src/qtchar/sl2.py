@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .charalg import HIGHEST, Character, Window, trivial_character
+from .errors import QtCharError
 from .rootdata import build_root_datum
 from .tpoly import TPoly
 
@@ -34,7 +35,7 @@ class Segment:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError("segment length must be >= 1")
+            raise QtCharError(f"segment length {self.length} is not >= 1")
 
 
 def root_tuple(roots) -> tuple:

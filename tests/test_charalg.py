@@ -10,6 +10,8 @@ from qtchar.charalg import (
     HIGHEST,
     Character,
     Window,
+    check_orbit,
+    parse_key,
     parse_monomial,
     render_monomial,
 )
@@ -209,6 +211,23 @@ def test_parse_errors():
         parse_monomial("9_0", D4)
     with pytest.raises(ParseError):
         parse_monomial("1_", A2)
+    # ASCII digits only, and no numeral past int()'s digit limit
+    for text in ["\u0661_0", "1_\u0660", "1" * 5000 + "_0"]:
+        with pytest.raises(ParseError, match="malformed factor"):
+            parse_monomial(text, A2)
+
+
+def test_one_rule_for_keys_and_orbit_names():
+    assert parse_key("2_-3@b7") == ("b7", 2, -3)
+    assert parse_key("2_1") == ("a", 2, 1)
+    for tag in ["1_0\n", "\u0661_0", "1_0^2", "1_0@", "1_0@9", "1_0@b\u00e9",
+                " 1_0"]:
+        with pytest.raises(ParseError, match="malformed exponent key"):
+            parse_key(tag)
+    assert check_orbit("b7") == "b7"
+    for name in ["", "x y", "9", "b\u00e9", "b\n", "b^2", "a@b"]:
+        with pytest.raises(ParseError, match="bad orbit name"):
+            check_orbit(name)
 
 
 def test_parse_orbit_suffix():
@@ -258,14 +277,14 @@ def test_y_regenerates_from_wv_everywhere():
 
 
 def assert_order_matches_reference(window, monomials):
-    """`Window.order` sorts like the reference tuple: lowering degree, then
-    the flattened (key, exponent) pairs of the reference Y-exponents in
-    sorted key order; `Window.text` renders those Y-exponents."""
+    """`Window.label`'s key sorts like the reference tuple: lowering degree,
+    then the flattened (key, exponent) pairs of the reference Y-exponents
+    in sorted key order; `Window.text` renders those Y-exponents."""
     ys = {m: y_exponents(window.datum, window.w, window.v(m))
           for m in monomials}
     want = sorted(monomials, key=lambda m: (
         m.vdeg, *chain.from_iterable(sorted(ys[m].items()))))
-    assert sorted(monomials, key=window.order) == want
+    assert sorted(monomials, key=lambda m: window.label(m)[0]) == want
     assert list(map(window.text, want)) == [render_monomial(ys[m])
                                             for m in want]
 

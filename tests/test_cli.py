@@ -33,6 +33,18 @@ def test_parse_factors():
         parse_factors("1")
     with pytest.raises(ParseError):
         parse_factors("")
+    for orbit in ["b\u00e9", "9", "", "x y"]:
+        with pytest.raises(ParseError, match="bad orbit name"):
+            parse_factors(f"1:0@{orbit}")
+
+
+@pytest.mark.parametrize("orbit", ["x y", "9", "", "b\u00e9"])
+def test_bad_orbit_name_is_a_usage_error(capsys, orbit):
+    assert main(["fundamental", "--type", "A2", "--node", "1",
+                 "--orbit", orbit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad orbit name {orbit!r}\n"
 
 
 def test_fundamental_json(tmp_path):
@@ -172,21 +184,56 @@ def test_decode_of_a_bad_document_is_a_validation_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [
-    {"type": "A2", "orbits": ["a"], "highest": "1_0",
-     "terms": [{"monomial": "1_0", "w": {"1_0": 1}, "v": {}, "coeff": 5}]},
-    {"type": "A2", "orbits": ["a"], "highest": "1_0",
-     "terms": [{"monomial": "1_0", "w": {"1_0": "x"}, "v": {},
-                "coeff": [[0, 1]]}]},
-    [{"type": "A2"}],
-    {"type": "A2", "orbits": ["a"], "highest": "1_0"},
+A2_NODE_1 = [("1_0", {}), ("1_2^-1 2_1", {"1_1": 1}),
+             ("2_3^-1", {"1_1": 1, "2_2": 1})]
+
+
+def a2_node_1(terms=A2_NODE_1, extra=(), highest="1_0", w_key="1_0"):
+    """The document of A2's node-1 fundamental, each term's w written
+    under ``w_key``, with the terms ``extra`` appended."""
+    return {"type": "A2", "orbits": ["a"], "highest": highest,
+            "terms": [{"monomial": text, "w": {w_key: 1}, "v": v,
+                       "coeff": [[0, 1]]} for text, v in terms]
+            + list(extra)}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"type": "A2", "orbits": ["a"], "highest": "1_0",
+      "terms": [{"monomial": "1_0", "w": {"1_0": 1}, "v": {}, "coeff": 5}]},
+     "coefficient 5 is not a list of [t-exponent, integer] pairs"),
+    ({"type": "A2", "orbits": ["a"], "highest": "1_0",
+      "terms": [{"monomial": "1_0", "w": {"1_0": "x"}, "v": {},
+                 "coeff": [[0, 1]]}]},
+     "exponent 'x' at '1_0' is not an integer"),
+    ([{"type": "A2"}], "a character document must be a JSON object"),
+    ({"type": "A2", "orbits": ["a"], "highest": "1_0"},
+     "character document has no 'terms'"),
+    (a2_node_1(extra=[{"monomial": "1_2^-1 2_1", "w": {"1_0": 1},
+                       "v": {"1_1": 1}, "coeff": [[0, 5]]}]),
+     "term '1_2^-1 2_1' repeats the (w, v) of an earlier term"),
+    (a2_node_1(w_key="1_0@a\n"), "malformed exponent key '1_0@a\\n'"),
+    (a2_node_1(w_key="\u0661_0"), "malformed exponent key '\u0661_0'"),
+    (a2_node_1([*A2_NODE_1[:2], ("2_3^-1", {"1_1": 1, "2_2": 1,
+                                            "2_02": 1})]),
+     "exponent key '2_02' repeats '2_2'"),
+    (a2_node_1(A2_NODE_1[1:]),
+     "character document has no monomial with v = 0"),
+    (a2_node_1(highest="2_3^-1"),
+     "stated highest monomial is not the v = 0 term"),
+    (a2_node_1(w_key="1-0"), "malformed exponent key '1-0'"),
 ], ids=["coeff-not-a-list", "exponent-not-an-integer", "top-level-list",
-        "no-terms"])
-def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc):
+        "no-terms", "duplicate-term", "bad-orbit-in-key",
+        "non-ascii-digit-in-key", "repeated-exponent-key", "no-v0-term",
+        "highest-not-the-v0-term", "malformed-exponent-key"])
+def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc,
+                                             message):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(doc))
-    assert main(["check", str(src)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for command in ("check", "dot"):
+        assert main([command, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["check", "dot", "decode"])

@@ -130,7 +130,8 @@ def test_audit_passes_on_outputs():
 
 def test_expansion_hands_the_audit_its_own_rows(monkeypatch):
     # the node shapes the expansion computed are those the audit would
-    # compute itself, in the same order, so every peel check is unchanged
+    # compute itself, term by term, and the terms come by lowering degree,
+    # the order the audit walks, so every peel check is unchanged
     handed = []
     audit = fm.audit_expansion
 
@@ -141,7 +142,10 @@ def test_expansion_hands_the_audit_its_own_rows(monkeypatch):
     monkeypatch.setattr(fm, "audit_expansion", spy)
     for datum, node in [(A2, 1), (D4, 2), (E6, 3)]:
         chi = fundamental_qt(datum, node, 0)
-        assert handed.pop() == fm._peel_rows(chi)
+        node_roots = chi.window.node_roots
+        assert handed.pop() == [node_roots(m) for m in chi.terms]
+        degrees = [m.vdeg for m in chi.terms]
+        assert degrees == sorted(degrees)
 
 
 def test_audit_rejects_tampered_character():

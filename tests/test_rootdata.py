@@ -106,3 +106,7 @@ def test_parse_type():
         parse_type("X9")
     with pytest.raises(UnsupportedType):
         parse_type("D")
+    # ASCII digits only, and no numeral past int()'s digit limit
+    for text in ["A\u00b2", "D\u0664", "A" + "1" * 5000]:
+        with pytest.raises(UnsupportedType, match="cannot parse"):
+            parse_type(text)

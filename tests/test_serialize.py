@@ -1,13 +1,14 @@
+import copy
 import io
 import json
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtchar.charalg import Character
-from qtchar.errors import MixedHighestWeight, ParseError
+from qtchar.errors import MixedHighestWeight, ParseError, QtCharError
 from qtchar.fm import fundamental_qt
 from qtchar.fusion import FactorSpec, standard_module_qt
 from qtchar.jordan import annotate_character
@@ -135,6 +136,75 @@ def test_malformed_documents_raise_parse_error(edit):
         character_from_doc(doc)
     with pytest.raises(ParseError):
         character_from_doc([doc])
+
+
+# documents to mutate: one orbit with Jordan data, and two orbits
+_DOCUMENTS = [
+    character_to_doc(chi, annotate_character(chi))
+    for chi in [fundamental_qt(A2, 1, 0),
+                standard_module_qt(A2, [FactorSpec(1, 0),
+                                        FactorSpec(2, 1, "b")])]]
+_TRICKY = st.sampled_from(["_", "@", "^", "-", " ", "\n", "0", "9", "b",
+                           "\u0661", "\u00e9", "\u00b2"])
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+    | st.floats() | st.text(_TRICKY | st.characters(), max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _edited(draw, text: str) -> str:
+    """``text`` with one tricky character inserted, or one deleted."""
+    at = draw(st.integers(0, len(text)))
+    if text and draw(st.booleans()):
+        at = min(at, len(text) - 1)
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(_TRICKY) + text[at:]
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        # walk down to a container, then change one of its entries
+        node = doc
+        while True:
+            key = draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child
+                    and draw(st.integers(0, 3))):
+                break
+            node = child
+        op = draw(st.sampled_from(["replace", "edit", "delete", "insert",
+                                   "copy"]))
+        if op == "delete":
+            del node[key]
+        elif op == "insert" and isinstance(node, dict):
+            node[draw(st.text(max_size=6))] = draw(_VALUES)
+        elif op in ("insert", "copy") and isinstance(node, list):
+            node.insert(key, copy.deepcopy(child) if op == "copy"
+                        else draw(_VALUES))
+        elif op == "edit" and isinstance(node, dict):
+            node[_edited(draw, key)] = node.pop(key)
+        elif op == "edit" and isinstance(child, str):
+            node[key] = _edited(draw, child)
+        else:
+            node[key] = draw(_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_raise_only_typed_errors(doc):
+    # a mutated document reads as a character with one term per entry,
+    # or raises a QtCharError; never an untyped error, never a merge
+    try:
+        chi = character_from_doc(doc)
+    except QtCharError:
+        return
+    assert len(chi) == len(doc["terms"])
 
 
 # -- the writer ----------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtchar.errors import QtCharError
 from qtchar.fusion import twisted_product
 from qtchar.sl2 import (
     RANK_ONE,
@@ -133,6 +134,12 @@ def test_orbits_kept_apart():
 
 def texts(chi):
     return {chi.window.text(m): c for m, c in chi.terms.items()}
+
+
+def test_segment_length_must_be_positive():
+    for length in (0, -1):
+        with pytest.raises(QtCharError, match=f"segment length {length} "):
+            seg(0, length)
 
 
 def test_ladder_length_one():
