@@ -89,13 +89,19 @@ def validate_poincare(p: TPoly) -> ValidationReport:
     top = max(c)
     if any(c.get(top - e) != a for e, a in c.items()):
         violations.append("palindromic")
-    seq = [c.get(d, 0) for d in range(0, top + 1, 2)]
+    # positive values in even degrees are unimodal iff every even degree
+    # up to the top holds one (a gap is a zero between positives) and, in
+    # degree order, they never rise after a fall
+    seq = [c[e] for e in sorted(c)]
+    unimodal = len(seq) > top // 2
     falling = False
     for a, b in zip(seq, seq[1:]):
         if b > a and falling:
-            violations.append("unimodal")
+            unimodal = False
             break
         falling = falling or b < a
+    if not unimodal:
+        violations.append("unimodal")
     return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 

@@ -54,23 +54,34 @@ class RootDatum:
 
         That is the sum of the simple-root coefficients of omega_i +
         omega_ibar, i.e. twice the height of omega_i: twice the i-th entry
-        of C^{-1} (1, ..., 1), solved exactly.
+        of C^{-1} (1, ..., 1), solved exactly.  The Dynkin diagram is a
+        tree, so C x = (2, ..., 2) is solved along it: each node, leaves
+        first, is eliminated into the equation of its parent towards node
+        1, then the values are substituted back from node 1 outwards.
         """
         from fractions import Fraction  # only needed once per datum
 
-        n = self.rank
-        rows = [[Fraction(x) for x in row] + [Fraction(2)]
-                for row in self.cartan]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if rows[r][col])
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            lead = rows[col][col]
-            rows[col] = [x / lead for x in rows[col]]
-            for r in range(n):
-                if r != col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return tuple(int(row[n]) for row in rows)
+        c = self.cartan
+        parent = {0: None}
+        order = [0]  # breadth first from node 1
+        for i in order:
+            for j in self.adjacency[i]:
+                if j - 1 not in parent:
+                    parent[j - 1] = i
+                    order.append(j - 1)
+        # row i reads diag[i] x_i + c[i][parent] x_parent = rhs[i] once
+        # its children are eliminated
+        diag = [Fraction(c[i][i]) for i in range(self.rank)]
+        rhs = [Fraction(2)] * self.rank
+        for i in reversed(order[1:]):
+            p = parent[i]
+            diag[p] -= c[p][i] * c[i][p] / diag[i]
+            rhs[p] -= c[p][i] * rhs[i] / diag[i]
+        x = [rhs[0] / diag[0]] * self.rank
+        for i in order[1:]:
+            p = parent[i]
+            x[i] = (rhs[i] - c[i][p] * x[p]) / diag[i]
+        return tuple(int(v) for v in x)
 
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"

@@ -20,6 +20,12 @@ exponent; ``w``/``v`` use the same ``i_n[@orbit]`` key syntax as monomial
 factors.  Terms are sorted by lowering degree, then canonical monomial
 order, so serialization is byte-stable.  Round-trips are bit-exact.
 
+`character_from_doc` reads the head first: ``highest`` is Y^w, the one
+``w`` of the character, and ``orbits`` must be that ``w``'s orbits.  It
+then reads the terms in one pass into that window.  Each must repeat the
+``w``, state the monomial its ``(w, v)`` yields and not repeat an earlier
+term's ``v``, and one must have ``v = 0``.
+
 `write_character` writes the text of a document term by term, exactly
 ``json.dumps(doc, indent=2)`` and a newline, with no document and no
 whole text held: each term is rendered from `Character.sorted_terms`,
@@ -46,7 +52,7 @@ from .charalg import (
     parse_monomial,
     render_monomial,
 )
-from .errors import MixedHighestWeight, OutsideWindow, ParseError
+from .errors import OutsideWindow, ParseError
 from .rootdata import parse_type
 from .tpoly import TPoly
 
@@ -149,15 +155,11 @@ def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:
 
 
 def character_from_doc(doc) -> Character:
-    """Read a character document; ParseError on anything malformed,
-    a repeated (w, v) included.
-
-    Raises MixedHighestWeight if terms do not share the highest monomial's
-    w, since one character cannot hold them; it carries every coefficient
-    so they can still be checked."""
+    """Read a character document; ParseError on anything malformed, a
+    term with another ``w`` or a repeated ``(w, v)`` included."""
     if not isinstance(doc, dict):
         raise ParseError("a character document must be a JSON object")
-    for field in ("type", "highest", "terms"):
+    for field in ("type", "orbits", "highest", "terms"):
         if field not in doc:
             raise ParseError(f"character document has no {field!r}")
     if not isinstance(doc["type"], str) or not isinstance(doc["highest"], str):
@@ -167,59 +169,39 @@ def character_from_doc(doc) -> Character:
             isinstance(e, dict) for e in entries):
         raise ParseError("'terms' must be a list of objects")
     datum = parse_type(doc["type"])
-    rows = []
-    w = None
+    window = _window(datum, parse_monomial(doc["highest"], datum),
+                     doc["type"])
+    if doc["orbits"] != list(window.orbits):
+        raise ParseError(f"'orbits' {doc['orbits']!r} are not the highest "
+                         f"monomial's {list(window.orbits)!r}")
+    terms = {}
     for entry in entries:
         text = entry.get("monomial")
         if not isinstance(text, str):
             raise ParseError(f"term monomial {text!r} is not a string")
         if "w" not in entry or "v" not in entry or "coeff" not in entry:
             raise ParseError(f"term {text!r} is missing w/v/coeff")
-        row = (text, _parse_map(entry["w"]), _parse_map(entry["v"]),
-               _parse_coeff(entry["coeff"]))
-        rows.append(row)
-        if not row[2]:
-            w = row[1]
-    if w is None:
-        raise ParseError("character document has no monomial with v = 0")
-    windows: dict = {}
-    terms, listing = {}, []
-    seen = set()  # (window, m) of every term so far
-    for text, tw, v, coeff in rows:
-        key = tuple(sorted(tw.items()))
-        if key not in windows:
-            windows[key] = _window(datum, tw, doc["type"])
-        window = windows[key]
+        w, v = _parse_map(entry["w"]), _parse_map(entry["v"])
+        coeff = _parse_coeff(entry["coeff"])
+        if w != window.w:
+            raise ParseError(
+                f"term {text!r}: w differs from the highest monomial")
         try:
             m = window.pack(v)
         except OutsideWindow as err:
             raise ParseError(f"term {text!r}: {err}") from err
-        if (window, m) in seen:
+        if m in terms:
             raise ParseError(f"term {text!r} repeats the (w, v) of an "
                              f"earlier term")
-        seen.add((window, m))
         y = window.y(m)
         if y != parse_monomial(text, datum):
             raise ParseError(
                 f"term {text!r}: stated monomial does not match its (w, v) "
                 f"payload, which yields {render_monomial(y)!r}")
-        if tw == w:
-            terms[m] = coeff
-        listing.append((window, m, coeff, tw != w))
-    chi = Character(windows[tuple(sorted(w.items()))], terms)
-    if parse_monomial(doc["highest"], datum) != chi.window.y(HIGHEST):
-        raise ParseError("stated highest monomial is not the v = 0 term")
-    mixed = [tw.text(m) for tw, m, _c, differs in listing if differs]
-    if mixed:
-        # the windows differ, so sort on the order's definition
-        listing.sort(key=lambda term: (term[1].vdeg,
-                                       list(term[0].y(term[1]).items())))
-        raise MixedHighestWeight(
-            f"{len(mixed)} terms do not share the highest monomial's w, "
-            f"first {mixed[0]!r}",
-            [(tw.text(m), c, differs) for tw, m, c, differs in listing],
-            terms.get(HIGHEST))
-    return chi
+        terms[m] = coeff
+    if HIGHEST not in terms:
+        raise ParseError("character document has no monomial with v = 0")
+    return Character(window, terms)
 
 
 def _window(datum, w: dict, type_name: str) -> Window:

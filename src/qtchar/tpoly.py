@@ -140,17 +140,20 @@ class Decoded(dict):
         self.masses: dict[int, int] = {}
 
     def __missing__(self, x: int) -> TPoly:
-        coeffs = {}
+        # adding half to every digit, up to past the top one, makes them
+        # all nonnegative, so the sum carries nowhere and each width-bit
+        # slice of its binary string is one digit plus half: one pass,
+        # linear in the exponent span
         width = self.width
-        half, mask = 1 << width - 1, (1 << width) - 1
-        e, y = self.lo, x
-        while y:
-            a = y & mask
-            if a >= half:
-                a -= 1 << width
+        half = 1 << width - 1
+        n = abs(x).bit_length() // width + 2  # digits, the top ones 0
+        bits = format(x + int(format(half, "b") * n, 2), f"0{width * n}b")
+        coeffs = {}
+        e = self.lo
+        for end in range(width * n, 0, -width):
+            a = int(bits[end - width:end], 2) - half
             if a:
                 coeffs[e] = a
-            y = (y - a) >> width
             e += 1
         p = self[x] = TPoly.from_dict(coeffs)
         return p

@@ -113,23 +113,34 @@ def test_check_command_pass_and_fail(tmp_path, capsys):
 
 
 def test_check_reports_terms_with_another_w(tmp_path, capsys):
+    # one character has one w: a term with another is a malformed document
     src = tmp_path / "chi.json"
     main(["fundamental", "--type", "A2", "--node", "1", "--out", str(src)])
     doc = json.loads(src.read_text())
     doc["terms"][2].update(monomial="1_0 2_3^-1", w={"1_0": 2})
     src.write_text(json.dumps(doc))
-    assert main(["check", str(src)]) == 4
-    out = capsys.readouterr().out
-    assert out == "FAIL 1_0 2_3^-1: w differs from the highest monomial\n"
-    # the other checks still run on every coefficient
-    doc["terms"][0]["coeff"] = [[0, 2]]
-    doc["terms"][1]["coeff"] = [[1, 1]]
+    capsys.readouterr()
+    assert main(["check", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: term '1_0 2_3^-1': w differs from the "
+                            "highest monomial\n")
+
+
+def test_check_of_far_apart_exponents(tmp_path, capsys):
+    # the validator reads the support, and the decoder is linear in the
+    # exponent span, so one call stays in seconds
+    src = tmp_path / "chi.json"
+    main(["fundamental", "--type", "A2", "--node", "1", "--out", str(src)])
+    doc = json.loads(src.read_text())
+    doc["terms"][1]["coeff"] = [[0, 1], [2000000, 1]]
     src.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert main(["check", str(src)]) == 4
     assert capsys.readouterr().out == (
-        "FAIL highest monomial does not have coefficient 1\n"
-        "FAIL 1_2^-1 2_1: coefficient t fails constant-term, support\n"
-        "FAIL 1_0 2_3^-1: w differs from the highest monomial\n")
+        "FAIL 1_2^-1 2_1: coefficient 1 + t^2000000 fails unimodal\n"
+        "FAIL audit: direction 1: leftover mass t^2000000 at non-dominant "
+        "1_2^-1 2_1\n")
 
 
 def tampered_d4(tmp_path):
@@ -219,12 +230,20 @@ def a2_node_1(terms=A2_NODE_1, extra=(), highest="1_0", w_key="1_0"):
     (a2_node_1(A2_NODE_1[1:]),
      "character document has no monomial with v = 0"),
     (a2_node_1(highest="2_3^-1"),
-     "stated highest monomial is not the v = 0 term"),
+     "highest weight '2_3^-1' is not a product of Y-variables of A2"),
     (a2_node_1(w_key="1-0"), "malformed exponent key '1-0'"),
+    (a2_node_1(extra=[{"monomial": "1_0 2_3^-1", "w": {"1_0": 2},
+                       "v": {"1_1": 1, "2_2": 1}, "coeff": [[0, 1]]}]),
+     "term '1_0 2_3^-1': w differs from the highest monomial"),
+    ({**a2_node_1(), "orbits": ["zz", 5]},
+     "'orbits' ['zz', 5] are not the highest monomial's ['a']"),
+    ({key: value for key, value in a2_node_1().items() if key != "orbits"},
+     "character document has no 'orbits'"),
 ], ids=["coeff-not-a-list", "exponent-not-an-integer", "top-level-list",
         "no-terms", "duplicate-term", "bad-orbit-in-key",
         "non-ascii-digit-in-key", "repeated-exponent-key", "no-v0-term",
-        "highest-not-the-v0-term", "malformed-exponent-key"])
+        "highest-not-the-v0-term", "malformed-exponent-key", "w-differs",
+        "orbits-differ", "no-orbits"])
 def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc,
                                              message):
     src = tmp_path / "bad.json"

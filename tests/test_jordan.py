@@ -136,6 +136,16 @@ def test_validate_more_failures():
     assert "support" in validate_poincare(poly((-2, 1), (0, 1))).violations
 
 
+def test_validate_reads_the_support_not_every_degree():
+    # a gap between positive values breaks unimodality; the check walks
+    # the two stored degrees, not every even degree up to the top
+    assert validate_poincare(poly((0, 1), (10 ** 18, 1))).violations == (
+        "unimodal",)
+    assert validate_poincare(poly((0, 1), (2, 1), (4, 1))).ok
+    assert validate_poincare(poly((0, 1), (4, 1))).violations == (
+        "unimodal",)
+
+
 # -- decode / encode -------------------------------------------------------
 
 

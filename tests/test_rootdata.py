@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qtchar.errors import NodeOutOfRange, UnsupportedType
@@ -89,6 +91,39 @@ def test_coxeter_numbers_and_lowest_depths():
     for (family, rank), (h, depths) in cases.items():
         datum = build_root_datum(family, rank)
         assert (datum.coxeter_number, datum.lowest_depths) == (h, depths)
+
+
+def gauss_jordan_depths(datum):
+    """Reference: C x = (2, ..., 2) by Gauss-Jordan over the rationals."""
+    n = datum.rank
+    rows = [[Fraction(x) for x in row] + [Fraction(2)]
+            for row in datum.cartan]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[n] for row in rows)
+
+
+@pytest.mark.parametrize("family,rank", (
+    [("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
+    + [("E", n) for n in (6, 7, 8)]))
+def test_lowest_depths_match_gauss_jordan(family, rank):
+    datum = build_root_datum(family, rank)
+    assert datum.lowest_depths == gauss_jordan_depths(datum)
+
+
+def test_lowest_depths_are_linear_in_the_rank():
+    # twice the height of omega_i in A_n is i (n + 1 - i); the elimination
+    # along the path takes O(n) steps where Gauss-Jordan takes O(n^3)
+    datum = build_root_datum("A", 2000)
+    assert datum.lowest_depths == tuple(i * (2001 - i)
+                                        for i in range(1, 2001))
 
 
 def test_node_out_of_range():

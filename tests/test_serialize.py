@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtchar.charalg import Character
-from qtchar.errors import MixedHighestWeight, ParseError, QtCharError
+from qtchar.errors import ParseError, QtCharError
 from qtchar.fm import fundamental_qt
 from qtchar.fusion import FactorSpec, standard_module_qt
 from qtchar.jordan import annotate_character
@@ -103,18 +103,10 @@ def test_rejects_lowering_outside_window():
 def test_rejects_terms_with_another_w():
     doc = character_to_doc(fundamental_qt(A2, 1, 0))
     doc["terms"][2].update(monomial="1_0 2_3^-1", w={"1_0": 2})
-    with pytest.raises(MixedHighestWeight) as excinfo:
-        character_from_doc(doc)
-    err = excinfo.value
-    assert err.monomials == ("1_0 2_3^-1",)
-    assert [(text, differs) for text, _c, differs in err.terms] == [
-        ("1_0", False), ("1_2^-1 2_1", False), ("1_0 2_3^-1", True)]
-    assert err.highest == 1
-    # the term is still checked against its own (w, v)
-    doc["terms"][2]["monomial"] = "2_3^-1"
     with pytest.raises(ParseError) as excinfo:
         character_from_doc(doc)
-    assert not isinstance(excinfo.value, MixedHighestWeight)
+    assert str(excinfo.value) == (
+        "term '1_0 2_3^-1': w differs from the highest monomial")
 
 
 @pytest.mark.parametrize("edit", [

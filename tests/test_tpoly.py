@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -83,6 +85,45 @@ def test_decoded_shares_values_and_checks_positivity():
     assert decoded.positive_mass(y) == 2
     assert decoded.positive_mass(neg) is None
     assert decoded[0] == TPoly.zero()
+
+
+def digit_loop(x, width, lo):
+    """Reference: the signed width-bit digits of x, lowest first, one
+    shift of the whole integer per digit."""
+    coeffs = {}
+    half, mask = 1 << width - 1, (1 << width) - 1
+    e, y = lo, x
+    while y:
+        a = y & mask
+        if a >= half:
+            a -= 1 << width
+        if a:
+            coeffs[e] = a
+        y = (y - a) >> width
+        e += 1
+    return coeffs
+
+
+def test_decoded_matches_the_digit_loop():
+    rng = random.Random(7)
+    for width in (3, 5, 8, 32, 61):
+        half = 1 << width - 1
+        values = list(range(-300, 300))
+        for _ in range(1500):
+            digits = rng.randint(1, 12)
+            values.append(sum(rng.randint(-half, half - 1) << width * k
+                              for k in range(digits)))
+        decoded = Decoded(width, -4)
+        for x in values:
+            assert decoded[x].c == digit_loop(x, width, -4)
+
+
+def test_decoded_is_linear_in_the_exponent_span():
+    # the digit loop shifts the whole integer once per digit, quadratic
+    # in the span; this value took it minutes
+    x = 1 + (1 << 3 * 2000000)
+    assert Decoded(3, 0)[x] == TPoly({0: 1, 2000000: 1})
+    assert Decoded(3, 0)[-x] == TPoly({0: -1, 2000000: -1})
 
 
 @given(coeff_dicts)
