@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
+from operator import methodcaller
 
 from . import fixtures as fixture_store
 from . import jordan, serialize
@@ -142,10 +143,10 @@ def _dot_lines(terms, edges):
 
 def render_text(chi, annotations=None):
     """Tab-separated lines: monomial, coefficient, dimension[, blocks]."""
-    for m, text, coeff in chi.sorted_terms():
+    for _m, text, coeff in chi.sorted_terms():
         row = [text, str(coeff), str(coeff.mass())]
         if annotations is not None:
-            row.append(",".join(str(b) for b in annotations[m].blocks))
+            row.append(",".join(str(b) for b in annotations[coeff].blocks))
         yield "\t".join(row) + "\n"
 
 
@@ -156,7 +157,7 @@ def _emit_character(chi, args) -> None:
     else:
         lines = (render_dot(chi) if args.format == "dot"
                  else render_text(chi, annotations))
-        write = partial(serialize.write_pieces, lines)
+        write = methodcaller("writelines", lines)
     _emit(args.out, write)
 
 
@@ -221,7 +222,7 @@ def cmd_dot(args) -> int:
     chi = serialize.character_from_doc(_read_doc(args.input))
     with _audit_of_a_document():
         lines = render_dot(chi)
-    _emit(args.out, partial(serialize.write_pieces, lines))
+    _emit(args.out, methodcaller("writelines", lines))
     return 0
 
 

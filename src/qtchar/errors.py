@@ -50,6 +50,10 @@ class OutsideWindow(QtCharError):
     the highest weight allows."""
 
 
+class ExceedsMemory(QtCharError):
+    """A value would not fit in the memory or the address-space limit."""
+
+
 class NegativeTwist(QtCharError):
     """The attracting-block rank came out negative; the pairing convention
     was violated."""

@@ -16,13 +16,15 @@ Heisenberg generators on the corresponding l-weight space has
   sigma is the permutation of 0..n with sigma(k) = floor(n/2) - k/2 for
   even k and floor(n/2) + ceil(k/2) for odd k.
 
-`decode` and `encode` are mutually inverse bijections between valid
-polynomials and consistent profiles.
+The polynomial alone determines this data, so `annotate_character` keys
+profiles on coefficients, and a profile is its block multiset, from which
+``n`` and ``graded`` are derived.  `decode` and `encode` are mutually
+inverse bijections between valid polynomials and profiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -49,14 +51,15 @@ def sigma_permutation(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
+    """The hard-Lefschetz checks a coefficient fails; true if none."""
+
     violations: tuple[str, ...] = ()
 
-    def __bool__(self):
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
-
-_VALID = ValidationReport(True)
+    __bool__ = ok.fget
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +75,7 @@ def validate_poincare(p: TPoly) -> ValidationReport:
     """
     c = p.c
     if not c:
-        return ValidationReport(False, ("zero",))
+        return ValidationReport(("zero",))
     positive = support = True
     for e, a in c.items():
         positive = positive and a > 0
@@ -85,7 +88,7 @@ def validate_poincare(p: TPoly) -> ValidationReport:
     if not support:
         violations.append("support")
     if violations:
-        return ValidationReport(False, tuple(violations))
+        return ValidationReport(tuple(violations))
     top = max(c)
     if any(c.get(top - e) != a for e, a in c.items()):
         violations.append("palindromic")
@@ -102,45 +105,40 @@ def validate_poincare(p: TPoly) -> ValidationReport:
         falling = falling or b < a
     if not unimodal:
         violations.append("unimodal")
-    return ValidationReport(False, tuple(violations)) if violations else _VALID
+    return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)
 class JordanProfile:
-    """Jordan structure of one l-weight space.
+    """Jordan structure of one l-weight space: the chain lengths
+    ``blocks``, longest first, positive and of one parity.  The filtration
+    length ``n`` (half the top t-degree) and the layer dimensions
+    ``graded`` (graded[k] counts the blocks longer than k) derive from
+    them."""
 
-    ``n`` is the filtration length (half the top t-degree), ``blocks`` the
-    Jordan chain lengths in decreasing order, ``graded`` the dimensions
-    dim(F_k/F_{k-1}) for k = 0..n, and ``sigma`` the layer permutation.
-    """
-
-    n: int
     blocks: tuple[int, ...]
-    graded: tuple[int, ...]
-    sigma: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        b = self.blocks
+        if not b or list(b) != sorted(b, reverse=True) or b[-1] < 1 or any(
+                (x - b[0]) % 2 for x in b):
+            raise InconsistentProfile(
+                f"blocks {b} are not a nonempty decreasing sequence of "
+                f"positive integers of one parity")
+
+    @property
+    def n(self) -> int:
+        return self.blocks[0] - 1
+
+    @property
+    def graded(self) -> tuple[int, ...]:
+        return tuple(sum(1 for b in self.blocks if b > k)
+                     for k in range(self.n + 1))
 
 
 def profile_from_blocks(blocks) -> JordanProfile:
-    """Build a full profile from a block multiset alone."""
-    blocks = tuple(sorted(blocks, reverse=True))
-    if not blocks or blocks[-1] < 1:
-        raise InconsistentProfile("blocks must be a nonempty multiset of "
-                                  "positive integers")
-    n = blocks[0] - 1
-    if any((b - blocks[0]) % 2 for b in blocks):
-        raise InconsistentProfile(
-            f"block lengths {blocks} are not all congruent mod 2")
-    graded = tuple(sum(1 for b in blocks if b > k) for k in range(n + 1))
-    return JordanProfile(n, blocks, graded, sigma_permutation(n))
-
-
-def _check_profile(profile: JordanProfile) -> None:
-    want = profile_from_blocks(profile.blocks)
-    if (profile.n, tuple(profile.graded)) != (want.n, want.graded) or (
-            profile.sigma and tuple(profile.sigma) != want.sigma):
-        raise InconsistentProfile(
-            f"{profile} does not match its blocks, which give n = {want.n}, "
-            f"graded {want.graded} and sigma {want.sigma}")
+    """The profile of a block multiset given in any order."""
+    return JordanProfile(tuple(sorted(blocks, reverse=True)))
 
 
 def decode(p: TPoly) -> JordanProfile:
@@ -158,35 +156,27 @@ def decode(p: TPoly) -> JordanProfile:
             raise NegativeMultiplicity(
                 f"length-{length} blocks have multiplicity {mult} in {p}")
         blocks.extend([length] * mult)
-    graded = tuple(p.coeff(2 * sigma(n, k)) for k in range(n + 1))
-    return JordanProfile(n, tuple(blocks), graded, sigma_permutation(n))
+    return JordanProfile(tuple(blocks))
 
 
 def encode(profile: JordanProfile) -> TPoly:
-    """Coefficient polynomial of a Jordan profile; inverse of decode."""
-    _check_profile(profile)
+    """Coefficient polynomial of a Jordan profile; inverse of decode: a
+    chain of length l adds t^d for d = n-l+1, n-l+3, ..., n+l-1."""
     n = profile.n
-    coeffs: dict[int, int] = {}
-    for length in profile.blocks:
-        base = n - length + 1
-        for j in range(length):
-            d = base + 2 * j
-            coeffs[d] = coeffs.get(d, 0) + 1
-    return TPoly(coeffs)
+    return TPoly.from_pairs((d, 1) for length in profile.blocks
+                            for d in range(n - length + 1, n + length, 2))
 
 
 def annotate_character(chi) -> dict:
-    """Decode every coefficient of a character; keys are its monomials.
-    Each distinct coefficient is decoded once and its profile shared."""
-    profiles: dict = {}  # coefficient -> profile
-    out = {}
+    """Each distinct coefficient of a character mapped to its Jordan
+    profile, decoded once.  One that does not decode raises, naming the
+    first monomial in ``chi.terms`` order that carries it."""
+    profiles: dict = {}
     for m, c in chi.terms.items():
-        profile = profiles.get(c)
-        if profile is None:
+        if c not in profiles:
             try:
-                profile = profiles[c] = decode(c)
+                profiles[c] = decode(c)
             except QtCharError as err:  # name the monomial, keep the rest
                 err.args = (f"monomial {chi.window.text(m)}: {err}",)
                 raise
-        out[m] = profile
-    return out
+    return profiles

@@ -31,10 +31,9 @@ term's ``v``, and one must have ``v = 0``.
 whole text held: each term is rendered from `Character.sorted_terms`,
 which joins its monomial text from the window's memoised row pieces in
 the pass that builds the order key.  Only the ``w`` block, each window
-field's quoted tag, and each distinct coefficient and Jordan profile are
-rendered once and reused.  The pieces go out in writes of about
-`_SLICE` characters.  `character_to_doc` reads that text back, so the
-schema is rendered in one place, and `dumps` is ``json.dumps``.
+field's quoted tag, and each distinct coefficient with its Jordan block
+are rendered once; the pieces go to ``fh.writelines``.  `character_to_doc`
+reads that text back, so the schema is rendered in one place.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ from .charalg import (
 from .errors import OutsideWindow, ParseError
 from .rootdata import parse_type
 from .tpoly import TPoly
-
-_SLICE = 1 << 20  # characters gathered before each write
 
 
 def _is_int(x) -> bool:
@@ -87,24 +84,13 @@ def _parse_coeff(pairs) -> TPoly:
     return TPoly.from_pairs(pairs)
 
 
-def write_pieces(pieces, fh) -> None:
-    """Write the strings ``pieces`` to the text file ``fh`` in order,
-    gathered into writes of about `_SLICE` characters each."""
-    buf, size = [], 0
-    for piece in pieces:
-        buf.append(piece)
-        size += len(piece)
-        if size >= _SLICE:
-            fh.write("".join(buf))
-            buf, size = [], 0
-    fh.write("".join(buf))
-
-
 def write_character(chi: Character, annotations: dict | None,
                     fh) -> None:
     """Write the character document to the text file ``fh`` term by term:
-    ``dumps(character_to_doc(chi, annotations))``, without either."""
-    write_pieces(_pieces(chi, annotations), fh)
+    ``dumps(character_to_doc(chi, annotations))``, without either.
+    ``annotations`` maps coefficients to profiles, as
+    `jordan.annotate_character` returns them."""
+    fh.writelines(_pieces(chi, annotations))
 
 
 def _nested(value) -> str:
@@ -123,28 +109,25 @@ def _pieces(chi: Character, annotations: dict | None):
             for key in window.keys]  # one per field
     slots = range(len(tags))
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
-    coeffs: dict = {}
-    jordans: dict = {}
+    coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
     for m, text, c in chi.sorted_terms():
         coeff = coeffs.get(c)
         if coeff is None:
-            coeff = coeffs[c] = _nested([[e, x] for e, x in c.pairs()])
-        f = window.fields(m.v)
-        v = ",".join([tags[k] + str(f[k]) for k in compress(slots, f)])
-        v = "{" + v + "\n      }" if v else "{}"
-        jordan = ""
-        if annotations is not None and m in annotations:
-            profile = annotations[m]
-            jordan = jordans.get(profile)
-            if jordan is None:
-                jordan = jordans[profile] = ',\n      "jordan": ' + _nested({
+            coeff = _nested([[e, x] for e, x in c.pairs()])
+            if annotations is not None:
+                profile = annotations[c]
+                coeff += ',\n      "jordan": ' + _nested({
                     "n": profile.n,
                     "blocks": list(profile.blocks),
                     "graded": list(profile.graded),
                 })
+            coeffs[c] = coeff
+        f = window.fields(m.v)
+        v = ",".join([tags[k] + str(f[k]) for k in compress(slots, f)])
+        v = "{" + v + "\n      }" if v else "{}"
         yield (f'{sep}{{\n      "monomial": {_quote(text)},\n      "w": {w},'
-               f'\n      "v": {v},\n      "coeff": {coeff}{jordan}\n    }}')
+               f'\n      "v": {v},\n      "coeff": {coeff}\n    }}')
         sep = ",\n    "
     yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"  # [] if no term
 

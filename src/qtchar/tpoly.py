@@ -14,6 +14,11 @@ derives, and proves, its width W (see `fm` and `fusion`).
 
 from __future__ import annotations
 
+import os
+import resource
+
+from .errors import ExceedsMemory
+
 
 class TPoly:
     """Map from t-exponent to nonzero integer coefficient."""
@@ -116,14 +121,30 @@ def lo_and_mass(coeffs) -> tuple[int, int]:
     return lo, sum(abs(a) for c in coeffs for a in c.c.values())
 
 
+def memory_bytes() -> int:
+    """The physical memory, or a finite soft RLIMIT_AS if that is lower."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
+
+
 def pack(coeffs, width: int, lo: int) -> list[int]:
     """Each coefficient sum a_e t^e, in order, as the integer sum
-    a_e 2^(width (e - lo)); equal coefficients are packed once."""
+    a_e 2^(width (e - lo)); equal coefficients are packed once.  One of
+    more bits than `memory_bytes` raises ExceedsMemory before any shift:
+    `Decoded` reads a value through its binary string, a byte per bit."""
     packed: dict[TPoly, int] = {}
+    room = memory_bytes()
     out = []
     for c in coeffs:
         x = packed.get(c)
         if x is None:
+            hi = max(c.c, default=lo)
+            if width * (hi - lo + 1) > room:
+                raise ExceedsMemory(
+                    f"a coefficient spanning t^{lo} to t^{hi} packs into "
+                    f"{width * (hi - lo + 1)} bits, more than the {room} "
+                    f"bytes of memory")
             x = packed[c] = sum(a << width * (e - lo) for e, a in c.c.items())
         out.append(x)
     return out

@@ -2,11 +2,15 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_serialize import _mutated_documents
 
 import qtchar.cli
 from qtchar import serialize
@@ -253,6 +257,66 @@ def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "decode", "dot"])
+def test_coefficient_past_memory_is_a_validation_failure(tmp_path, capsys,
+                                                         command):
+    # packing 1 + t^(-10^18) would take 5 (10^18 + 1) bits: refused
+    # before the shift, where it used to end in a MemoryError
+    src = tmp_path / "chi.json"
+    doc = a2_node_1()
+    doc["terms"][1]["coeff"] = [[0, 1], [-10 ** 18, 1]]
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, str(src)] + (["--out", str(out)] * (command != "check"))
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"validation error: a coefficient spanning t^{-10 ** 18} to t^0 "
+        f"packs into {5 * (10 ** 18 + 1)} bits, more than the ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@contextmanager
+def address_space_grown_by_at_most(extra: int):
+    """Lower this process's soft address-space limit to its present size
+    plus ``extra`` bytes, and restore it on exit.  The pack guard reads
+    the limit, so a far-apart exponent is refused against it; anything
+    it lets through that outgrows the limit fails fast."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = int(Path("/proc/self/statm").read_text().split()[0])
+    limit = size * os.sysconf("SC_PAGE_SIZE") + extra
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                    reason="reads the process size from /proc")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_documents())
+def test_mutated_documents_exit_with_a_documented_code(tmp_path, capsys,
+                                                       doc):
+    # the documents of the reader's fuzz test, through the CLI: each call
+    # exits 0, 2 or 4 and raises nothing; the strategy can draw an
+    # exponent of any size, so the calls run under a 1 GiB margin
+    src = tmp_path / "chi.json"
+    src.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    with address_space_grown_by_at_most(1 << 30):
+        codes = [main(["check", str(src)]),
+                 main(["decode", str(src), "--out", out]),
+                 main(["dot", str(src), "--out", out])]
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 4}
 
 
 @pytest.mark.parametrize("command", ["check", "dot", "decode"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -80,7 +81,7 @@ def test_validate_gap_fails():
 def reference_validate(p):
     """Reference: the checks one after another on the dense coefficients."""
     if not p:
-        return ValidationReport(False, ("zero",))
+        return ValidationReport(("zero",))
     violations = []
     if p.coeff(0) < 1:
         violations.append("constant-term")
@@ -100,7 +101,7 @@ def reference_validate(p):
                 break
             if b < a:
                 rising = False
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def mirrored(half):
@@ -182,10 +183,26 @@ def test_encode_rejects_inconsistent():
         profile_from_blocks([])
     with pytest.raises(InconsistentProfile):
         profile_from_blocks([3, 2])  # mixed parity
+    assert profile_from_blocks([2, 4, 2]) == JordanProfile((4, 2, 2))
+
+
+@pytest.mark.parametrize("blocks", [(), (0,), (1, -1), (2, 0), (2, 4),
+                                    (1, 3, 3), (3, 2), (2, 1)],
+                         ids=["empty", "zero", "negative", "even-zero",
+                              "rising", "unsorted", "mixed-parity",
+                              "mixed-parity-tail"])
+def test_profile_rejects_inconsistent_blocks(blocks):
     with pytest.raises(InconsistentProfile):
-        encode(JordanProfile(n=3, blocks=(2, 2), graded=(2, 2, 0, 0)))
-    with pytest.raises(InconsistentProfile):
-        encode(JordanProfile(n=1, blocks=(2,), graded=(1, 0)))
+        JordanProfile(blocks)
+
+
+def test_profile_is_its_blocks():
+    profile = JordanProfile((4, 2, 2))
+    assert (profile.n, profile.graded) == (3, (3, 3, 1, 1))
+    assert JordanProfile((1,)).graded == (1,)
+    assert [f.name for f in dataclasses.fields(JordanProfile)] == ["blocks"]
+    assert [f.name for f in dataclasses.fields(ValidationReport)] == [
+        "violations"]
 
 
 # -- exhaustive round-trips up to mass 12 -----------------------------------
@@ -291,32 +308,28 @@ def test_annotate_a2_standard():
     A2 = build_root_datum("A", 2)
     chi = standard_module_qt(A2, [(1, 0), (1, 0)])
     notes = annotate_character(chi)
-    table = {chi.window.text(m): sorted(p.blocks) for m, p in notes.items()}
-    assert table["1_0 1_2^-1 2_1"] == [2]
-    assert table["2_3^-2"] == [1]
+    assert notes[chi.coefficient("1_0 1_2^-1 2_1")].blocks == (2,)
+    assert notes[chi.coefficient("2_3^-2")].blocks == (1,)
 
 
 def test_annotate_d4():
     D4 = build_root_datum("D", 4)
     chi = fundamental_qt(D4, 2, 0)
     notes = annotate_character(chi)
-    for m, profile in notes.items():
-        if chi.window.text(m) == "2_2 2_4^-1":
-            assert sorted(profile.blocks) == [2]
-        else:
-            assert profile.blocks == (1,)
+    assert notes == {poly((0, 1)): JordanProfile((1,)),
+                     poly((0, 1), (2, 1)): JordanProfile((2,))}
+    assert notes[chi.coefficient("2_2 2_4^-1")].blocks == (2,)
 
 
 def test_annotate_e6_headline():
     E6 = build_root_datum("E", 6)
     chi = fundamental_qt(E6, 3, 0)
     notes = annotate_character(chi)
-    table = {chi.window.text(m): p for m, p in notes.items()}
-    thick = table["2_5 2_7^-1 4_5 4_7^-1 6_5 6_7^-1"]
-    assert sorted(thick.blocks) == [2, 2, 4]
+    thick = notes[chi.coefficient("2_5 2_7^-1 4_5 4_7^-1 6_5 6_7^-1")]
+    assert thick.blocks == (4, 2, 2)
     assert thick.graded == (3, 3, 1, 1)
-    other = table["3_4 3_8^-1"]
-    assert sorted(other.blocks) == [1, 1, 1, 3]
+    other = notes[chi.coefficient("3_4 3_8^-1")]
+    assert other.blocks == (3, 1, 1, 1)
     assert other.graded == (4, 1, 1)
 
 
@@ -332,14 +345,13 @@ def test_annotate_rejects_bad_coefficient():
 
 
 def test_annotate_decodes_each_coefficient_once():
+    # one entry per distinct coefficient: E6 node 3 has 7 among its terms
     E6 = build_root_datum("E", 6)
     chi = fundamental_qt(E6, 3, 0)
     notes = annotate_character(chi)
-    shared = {}
-    for m, c in chi.terms.items():
-        assert notes[m] == decode(c)
-        assert notes[m] is shared.setdefault(c, notes[m])
-    assert len(shared) < len(chi.terms)
+    assert len(notes) == len(set(chi.terms.values())) == 7
+    for c in chi.terms.values():
+        assert notes[c] == decode(c)
 
 
 def test_annotate_names_first_failing_monomial():

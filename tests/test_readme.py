@@ -12,4 +12,4 @@ def test_readme_python_example():
         blocks[0], {}, "README.md", str(README), 0)
     report = []
     result = doctest.DocTestRunner().run(example, out=report.append)
-    assert result == (0, 8), "".join(report)
+    assert result == (0, 7), "".join(report)

@@ -14,12 +14,10 @@ from qtchar.fusion import FactorSpec, standard_module_qt
 from qtchar.jordan import annotate_character
 from qtchar.rootdata import build_root_datum
 from qtchar.serialize import (
-    _SLICE,
     character_from_doc,
     character_to_doc,
     dumps,
     write_character,
-    write_pieces,
 )
 
 A2 = build_root_datum("A", 2)
@@ -235,18 +233,6 @@ def test_writer_of_a_character_without_terms():
     assert json.loads(text)["terms"] == []
 
 
-def test_write_pieces_gathers_writes_of_about_a_slice():
-    class Writes(list):
-        write = list.append
-
-    pieces = [f"{k:07d}" for k in range(400000)]  # 2.8 MB
-    writes = Writes()
-    write_pieces(pieces, writes)
-    assert "".join(writes) == "".join(pieces)
-    assert len(writes) == 3
-    assert all(_SLICE <= len(w) < _SLICE + 7 for w in writes[:-1])
-
-
 class _Length:
     """A text sink that keeps only the number of characters written."""
 
@@ -255,6 +241,10 @@ class _Length:
 
     def write(self, text: str) -> None:
         self.length += len(text)
+
+    def writelines(self, pieces) -> None:
+        for text in pieces:
+            self.write(text)
 
 
 def test_writer_holds_less_than_half_its_output():

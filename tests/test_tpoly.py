@@ -1,9 +1,12 @@
 import random
+import resource
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtchar.tpoly import Decoded, TPoly, lo_and_mass, pack
+from qtchar.errors import ExceedsMemory
+from qtchar.tpoly import Decoded, TPoly, lo_and_mass, memory_bytes, pack
 
 # independent dense reference: polynomials as {exp: coeff} dicts handled
 # with plain loops, no TPoly machinery; the ring operations run on the
@@ -124,6 +127,27 @@ def test_decoded_is_linear_in_the_exponent_span():
     x = 1 + (1 << 3 * 2000000)
     assert Decoded(3, 0)[x] == TPoly({0: 1, 2000000: 1})
     assert Decoded(3, 0)[-x] == TPoly({0: -1, 2000000: -1})
+
+
+def test_pack_refuses_a_span_past_memory():
+    # 3 (10^18 + 1) bits: the shift itself would run out of memory
+    far = TPoly({-10 ** 18: 1, 0: 1})
+    with pytest.raises(ExceedsMemory) as excinfo:
+        pack([TPoly({0: 1}), far], 3, -10 ** 18)
+    assert str(excinfo.value).startswith(
+        f"a coefficient spanning t^{-10 ** 18} to t^0 packs into "
+        f"{3 * (10 ** 18 + 1)} bits, more than the ")
+
+
+def test_pack_bounds_the_span_by_the_address_space_limit(monkeypatch):
+    # a finite soft limit below the physical memory is the figure; a
+    # value of 1200 bits is refused under 1000 bytes, one of 300 is not
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda _which: (1000, resource.RLIM_INFINITY))
+    assert memory_bytes() == 1000
+    assert pack([TPoly({0: 1, 99: 2})], 3, 0) == [1 + (2 << 3 * 99)]
+    with pytest.raises(ExceedsMemory):
+        pack([TPoly({0: 1, 399: 2})], 3, 0)
 
 
 @given(coeff_dicts)
