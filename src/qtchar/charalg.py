@@ -143,11 +143,23 @@ class Window:
             raise OutsideWindow(f"degree {vdeg} > {self.bound} in {self!r}")
         return Monomial(packed, vdeg)
 
-    def fields(self, v: int) -> array:
-        """Every field of a packed vector, in slot order."""
-        out = array(self._code, v.to_bytes(self._nbytes, "little"))
+    def fields(self, v: int, count: int | None = None) -> array:
+        """Every field of a packed vector, in slot order; only the first
+        ``count`` when it is given."""
+        size = self._nbytes if count is None else count * self.bits // 8
+        out = array(self._code, v.to_bytes(size, "little"))
         if sys.byteorder == "big":
             out.byteswap()
+        return out
+
+    def row_parts(self, v: int) -> list[tuple[int, int]]:
+        """(offset in bits, packed fields) of each nonzero row of a packed
+        vector, in field order."""
+        out = []
+        for _r, start, mask in self._row_masks:
+            part = v >> start & mask
+            if part:
+                out.append((start, part))
         return out
 
     def v(self, m: Monomial) -> dict:
@@ -226,9 +238,10 @@ class Window:
     def _row_record(self, r: int, p: int, q: int) -> tuple:
         # a row with Y-exponents p - q: its order-key units, text, Y-items,
         # node and node shape, None if an exponent is negative, else the
-        # (orbit, shift) of each exponent unit
+        # (orbit, shift) of each exponent unit; then the node and node
+        # shape of its mirror row
         i, k, _stride, row = self._rows[r]
-        es = list(map(sub, self.fields(p), self.fields(q)))[:len(row)]
+        es = list(map(sub, self.fields(p, len(row)), self.fields(q, len(row))))
         y = [(field, e) for field, e in enumerate(es, k) if e]
         units = array(_TYPECODES[self._keysize],
                       [x for field, e in y for x in (field, e + self.bound)])
@@ -237,9 +250,12 @@ class Window:
         keys = self.keys
         shape = None if min(es) < 0 else tuple(
             key for key, e in zip(row, es) for _ in range(e))
+        mirror = None if max(es) > 0 else tuple(
+            key for key, e in zip(row, reversed(es)) for _ in range(-e))
         return (units.tobytes(),
                 " ".join(factor_text(keys[field], e) for field, e in y),
-                tuple((keys[field], e) for field, e in y), i, shape)
+                tuple((keys[field], e) for field, e in y), i, shape,
+                self.datum.duals[i - 1], mirror)
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
@@ -248,13 +264,19 @@ class Window:
         `sl2.root_tuple`), its blocks merged.  Each row's shape is read
         from its record, and a node's rows come in field order: by orbit,
         then by block."""
-        out: dict = {}
-        for record in self._row_records(m):
-            i, shape = record[3], record[4]
-            roots = out.get(i, ())
-            if roots is not None:
-                out[i] = None if shape is None else roots + shape
-        return out
+        return _node_shapes(self._row_records(m), 3)
+
+    def node_roots_and_mirror(self, m: Monomial) -> tuple[dict, dict]:
+        """`node_roots` of m and of its mirror, from one pass over m's rows.
+
+        The mirror of a row reverses its shifts, negates its exponents and
+        moves it to the row of the dual node (`RootDatum.duals`): m maps
+        under Y_{j,n} -> Y_{jbar,a+b-n}^-1, a and b the first and last
+        shift of the row.  On the window of one Y_{i,s} that
+        is the duality involution of `fm`; each record holds its mirror's
+        node and shape."""
+        records = self._row_records(m)
+        return _node_shapes(records, 3), _node_shapes(records, 5)
 
     def shifted(self, delta: int) -> "Window":
         """The window of w shifted by ``delta``; packed v carry over."""
@@ -289,6 +311,18 @@ class Window:
     def __repr__(self):
         return (f"Window({self.datum.family}{self.datum.rank}, "
                 f"w={render_monomial(self.w)})")
+
+
+def _node_shapes(records: list, at: int) -> dict:
+    # the node shapes of `node_roots`, from the (node, shape) pair at
+    # ``at`` of each row record
+    out: dict = {}
+    for record in records:
+        i, shape = record[at], record[at + 1]
+        roots = out.get(i, ())
+        if roots is not None:
+            out[i] = None if shape is None else roots + shape
+    return out
 
 
 # -- text format -------------------------------------------------------

@@ -16,6 +16,38 @@ unproven bookkeeping assumptions into runtime checks, and `audit_expansion`
 re-verifies the finished character by peeling the per-direction
 decomposition off it, by the node shapes the expansion computed.
 
+Half depth.  Let jbar be the node that -w0 sends j to (`RootDatum.duals`)
+and h the Coxeter number.  The duality involution phi: Y_{j,n} ->
+Y_{jbar, 2s+h-n}^-1 sends A_{j,n} to A_{jbar, 2s+h-n}^-1, so on the window
+of Y_{i,s} it sends the monomial with lowering vector v to the one with
+low - sigma(v), where sigma reverses each node's row and moves it to the
+row of jbar, and low is the lowering vector of the lowest weight
+Y_{ibar, s+h}^-1 = phi(Y_{i,s}).  It maps lowering degree d to bound - d.
+That phi maps the q,t-character of V(Y_{i,s}) onto itself, coefficients
+included, is a checked property, not a proved one.  At t = 1 it is the
+q-character duality of V and V* (Frenkel-Reshetikhin, arXiv:math/9810055).
+Term for term it holds on every fundamental the tests compare with the
+full-depth expansion: A1-A8, D4-D8, E6, and E7 but node 3.  So
+`fundamental_qt` expands the layers 0 .. ceil(bound/2) only, and no string
+image goes past them.  The deeper layers are phi of the upper ones: each
+mirrored term shares its source's TPoly and takes its node shapes from
+the mirror halves of the source's row records
+(`Window.node_roots_and_mirror`).  Where the halves meet the property is
+checked: the expanded layer ceil(bound/2) must equal phi of the layer
+bound // 2, terms and coefficients, by one code path for odd and even
+bound.  The lowest weight must lie in the window at degree bound, and the
+full audit then runs on the whole character.
+
+One pass.  The peel walks the terms once, by degree, for every direction
+at once: a pending image holds what each direction's strings subtracted
+there so far, as the expansion's layers do.  A term is peeled only at the
+nodes where it has a row.  No string reaches a term in a direction where
+it has none, because every image carries its template monomial as its
+node-i row and no template contains the monomial 1 (`_string` checks
+this).  So its residue there is its coefficient, whose positivity is
+checked once per term.  Each direction's first failure is the one a peel
+of that direction alone would meet, and the lowest direction's is raised.
+
 Coefficients are packed integers, as in `fusion`, through the codec of
 `tpoly` (`pack`, `Decoded`): a_e t^e becomes a_e 2^(W (e - lo)), so a
 residual is one subtraction and a string application one multiply and
@@ -44,8 +76,10 @@ most mass(c) mass(tc).
   in [-M - B, M], B the direction's running budget.  A valid character
   is the sum of its peel coefficients times their templates, so at t = 1
   the budget ends at its mass, at most M: a budget past M rejects the
-  character correctly, and is checked before each string is subtracted.
-  Digits therefore stay in [-2M, M], inside the signed range.
+  character correctly.  It is checked with each string, and a direction's
+  residues are not read after its budget passes M, so the digits of every
+  residue read stay in [-2M, M], inside the signed range.  This holds for
+  each direction on its own, as the one pass keeps a budget per direction.
 """
 
 from __future__ import annotations
@@ -69,20 +103,30 @@ _WIDTH = 32  # digit width of the expansion's packed coefficients
 def _string(window: Window, i: int, roots: tuple, width: int,
             cache: dict) -> tuple[int, list]:
     """The rank-one template of ``roots`` embedded in direction i: its mass
-    at t = 1 and its (packed lowering, packed template coefficient) pairs,
-    one per template monomial; adding the lowering to a host monomial
-    gives the image of that monomial, the template highest mapping to the
-    host itself.  ``cache`` holds one width."""
+    at t = 1 and, by lowering degree, its (packed lowering, packed template
+    coefficient) pairs for every template monomial but the highest.
+    Adding the lowering to a host monomial gives the image of that
+    monomial; the highest, whose coefficient must be 1, maps to the host
+    itself.  An image's node-i row is its template monomial's, so a
+    template without the monomial 1, which is checked too, gives every
+    image a row at node i.  ``cache`` holds one width."""
     out = cache.get((i, roots))
     if out is None:
         template = sl2_simple_qt(roots)
         tv = template.window.v
-        packed = pack(template.terms.values(), width, 0)
+        pairs = sorted(zip(template.terms,
+                           pack(template.terms.values(), width, 0)),
+                       key=lambda pair: pair[0].vdeg)
+        if pairs[0] != (HIGHEST, 1) or not all(
+                map(template.window.y, template.terms)):
+            raise InconsistentExpansion(
+                f"direction {i}: the template of {roots} has a highest "
+                f"coefficient other than 1 or the monomial 1")
         try:
             out = (template.mass_at_t1(),
                    [(window.pack({(o, i, n): a for (o, _node, n), a
                                   in tv(tm).items()}), x)
-                    for tm, x in zip(template.terms, packed)])
+                    for tm, x in pairs[1:]])
         except OutsideWindow as err:
             raise InconsistentExpansion(
                 f"direction {i}: the string of {roots} leaves the "
@@ -101,46 +145,87 @@ def _string_steps(window: Window, i: int, string: list) -> list:
     d2.vdeg = d1.vdeg + 1 as well leaves no other pair."""
     unit = {1 << window.bits * k: (o, n)
             for (o, j, n), k in window.slots.items() if j == i}
-    lowerings = [d for d, _x in string]
+    lowerings = [HIGHEST] + [d for d, _x in string]
     return [(d1, d2, unit[d2.v - d1.v])
             for d1 in lowerings for d2 in lowerings
             if d2.vdeg == d1.vdeg + 1 and d2.v - d1.v in unit]
+
+
+def _mirror(window: Window, low: int):
+    """The duality involution on the packed lowering vectors of the window
+    of one Y_{i,s}: v -> low - sigma(v), sigma reversing each node's row
+    and moving it to the dual node's row, ``low`` the lowest weight's v.
+    Each row's part is computed once per distinct row; raises
+    InconsistentExpansion where a field of the image would be negative."""
+    datum, b = window.datum, window.bits
+    size = len(window.keys) // datum.rank  # the fields of a node's row
+    mask = (1 << b * size) - 1
+    rows = [(b * size * (i - 1), b * size * (j - 1), {})
+            for i, j in zip(datum.nodes, datum.duals)]
+
+    def phi(v: int) -> int:
+        out = 0
+        for start, dual, memo in rows:
+            part = v >> start & mask
+            x = memo.get(part)
+            if x is None:
+                high = low >> dual & mask
+                mirrored = window.fields(part, size)[::-1]
+                if any(map(int.__lt__, window.fields(high, size), mirrored)):
+                    raise InconsistentExpansion(
+                        "the mirror of a term leaves the window")
+                x = memo[part] = high - sum(
+                    a << b * t for t, a in enumerate(mirrored)) << dual
+            out += x
+        return out
+
+    return phi
 
 
 def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                    orbit: str = "a") -> Character:
     """q,t-character of the fundamental module with highest l-weight
     Y_{node, orbit shift}, audited by `audit_expansion` on the node
-    shapes its expansion computed.
+    shapes its computation gives.
 
-    The expansion runs down to the lowering degree of the lowest weight,
-    ``window.bound``, and must end on the single monomial
-    Y_{j, orbit shift+h}^{-1} with coefficient 1 there.  Raises
+    The expansion runs down to the middle layer, degree ceil(bound / 2),
+    ``bound`` the lowering degree of the lowest weight; the duality
+    involution of the module docstring gives the terms below it.  The
+    expanded middle layer must be the involution's image of the layer of
+    degree bound // 2, and the lowest weight Y_{jbar, orbit shift+h}^-1
+    must be a monomial of the window at degree ``bound``.  Raises
     NonMinuscule if a second dominant monomial appears and
     InconsistentExpansion if the per-direction bookkeeping disagrees, the
-    coefficient budget overruns the packed digits (see the module
-    docstring) or the expansion does not end on that lowest weight.
+    coefficient budget overruns the packed digits, or either check fails.
     """
     if not 1 <= node <= datum.rank:
         raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
     window = Window(datum, {(orbit, node, shift): 1})
     bound = window.bound
+    mid, mirrored = bound - bound // 2, bound // 2
+    rank = datum.rank
     decoded = Decoded(_WIDTH, 0)
     half = 1 << _WIDTH - 1
     # layers[d]: packed v of degree d -> the packed coefficient each
     # direction generated there; images lie strictly deeper than their
     # host, so a layer is complete when it is reached
-    layers = [{0: [0] * datum.rank}] + [{} for _ in range(bound)]
+    layers = [{0: [0] * rank}] + [{} for _ in range(mid)]
     strings: dict = {}
     budget = 0
     terms: dict = {}
     shapes = []  # `Window.node_roots` of each term, aligned with terms
+    upper = []  # (v, coefficient, mirror's shape) of each term mirrored
+    starts = []  # where each degree's terms start in terms and upper
 
-    for vdeg in range(bound + 1):
+    for vdeg in range(mid + 1):
         layer, layers[vdeg] = layers[vdeg], None
+        starts.append(len(shapes))
         for v, generated in layer.items():
             m = Monomial(v, vdeg)
-            shape = window.node_roots(m)
+            if vdeg < mirrored:
+                shape, mirror = window.node_roots_and_mirror(m)
+            else:
+                shape = window.node_roots(m)
             # the first direction with a negative exponent pins coeff
             pin = next((j for j, roots in shape.items() if roots is None),
                        None)
@@ -155,14 +240,22 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                 coeff = generated[pin - 1]
             # no zero coeff is kept: some direction generated a nonzero
             # entry at m, which a zero coeff leaves as a nonzero residual
-            terms[m] = decoded[coeff]
+            terms[m] = c = decoded[coeff]
             shapes.append(shape)
+            if vdeg < mirrored:
+                upper.append((v, c, mirror))
+            # no string reaches m in a direction where m has no row, so
+            # the residual there is coeff: one check for all of them
+            if len(shape) < rank and decoded.positive_mass(coeff) is None:
+                raise InconsistentExpansion(
+                    f"negative residual {c} in direction "
+                    f"{min(set(datum.nodes) - set(shape))} at "
+                    f"{window.text(m)}")
 
-            for i, made in zip(datum.nodes, generated):
-                residual = coeff - made
+            for i, roots in shape.items():
+                residual = coeff - generated[i - 1]
                 if not residual:
                     continue
-                roots = shape.get(i, ())
                 if roots is None:
                     raise InconsistentExpansion(
                         f"directions {pin} and {i} disagree on the "
@@ -172,7 +265,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                     raise InconsistentExpansion(
                         f"negative residual {decoded[residual]} in direction "
                         f"{i} at {window.text(m)}")
-                if not roots:
+                if vdeg == mid:  # its images lie below the middle layer
                     continue
                 tmass, string = _string(window, i, roots, _WIDTH, strings)
                 budget += mass * tmass
@@ -181,26 +274,44 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                         f"coefficient budget {budget} overruns the "
                         f"{_WIDTH}-bit digits at {window.text(m)}")
                 for d, x in string:
-                    if not d.vdeg:
-                        continue
                     ivdeg = vdeg + d.vdeg
-                    if ivdeg > bound:
-                        raise InconsistentExpansion(
-                            f"lowering degree {ivdeg} passes the lowest "
-                            f"weight (degree {bound})")
-                    layers[ivdeg].setdefault(
-                        v + d.v, [0] * datum.rank)[i - 1] += residual * x
+                    if ivdeg > mid:
+                        break
+                    image = v + d.v
+                    entry = layers[ivdeg].get(image)
+                    if entry is None:
+                        entry = layers[ivdeg][image] = [0] * rank
+                    entry[i - 1] += residual * x
+    starts.append(len(shapes))
 
-    # the expansion ends on the lowest weight Y_{j, orbit shift+h}^{-1},
-    # the one monomial of the last layer, with coefficient 1
-    lowest = [Monomial(v, bound) for v in layer]
+    # the involution maps the highest weight to the lowest weight,
+    # Y_{jbar, orbit shift+h}^-1, which must lie at degree bound
     end = shift + datum.coxeter_number
-    if len(lowest) != 1 or terms[lowest[0]] != 1 or [
-            (o, n, e) for (o, _j, n), e in window.y(lowest[0]).items()
-            ] != [(orbit, end, -1)]:
+    jbar = datum.duals[node - 1]
+    low = window.solve({(orbit, jbar, end): -1}) if set(datum.duals) == set(
+        datum.nodes) else None
+    if low is None or low.vdeg != bound:
         raise InconsistentExpansion(
-            f"the expansion does not end on one lowest weight "
-            f"Y_{{j,{end}}}^-1 with coefficient 1 at degree {bound}")
+            f"no lowest weight Y_{{{jbar or 'jbar'},{end}}}^-1 lies in the "
+            f"window at degree {bound}")
+    phi = _mirror(window, low.v)
+    expanded = list(terms.items())
+    if {phi(m.v): c for m, c in expanded[starts[mirrored]:
+                                        starts[mirrored + 1]]} != {
+            m.v: c for m, c in expanded[starts[mid]:]}:
+        raise InconsistentExpansion(
+            f"the expanded layer of degree {mid} is not the mirror of the "
+            f"layer of degree {mirrored}")
+    for d in reversed(range(mirrored)):
+        for v, c, mirror in upper[starts[d]:starts[d + 1]]:
+            m = Monomial(phi(v), bound - d)
+            if None not in mirror.values():
+                raise NonMinuscule(
+                    f"second dominant monomial {window.text(m)}; the "
+                    f"expansion only applies to modules with a single "
+                    f"dominant l-weight")
+            terms[m] = c
+            shapes.append(mirror)
     chi = Character(window, terms)
     audit_expansion(chi, shapes)
     return chi
@@ -220,6 +331,11 @@ def _peel(chi: Character, shapes: list | None = None,
     list per direction and root tuple) are added to it as (from, to, i,
     (orbit, shift)) keys.
 
+    All directions are peeled in one pass (see the module docstring).
+    Once a direction fails, it and every direction above it are no longer
+    peeled.  At the end a lower direction that does not close is raised
+    first, else the lowest failing direction's first failure.
+
     Raises InconsistentExpansion if some direction has no such
     decomposition.
     """
@@ -228,66 +344,86 @@ def _peel(chi: Character, shapes: list | None = None,
     lo, mass = lo_and_mass(coeffs)
     width = (2 * mass).bit_length() + 1
     decoded = Decoded(width, lo)
-    packed = pack(coeffs, width, lo)  # aligned with chi.terms
+    coeff = dict(zip(map(attrgetter("v"), chi.terms),
+                     pack(coeffs, width, lo)))
     bound = window.bound
+    nodes = chi.datum.nodes
+    rank = len(nodes)
     terms = sorted(chi.terms, key=attrgetter("vdeg"))
     if shapes is None:
         shapes = list(map(window.node_roots, terms))
     strings: dict = {}
     steps: dict = {}  # (i, roots) -> `_string_steps`, for ``edges`` only
-    for i in chi.datum.nodes:
-        residue = dict(zip(map(attrgetter("v"), chi.terms), packed))
-        budget = 0
+    pending: dict = {}  # v -> what each direction subtracted there
+    budgets = [0] * rank
+    failed, failure = rank + 1, None  # the lowest failing direction
 
-        def missing(m):
-            return InconsistentExpansion(
-                f"direction {i}: a string monomial expected below "
-                f"{window.text(m)} is missing from the character")
-
-        for m, shape in zip(terms, shapes):
-            v, vdeg = m
-            c = residue[v]
-            if not c:
+    for m, shape in zip(terms, shapes):
+        v, vdeg = m
+        c = coeff[v]
+        taken = pending.pop(v, None)
+        for i, roots in shape.items():
+            if i >= failed:
                 continue
-            roots = shape.get(i, ())
+            r = c - taken[i - 1] if taken else c
+            if not r:
+                continue
             if roots is None:
-                raise InconsistentExpansion(
-                    f"direction {i}: leftover mass {decoded[c]} at "
-                    f"non-dominant {window.text(m)}")
-            cmass = decoded.positive_mass(c)
+                failed, failure = i, (
+                    f"leftover mass {decoded[r]} at non-dominant "
+                    f"{window.text(m)}")
+                continue
+            cmass = decoded.positive_mass(r)
             if cmass is None:
-                raise InconsistentExpansion(
-                    f"direction {i}: negative peel coefficient {decoded[c]} "
-                    f"at {window.text(m)}")
-            if not roots:
-                residue[v] = 0
+                failed, failure = i, (
+                    f"negative peel coefficient {decoded[r]} at "
+                    f"{window.text(m)}")
                 continue
             tmass, string = _string(window, i, roots, width, strings)
-            budget += cmass * tmass
-            if budget > mass:  # only an invalid character gets here
-                for d, _x in string:
-                    if vdeg + d.vdeg > bound or v + d.v not in residue:
-                        raise missing(m)
-                raise InconsistentExpansion(
-                    f"direction {i}: the peel coefficients at t = 1 "
-                    f"outweigh the character's absolute mass {mass}")
-            for d, x in string:
-                img = v + d.v
-                if vdeg + d.vdeg > bound or img not in residue:
-                    raise missing(m)
-                residue[img] -= c * x
-            if edges is not None:
+            budgets[i - 1] += cmass * tmass
+            # the deepest image comes last; a pending image is a term
+            missing = vdeg + string[-1][0].vdeg > bound
+            for d, x in () if missing else string:
+                image = v + d.v
+                entry = pending.get(image)
+                if entry is None:
+                    if image not in coeff:
+                        missing = True
+                        break
+                    entry = pending[image] = [0] * rank
+                entry[i - 1] += r * x
+            if missing:
+                failed, failure = i, (
+                    f"a string monomial expected below {window.text(m)} "
+                    f"is missing from the character")
+            elif budgets[i - 1] > mass:  # only an invalid character
+                failed, failure = i, (
+                    "the peel coefficients at t = 1 outweigh the "
+                    f"character's absolute mass {mass}")
+            elif edges is not None:
                 pairs = steps.get((i, roots))
                 if pairs is None:
                     pairs = steps[i, roots] = _string_steps(window, i, string)
                 for d1, d2, step in pairs:
                     edges[Monomial(v + d1.v, vdeg + d1.vdeg),
                           Monomial(v + d2.v, vdeg + d2.vdeg), i, step] = None
-        if any(residue.values()):
-            m = next(m for m in chi.terms if residue[m.v])
+        if c and len(shape) < rank and decoded.positive_mass(c) is None:
+            i = min(set(nodes) - set(shape))
+            if i < failed:
+                failed, failure = i, (f"negative peel coefficient "
+                                      f"{decoded[c]} at {window.text(m)}")
+        if failed == 1:
+            break
+    # a visited term that a later string reaches keeps a pending image
+    for i in range(1, failed):
+        if any(entry[i - 1] for entry in pending.values()):
+            m = next(m for m in chi.terms
+                     if m.v in pending and pending[m.v][i - 1])
             raise InconsistentExpansion(
                 f"direction {i}: decomposition does not close; leftover "
                 f"mass at {window.text(m)}")
+    if failure is not None:
+        raise InconsistentExpansion(f"direction {failed}: {failure}")
 
 
 def audit_expansion(chi: Character, shapes: list | None = None) -> None:

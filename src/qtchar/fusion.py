@@ -134,10 +134,22 @@ def twist_rows(chi1: Character, chi2: Character):
     for m1 in chi1.terms:
         members.setdefault(m1.v & mask, []).append(m1)
     nonzero1 = nonzero(chi1)
+    # each field of v1 moves up to its field of the window (whose keys and
+    # widths include chi1's), and fields that move by the same number of
+    # bits move as one mask: with equal widths, one mask per row at most,
+    # as a row of chi1's window lies inside one row of the window
+    moves: dict = {}  # bits moved -> the mask of the fields moved so
+    for key, k1 in src.slots.items():
+        shift = bits * slot(key) - src.bits * k1
+        moves[shift] = moves.get(shift, 0) | (1 << src.bits) - 1 << \
+            src.bits * k1
+    moves = sorted(moves.items())
 
     def left(terms):
         for m1 in terms:
-            yield m1, sum(a << bits * k for k, a in nonzero1(m1.v))
+            v1 = m1.v
+            yield m1, sum([(v1 & fields) << shift
+                           for shift, fields in moves])
 
     def classes():
         for key, terms in members.items():

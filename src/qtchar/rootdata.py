@@ -83,6 +83,40 @@ class RootDatum:
             x[i] = (rhs[i] - c[i][p] * x[p]) / diag[i]
         return tuple(int(v) for v in x)
 
+    @cached_property
+    def duals(self) -> tuple[int | None, ...]:
+        """j-bar for each node j: -w0 omega_j = omega_{j-bar}, w0 the
+        longest element of the Weyl group; all None if the walk below
+        does not end as it must.
+
+        The weight lambda = sum of j omega_j, its coordinates all apart, is
+        reflected down, by s_k at a node k with a positive coordinate,
+        until no coordinate is positive.  That is w0 lambda = -sum of
+        j omega_{j-bar}, so the coordinate at j-bar reads -j.  Each step
+        lowers lambda by its coordinate times alpha_k, which is that much
+        height, and the total is ht(lambda - w0 lambda), the sum of
+        j ``lowest_depths[j-1]``: the walk stops there, so it also ends
+        on a Cartan matrix whose Weyl group is infinite.  A step changes
+        only the neighbours of k, and a regular weight takes one step per
+        positive root.
+        """
+        c = self.cartan
+        weight = list(self.nodes)  # fundamental-weight coordinates
+        budget = sum(j * d for j, d in zip(self.nodes, self.lowest_depths))
+        todo = list(range(self.rank))  # nodes whose coordinate was raised
+        while todo and budget >= 0:
+            k = todo.pop()
+            a = weight[k]
+            if a > 0:
+                budget -= a
+                weight[k] = -a
+                for j in self.adjacency[k]:
+                    weight[j - 1] -= a * c[k][j - 1]
+                    todo.append(j - 1)
+        if budget or sorted(weight) != [-j for j in reversed(self.nodes)]:
+            return (None,) * self.rank
+        return tuple(weight.index(-j) + 1 for j in self.nodes)
+
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
 

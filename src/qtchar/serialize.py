@@ -30,16 +30,18 @@ term's ``v``, and one must have ``v = 0``.
 ``json.dumps(doc, indent=2)`` and a newline, with no document and no
 whole text held: each term is rendered from `Character.sorted_terms`,
 which joins its monomial text from the window's memoised row pieces in
-the pass that builds the order key.  Only the ``w`` block, each window
-field's quoted tag, and each distinct coefficient with its Jordan block
-are rendered once; the pieces go to ``fh.writelines``.  `character_to_doc`
-reads that text back, so the schema is rendered in one place.
+the pass that builds the order key.  Its ``v`` is joined the same way,
+from a memo keyed by a window row and that row's packed fields
+(`Window.row_parts`), so no term is scanned field by field.  The ``w``
+block, each window field's quoted tag, each distinct row part of ``v``
+and each distinct coefficient with its Jordan block are rendered once;
+the pieces go to ``fh.writelines``.  `character_to_doc` reads that text
+back, so the schema is rendered in one place.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .charalg import (
@@ -105,9 +107,10 @@ def _pieces(chi: Character, annotations: dict | None):
                        "orbits": list(window.orbits),
                        "highest": render_monomial(chi.w)}, indent=2)
     yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
+    bits = window.bits
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
-    slots = range(len(tags))
+    vtexts: dict = {}  # (row offset, row's fields) -> their part of v's text
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
@@ -123,8 +126,17 @@ def _pieces(chi: Character, annotations: dict | None):
                     "graded": list(profile.graded),
                 })
             coeffs[c] = coeff
-        f = window.fields(m.v)
-        v = ",".join([tags[k] + str(f[k]) for k in compress(slots, f)])
+        parts = []
+        for row in window.row_parts(m.v):
+            part = vtexts.get(row)
+            if part is None:
+                start, fields = row
+                part = vtexts[row] = ",".join([
+                    tags[k] + str(a) for k, a in enumerate(
+                        window.fields(fields, -(-fields.bit_length() // bits)),
+                        start // bits) if a])
+            parts.append(part)
+        v = ",".join(parts)
         v = "{" + v + "\n      }" if v else "{}"
         yield (f'{sep}{{\n      "monomial": {_quote(text)},\n      "w": {w},'
                f'\n      "v": {v},\n      "coeff": {coeff}\n    }}')

@@ -1,9 +1,11 @@
 import hashlib
+import random
+from operator import attrgetter
 
 import pytest
 
 from qtchar import fm
-from qtchar.charalg import HIGHEST, Character, Window
+from qtchar.charalg import HIGHEST, Character, Monomial, Window
 from qtchar.errors import InconsistentExpansion, NonMinuscule
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import standard_module_qt
@@ -13,7 +15,7 @@ from qtchar.fm import (
     string_edges,
 )
 from qtchar.rootdata import RootDatum, build_root_datum
-from qtchar.tpoly import TPoly, pack
+from qtchar.tpoly import Decoded, TPoly, lo_and_mass, pack
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -330,7 +332,8 @@ def doubled_direction_1(monkeypatch):
 def test_expansion_checks_directions_agree(monkeypatch):
     doubled_direction_1(monkeypatch)
     with pytest.raises(InconsistentExpansion,
-                       match="directions 1 and 2 disagree"):
+                       match=r"direction 1: leftover mass -1 at non-dominant "
+                       r"1_3\^-1 1_5\^-1 2_2"):
         fundamental_qt(D4, 2, 0)
 
 
@@ -339,8 +342,8 @@ def test_expansion_checks_the_degree_bound():
     depths = list(datum.lowest_depths)
     depths[1] -= 1
     datum.__dict__["lowest_depths"] = tuple(depths)
-    with pytest.raises(InconsistentExpansion, match=r"lowering degree 10 "
-                       r"passes the lowest weight \(degree 9\)"):
+    with pytest.raises(InconsistentExpansion, match=r"no lowest weight "
+                       r"Y_\{jbar,6\}\^-1 lies in the window at degree 9"):
         fundamental_qt(datum, 2, 0)
 
 
@@ -355,7 +358,7 @@ def test_expansion_checks_the_window():
     datum.__dict__["lowest_depths"] = tuple(
         d + 2 for d in a3.lowest_depths)
     with pytest.raises(InconsistentExpansion,
-                       match=r"the string of .* leaves the window"):
+                       match=r"no lowest weight .* at degree 5"):
         fundamental_qt(datum, 1, 0)
 
 
@@ -389,3 +392,270 @@ def test_expansion_checks_for_a_second_dominant_monomial(monkeypatch):
     with pytest.raises(NonMinuscule, match=r"second dominant monomial "
                        r"1_2\^-1 2_1"):
         fundamental_qt(A2, 1, 0)
+
+
+def test_expansion_checks_directions_agree_above_the_middle(monkeypatch):
+    # E6 node 2's doubled direction-1 images disagree with direction 2
+    # inside the expanded half
+    doubled_direction_1(monkeypatch)
+    with pytest.raises(InconsistentExpansion, match=r"directions 1 and 2 "
+                       r"disagree on the coefficient of 1_7\^-1 2_4\^-1 "
+                       r"3_3 5_3"):
+        fundamental_qt(E6, 2, 0)
+
+
+def test_expansion_checks_the_middle_layer(monkeypatch):
+    # D4 node 3 has bound 6: its doubled direction-1 images leave the
+    # expanded middle layer unequal to its own mirror
+    doubled_direction_1(monkeypatch)
+    with pytest.raises(InconsistentExpansion, match=r"the expanded layer of "
+                       r"degree 3 is not the mirror of the layer of degree 3"):
+        fundamental_qt(D4, 3, 0)
+
+
+def test_expansion_checks_the_window_above_the_middle():
+    # the cyclic "A3" of test_expansion_checks_the_window with a bound of
+    # 7: its first string that leaves the window starts above the middle
+    a3 = build_root_datum("A", 3)
+    adjacency = ((2, 3), (1, 3), (1, 2))
+    cartan = tuple(tuple(2 if i == j else -1 for j in range(3))
+                   for i in range(3))
+    datum = RootDatum("A", 3, cartan, adjacency)
+    datum.__dict__["lowest_depths"] = tuple(
+        d + 4 for d in a3.lowest_depths)
+    assert datum.duals == (None, None, None)
+    with pytest.raises(InconsistentExpansion,
+                       match=r"the string of .* leaves the window"):
+        fundamental_qt(datum, 1, 0)
+
+
+def test_expansion_checks_the_mirrored_half_for_dominant_monomials(
+        monkeypatch):
+    # a mirror shape without negative exponents below the middle layer
+    both = Window.node_roots_and_mirror
+
+    def dominant(window, m):
+        shape, mirror = both(window, m)
+        return shape, {i: r for i, r in mirror.items() if r is not None}
+
+    monkeypatch.setattr(Window, "node_roots_and_mirror", dominant)
+    with pytest.raises(NonMinuscule,
+                       match=r"second dominant monomial 2_3\^-1"):
+        fundamental_qt(A2, 1, 0)
+
+
+def test_expansion_stops_at_the_middle_layer(monkeypatch):
+    # every host lies at or above degree ceil(bound / 2), a mirror shape
+    # is taken only above degree bound // 2, and no string is applied at
+    # the middle layer itself
+    hosts, mirrored, strung = [], [], []
+    node_roots, both = Window.node_roots, Window.node_roots_and_mirror
+    string = fm._string
+
+    def spy_roots(window, m):
+        hosts.append(m.vdeg)
+        return node_roots(window, m)
+
+    def spy_both(window, m):
+        mirrored.append(m.vdeg)
+        return both(window, m)
+
+    def spy_string(window, i, roots, width, cache):
+        strung.append(width)
+        return string(window, i, roots, width, cache)
+
+    monkeypatch.setattr(Window, "node_roots", spy_roots)
+    monkeypatch.setattr(Window, "node_roots_and_mirror", spy_both)
+    monkeypatch.setattr(fm, "audit_expansion", lambda chi, shapes: None)
+    monkeypatch.setattr(fm, "_string", spy_string)
+    for datum, node in [(A1, 1), (A2, 1), (D4, 2), (D4, 3), (E6, 1)]:
+        hosts.clear(), mirrored.clear()
+        chi = fundamental_qt(datum, node, 0)
+        bound = chi.window.bound
+        mid = bound - bound // 2
+        degrees = sorted(m.vdeg for m in chi.terms)
+        assert sorted(hosts + mirrored) == [d for d in degrees if d <= mid]
+        assert max(mirrored) == bound // 2 - 1 if bound > 1 else \
+            mirrored == []
+        assert min(hosts) == bound // 2
+    assert set(strung) == {32}
+
+
+# -- references for the half-depth expansion and the one-pass peel -------
+
+def full_depth_qt(datum, node, shift=0):
+    """Reference: the expansion run layer by layer down to the lowest
+    weight, each direction checked at each term, not audited."""
+    window = Window(datum, {("a", node, shift): 1})
+    bound = window.bound
+    decoded = Decoded(32, 0)
+    layers = [{0: [0] * datum.rank}] + [{} for _ in range(bound)]
+    strings = {}
+    terms = {}
+    for vdeg in range(bound + 1):
+        layer, layers[vdeg] = layers[vdeg], None
+        for v, generated in layer.items():
+            m = Monomial(v, vdeg)
+            shape = window.node_roots(m)
+            pin = next((j for j, roots in shape.items() if roots is None),
+                       None)
+            assert (m == HIGHEST) == (pin is None)
+            coeff = 1 if pin is None else generated[pin - 1]
+            terms[m] = decoded[coeff]
+            for i, made in zip(datum.nodes, generated):
+                residual = coeff - made
+                if not residual:
+                    continue
+                roots = shape.get(i, ())
+                assert roots is not None
+                assert decoded.positive_mass(residual) is not None
+                if roots:
+                    _mass, string = fm._string(window, i, roots, 32, strings)
+                    for d, x in string:
+                        layers[vdeg + d.vdeg].setdefault(
+                            v + d.v, [0] * datum.rank)[i - 1] += residual * x
+    assert [terms[Monomial(v, bound)] for v in layer] == [1]
+    return Character(window, terms)
+
+
+def direction_major_peel(chi):
+    """Reference: the peel of `audit_expansion`, one direction at a time,
+    each walking every term; raises the first failure of the lowest
+    failing direction."""
+    window = chi.window
+    coeffs = chi.terms.values()
+    lo, mass = lo_and_mass(coeffs)
+    width = (2 * mass).bit_length() + 1
+    decoded = Decoded(width, lo)
+    packed = pack(coeffs, width, lo)
+    terms = sorted(chi.terms, key=attrgetter("vdeg"))
+    shapes = list(map(window.node_roots, terms))
+    strings = {}
+    for i in chi.datum.nodes:
+        residue = dict(zip(map(attrgetter("v"), chi.terms), packed))
+        budget = 0
+        for m, shape in zip(terms, shapes):
+            v, vdeg = m
+            c = residue[v]
+            if not c:
+                continue
+            roots = shape.get(i, ())
+            if roots is None:
+                raise InconsistentExpansion(
+                    f"direction {i}: leftover mass {decoded[c]} at "
+                    f"non-dominant {window.text(m)}")
+            cmass = decoded.positive_mass(c)
+            if cmass is None:
+                raise InconsistentExpansion(
+                    f"direction {i}: negative peel coefficient {decoded[c]} "
+                    f"at {window.text(m)}")
+            residue[v] = 0
+            if not roots:
+                continue
+            tmass, string = fm._string(window, i, roots, width, strings)
+            budget += cmass * tmass
+            if any(vdeg + d.vdeg > window.bound or v + d.v not in residue
+                   for d, _x in string):
+                raise InconsistentExpansion(
+                    f"direction {i}: a string monomial expected below "
+                    f"{window.text(m)} is missing from the character")
+            if budget > mass:
+                raise InconsistentExpansion(
+                    f"direction {i}: the peel coefficients at t = 1 "
+                    f"outweigh the character's absolute mass {mass}")
+            for d, x in string:
+                residue[v + d.v] -= c * x
+        if any(residue.values()):
+            m = next(m for m in chi.terms if residue[m.v])
+            raise InconsistentExpansion(
+                f"direction {i}: decomposition does not close; leftover "
+                f"mass at {window.text(m)}")
+
+
+def reference_modules():
+    """(datum, node) of every fundamental of A1-A8, D4-D8 and E6, and of
+    E7 but node 3."""
+    for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)),
+                          ("E", (6,))):
+        for rank in ranks:
+            datum = build_root_datum(family, rank)
+            for node in datum.nodes:
+                yield datum, node
+    e7 = build_root_datum("E", 7)
+    for node in (1, 2, 4, 5, 6, 7):
+        yield e7, node
+
+
+def test_half_depth_matches_full_depth(monkeypatch):
+    # term for term, coefficient for coefficient and in the same degree
+    # order; the mirrored half's handed shapes are its node_roots
+    handed = []
+    monkeypatch.setattr(fm, "audit_expansion",
+                        lambda chi, shapes: handed.append(shapes))
+    for datum, node in reference_modules():
+        chi = fundamental_qt(datum, node, 0)
+        full = full_depth_qt(datum, node, 0)
+        assert chi.terms == full.terms, (datum, node)
+        degrees = [m.vdeg for m in chi.terms]
+        assert degrees == sorted(degrees)
+        assert handed.pop() == list(map(chi.window.node_roots, chi.terms))
+
+
+def tampered_characters():
+    """Characters one or two coefficients away from fundamentals, or one
+    term short, in the order of chi.terms."""
+    values = [TPoly({0: -1}), TPoly(), TPoly({0: 2}), TPoly({2: 1}),
+              TPoly({0: 1, 2: 1}), TPoly({-2: 1}), None]
+    rng = random.Random(18)
+    for datum, node in [(A2, 1), (D4, 2), (E6, 1),
+                        (build_root_datum("A", 4), 2),
+                        (build_root_datum("D", 5), 4)]:
+        chi = fundamental_qt(datum, node, 0)
+        terms = list(chi.terms)
+        edits = [[(m, c)] for m in terms for c in values]
+        edits += [[(rng.choice(terms), rng.choice(values)),
+                   (rng.choice(terms), rng.choice(values))]
+                  for _ in range(60)]
+        for edit in edits:
+            out = dict(chi.terms)
+            for m, c in edit:
+                if c is None:
+                    out.pop(m, None)
+                else:
+                    out[m] = c
+            yield Character(chi.window, out)
+
+
+def test_one_pass_peel_raises_the_direction_major_error():
+    seen = set()
+    for chi in tampered_characters():
+        try:
+            direction_major_peel(chi)
+            want = None
+        except InconsistentExpansion as err:
+            want = str(err)
+        try:
+            audit_expansion(chi)
+            got = None
+        except InconsistentExpansion as err:
+            got = str(err)
+        assert got == want
+        seen.add(want.split(":")[1].split()[0] if want else None)
+    # leftover, negative, a (string ...) missing, the (peel ...) outweigh
+    assert seen >= {"leftover", "negative", "a", "the", None}
+
+
+def test_peel_checks_positivity_once_per_term(monkeypatch):
+    # A200 node 1: a term has rows at about 2 of the 200 nodes, and each
+    # row-less direction's residue is the term's coefficient
+    calls = []
+    positive_mass = Decoded.positive_mass
+
+    def counted(self, x):
+        calls.append(x)
+        return positive_mass(self, x)
+
+    monkeypatch.setattr(Decoded, "positive_mass", counted)
+    chi = fundamental_qt(build_root_datum("A", 200), 1, 0)
+    assert len(chi) == 201
+    assert len(calls) <= 10 * len(chi)

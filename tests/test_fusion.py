@@ -86,6 +86,37 @@ def test_twist_kernel_matches_reference():
             assert p == bb_twist(chi1.datum, chi1.w, v1s[m1], chi2.w, v2s[m2])
 
 
+def per_field_embedding(window, chi, v):
+    """Reference: a packed v of chi re-embedded field by field into the
+    window of a product."""
+    src = chi.window
+    return sum(a << window.bits * window.slots[key]
+               for key, a in zip(src.keys, src.fields(v)) if a)
+
+
+def test_left_terms_move_by_masks_as_the_per_field_rebuild():
+    # two orbits, gapped and four-factor D4 products, and a right factor
+    # whose w widens the product's fields from 8 to 16 bits
+    wide = Character(Window(A2, {("a", 1, 0): 300}), {HIGHEST: TPoly.one()})
+    for chi1, chi2 in [
+        (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1, orbit="b")),
+        (standard_module_qt(A2, [(1, 0), (2, 1, "b")]),
+         standard_module_qt(A2, [(1, 2), (1, 0, "b")])),
+        (standard_module_qt(D4, [(2, 0), (2, 8)]), fundamental_qt(D4, 2, 16)),
+        (standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)]),
+         fundamental_qt(D4, 2, 6)),
+        (fundamental_qt(A2, 1, 0), wide),
+    ]:
+        window, _right, classes = twist_rows(chi1, chi2)
+        assert (window.bits == 16) == (chi2 is wide)
+        seen = 0
+        for _ps, left in classes:
+            for m1, v1 in left:
+                assert v1 == per_field_embedding(window, chi1, m1.v)
+                seen += 1
+        assert seen == len(chi1)
+
+
 def test_twist_classes_of_the_cube_times_a_fourth_factor():
     # the 14638 left terms of D4 node 2 at 0,2,4 times node 2 at 6 restrict
     # to 23 distinct masks, so 23 rows of twists serve 14638 * 28 pairs

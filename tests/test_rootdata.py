@@ -4,7 +4,7 @@ import pytest
 
 from qtchar.errors import NodeOutOfRange, UnsupportedType
 from qtchar.fm import fundamental_qt
-from qtchar.rootdata import build_root_datum, parse_type
+from qtchar.rootdata import RootDatum, build_root_datum, parse_type
 
 ALL_SUPPORTED = (
     [("A", n) for n in range(1, 9)]
@@ -124,6 +124,38 @@ def test_lowest_depths_are_linear_in_the_rank():
     datum = build_root_datum("A", 2000)
     assert datum.lowest_depths == tuple(i * (2001 - i)
                                         for i in range(1, 2001))
+
+
+def test_duals_are_minus_w0():
+    # n + 1 - i on A_n; the fork leaves swap on D_odd and stay on D_even;
+    # on E6 nodes 1, 5 and 2, 4 swap, 3 and 6 stay; E7 and E8 fix all
+    for n in range(1, 13):
+        assert build_root_datum("A", n).duals == tuple(range(n, 0, -1))
+    assert build_root_datum("D", 5).duals == (1, 2, 3, 5, 4)
+    assert build_root_datum("D", 7).duals == (1, 2, 3, 4, 5, 7, 6)
+    assert build_root_datum("E", 6).duals == (5, 4, 3, 2, 1, 6)
+    for family, rank in [("D", 4), ("D", 6), ("D", 8), ("E", 7), ("E", 8)]:
+        datum = build_root_datum(family, rank)
+        assert datum.duals == tuple(datum.nodes)
+    # the walk takes one step per positive root, 20100 on A200
+    assert build_root_datum("A", 200).duals[:2] == (200, 199)
+
+
+def test_duals_end_on_an_infinite_weyl_group():
+    # a 1-3 edge closes A3's diagram into a cycle (affine A2): reflecting
+    # down never ends, but the walk stops at the lowering budget
+    a3 = build_root_datum("A", 3)
+    cartan = tuple(tuple(2 if i == j else -1 for j in range(3))
+                   for i in range(3))
+    for extra in (0, 2, 50):
+        datum = RootDatum("A", 3, cartan, ((2, 3), (1, 3), (1, 2)))
+        datum.__dict__["lowest_depths"] = tuple(
+            d + extra for d in a3.lowest_depths)
+        assert datum.duals == (None, None, None)
+    # a lowering budget off by one finds no lowest weight either
+    d4 = build_root_datum("D", 4)
+    d4.__dict__["lowest_depths"] = (6, 10, 6, 7)
+    assert d4.duals == (None,) * 4
 
 
 def test_node_out_of_range():

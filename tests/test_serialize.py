@@ -153,10 +153,34 @@ def _edited(draw, text: str) -> str:
     return text[:at] + draw(_TRICKY) + text[at:]
 
 
+def _coefficient_pairs(doc) -> list:
+    """The [t-exponent, integer] pairs of the terms' coefficients that are
+    still well formed in ``doc``."""
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    return [pair for term in terms if isinstance(term, dict)
+            and isinstance(term.get("coeff"), list)
+            for pair in term["coeff"] if isinstance(pair, list)
+            and len(pair) == 2 and all(type(x) is int for x in pair)
+            ] if isinstance(terms, list) else []
+
+
 @st.composite
 def _mutated_documents(draw):
     doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
     for _ in range(draw(st.integers(1, 3))):
+        # half the edits move an exponent, set a value or flip a sign of
+        # one coefficient, so that documents parse and reach the audit
+        pairs = _coefficient_pairs(doc)
+        if pairs and draw(st.booleans()):
+            pair = draw(st.sampled_from(pairs))
+            edit = draw(st.sampled_from(["exponent", "value", "sign"]))
+            if edit == "exponent":
+                pair[0] += draw(st.integers(-4, 4))
+            elif edit == "value":
+                pair[1] = draw(st.integers(-3, 3))
+            else:
+                pair[1] = -pair[1]
+            continue
         # walk down to a container, then change one of its entries
         node = doc
         while True:
