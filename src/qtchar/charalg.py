@@ -63,8 +63,10 @@ class Window:
     A monomial is read row by row off the packed parts of its ``y``.  One
     memo, keyed by a row and its fields of those parts, holds the row's
     record: its piece of the order key, of the text and of ``y`` (`label`,
-    `y`), its node and its node shape (`node_roots`).  So a term costs one
-    pass over the rows and not one over the fields.
+    `y`), its node and its node shape (`node_roots`), and the node and
+    shape of its mirror row (`node_roots_and_mirror`).  A record decodes
+    only its own row's fields.  So a term costs one pass over the rows and
+    not one over the fields.
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
@@ -152,15 +154,11 @@ class Window:
             out.byteswap()
         return out
 
-    def row_parts(self, v: int) -> list[tuple[int, int]]:
-        """(offset in bits, packed fields) of each nonzero row of a packed
-        vector, in field order."""
-        out = []
-        for _r, start, mask in self._row_masks:
-            part = v >> start & mask
-            if part:
-                out.append((start, part))
-        return out
+    def row_masks(self) -> list[tuple[int, int, int]]:
+        """(first field, offset in bits, mask) of each row, in field order:
+        ``v >> offset & mask`` packs the row's fields of a packed v."""
+        return [(start // self.bits, start, mask)
+                for _r, start, mask in self._row_masks]
 
     def v(self, m: Monomial) -> dict:
         """Lowering exponents of m as a map (orbit, node, shift) -> mult."""
@@ -272,9 +270,9 @@ class Window:
         The mirror of a row reverses its shifts, negates its exponents and
         moves it to the row of the dual node (`RootDatum.duals`): m maps
         under Y_{j,n} -> Y_{jbar,a+b-n}^-1, a and b the first and last
-        shift of the row.  On the window of one Y_{i,s} that
-        is the duality involution of `fm`; each record holds its mirror's
-        node and shape."""
+        shift of the row.  On the window of one Y_{i,s} that is the
+        duality involution of `fm`.  Each record holds its mirror's node
+        and shape."""
         records = self._row_records(m)
         return _node_shapes(records, 3), _node_shapes(records, 5)
 

@@ -32,7 +32,7 @@ whole text held: each term is rendered from `Character.sorted_terms`,
 which joins its monomial text from the window's memoised row pieces in
 the pass that builds the order key.  Its ``v`` is joined the same way,
 from a memo keyed by a window row and that row's packed fields
-(`Window.row_parts`), so no term is scanned field by field.  The ``w``
+(`Window.row_masks`), so no term is scanned field by field.  The ``w``
 block, each window field's quoted tag, each distinct row part of ``v``
 and each distinct coefficient with its Jordan block are rendered once;
 the pieces go to ``fh.writelines``.  `character_to_doc` reads that text
@@ -107,10 +107,10 @@ def _pieces(chi: Character, annotations: dict | None):
                        "orbits": list(window.orbits),
                        "highest": render_monomial(chi.w)}, indent=2)
     yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
-    bits = window.bits
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
-    vtexts: dict = {}  # (row offset, row's fields) -> their part of v's text
+    # each row's memo: its packed fields -> their part of v's text
+    rows = [(k, start, mask, {}) for k, start, mask in window.row_masks()]
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
@@ -127,15 +127,16 @@ def _pieces(chi: Character, annotations: dict | None):
                 })
             coeffs[c] = coeff
         parts = []
-        for row in window.row_parts(m.v):
-            part = vtexts.get(row)
-            if part is None:
-                start, fields = row
-                part = vtexts[row] = ",".join([
-                    tags[k] + str(a) for k, a in enumerate(
-                        window.fields(fields, -(-fields.bit_length() // bits)),
-                        start // bits) if a])
-            parts.append(part)
+        for k, start, mask, vtexts in rows:
+            fields = m.v >> start & mask
+            if fields:
+                part = vtexts.get(fields)
+                if part is None:
+                    part = vtexts[fields] = ",".join([
+                        tags[j] + str(a) for j, a in enumerate(window.fields(
+                            fields, mask.bit_length() // window.bits), k)
+                        if a])
+                parts.append(part)
         v = ",".join(parts)
         v = "{" + v + "\n      }" if v else "{}"
         yield (f'{sep}{{\n      "monomial": {_quote(text)},\n      "w": {w},'

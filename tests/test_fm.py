@@ -445,12 +445,10 @@ def test_expansion_checks_the_mirrored_half_for_dominant_monomials(
 
 
 def test_expansion_stops_at_the_middle_layer(monkeypatch):
-    # every host lies at or above degree ceil(bound / 2), a mirror shape
-    # is taken only above degree bound // 2, and no string is applied at
-    # the middle layer itself
-    hosts, mirrored, strung = [], [], []
+    # every host lies at or above degree ceil(bound / 2), and a mirror
+    # shape is taken only above degree bound // 2
+    hosts, mirrored = [], []
     node_roots, both = Window.node_roots, Window.node_roots_and_mirror
-    string = fm._string
 
     def spy_roots(window, m):
         hosts.append(m.vdeg)
@@ -460,14 +458,9 @@ def test_expansion_stops_at_the_middle_layer(monkeypatch):
         mirrored.append(m.vdeg)
         return both(window, m)
 
-    def spy_string(window, i, roots, width, cache):
-        strung.append(width)
-        return string(window, i, roots, width, cache)
-
     monkeypatch.setattr(Window, "node_roots", spy_roots)
     monkeypatch.setattr(Window, "node_roots_and_mirror", spy_both)
     monkeypatch.setattr(fm, "audit_expansion", lambda chi, shapes: None)
-    monkeypatch.setattr(fm, "_string", spy_string)
     for datum, node in [(A1, 1), (A2, 1), (D4, 2), (D4, 3), (E6, 1)]:
         hosts.clear(), mirrored.clear()
         chi = fundamental_qt(datum, node, 0)
@@ -478,7 +471,6 @@ def test_expansion_stops_at_the_middle_layer(monkeypatch):
         assert max(mirrored) == bound // 2 - 1 if bound > 1 else \
             mirrored == []
         assert min(hosts) == bound // 2
-    assert set(strung) == {32}
 
 
 # -- references for the half-depth expansion and the one-pass peel -------
