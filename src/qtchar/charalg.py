@@ -63,8 +63,8 @@ class Window:
     A monomial is read row by row off the packed parts of its ``y``.  One
     memo, keyed by a row and its fields of those parts, holds the row's
     record: its piece of the order key, of the text and of ``y`` (`label`,
-    `y`), its node and its node shape (`node_roots`), and the node and
-    shape of its mirror row (`node_roots_and_mirror`).  A record decodes
+    `y`), its node and its node shape (`node_roots`), and the shape of its
+    mirror row (`node_roots_and_mirror`).  A record decodes
     only its own row's fields.  So a term costs one pass over the rows and
     not one over the fields.
     """
@@ -236,8 +236,8 @@ class Window:
     def _row_record(self, r: int, p: int, q: int) -> tuple:
         # a row with Y-exponents p - q: its order-key units, text, Y-items,
         # node and node shape, None if an exponent is negative, else the
-        # (orbit, shift) of each exponent unit; then the node and node
-        # shape of its mirror row
+        # (orbit, shift) of each exponent unit; then the node shape of its
+        # mirror row, whose node is the dual of its own
         i, k, _stride, row = self._rows[r]
         es = list(map(sub, self.fields(p, len(row)), self.fields(q, len(row))))
         y = [(field, e) for field, e in enumerate(es, k) if e]
@@ -252,8 +252,7 @@ class Window:
             key for key, e in zip(row, reversed(es)) for _ in range(-e))
         return (units.tobytes(),
                 " ".join(factor_text(keys[field], e) for field, e in y),
-                tuple((keys[field], e) for field, e in y), i, shape,
-                self.datum.duals[i - 1], mirror)
+                tuple((keys[field], e) for field, e in y), i, shape, mirror)
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
@@ -262,7 +261,7 @@ class Window:
         `sl2.root_tuple`), its blocks merged.  Each row's shape is read
         from its record, and a node's rows come in field order: by orbit,
         then by block."""
-        return _node_shapes(self._row_records(m), 3)
+        return _node_shapes(self._row_records(m), 4)
 
     def node_roots_and_mirror(self, m: Monomial) -> tuple[dict, dict]:
         """`node_roots` of m and of its mirror, from one pass over m's rows.
@@ -271,10 +270,11 @@ class Window:
         moves it to the row of the dual node (`RootDatum.duals`): m maps
         under Y_{j,n} -> Y_{jbar,a+b-n}^-1, a and b the first and last
         shift of the row.  On the window of one Y_{i,s} that is the
-        duality involution of `fm`.  Each record holds its mirror's node
-        and shape."""
+        duality involution of `fm`.  Each record holds its mirror's
+        shape."""
         records = self._row_records(m)
-        return _node_shapes(records, 3), _node_shapes(records, 5)
+        return (_node_shapes(records, 4),
+                _node_shapes(records, 5, self.datum.duals))
 
     def shifted(self, delta: int) -> "Window":
         """The window of w shifted by ``delta``; packed v carry over."""
@@ -311,12 +311,14 @@ class Window:
                 f"w={render_monomial(self.w)})")
 
 
-def _node_shapes(records: list, at: int) -> dict:
-    # the node shapes of `node_roots`, from the (node, shape) pair at
-    # ``at`` of each row record
+def _node_shapes(records: list, at: int, duals=None) -> dict:
+    # the node shapes of `node_roots`, from the shape at ``at`` of each row
+    # record, at the record's node or, with ``duals``, at its dual
     out: dict = {}
     for record in records:
-        i, shape = record[at], record[at + 1]
+        i, shape = record[3], record[at]
+        if duals:
+            i = duals[i - 1]
         roots = out.get(i, ())
         if roots is not None:
             out[i] = None if shape is None else roots + shape
