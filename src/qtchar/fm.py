@@ -93,6 +93,7 @@ from .errors import (
     NonMinuscule,
     OutsideWindow,
 )
+from .gcpause import paused_gc
 from .rootdata import RootDatum
 from .sl2 import sl2_simple_qt
 from .tpoly import Decoded, lo_and_mass, pack
@@ -182,6 +183,7 @@ def _mirror(window: Window, low: int):
     return phi
 
 
+@paused_gc
 def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                    orbit: str = "a") -> Character:
     """q,t-character of the fundamental module with highest l-weight

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
 from .errors import NegativeTwist, QtCharError
+from .gcpause import paused_gc
 from .rootdata import RootDatum
 from .tpoly import Decoded, lo_and_mass, pack
 
@@ -170,12 +171,20 @@ def twist_rows(chi1: Character, chi2: Character):
     return window, right, classes()
 
 
+@paused_gc
 def twisted_product(datum: RootDatum, chi1: Character,
                     chi2: Character) -> Character:
     """Fuse two characters: coefficient of a product monomial is the sum
     over factorizations of t^{2p} times the product of factor coefficients,
     summed on packed integers (see the module docstring).  A monomial whose
-    coefficient cancels to zero is kept."""
+    coefficient cancels to zero is kept.
+
+    The terms come in the order of their first factorization m1 m2: class
+    by class of `twist_rows`, then m2 in chi2's order, then the class's m1
+    in chi1's order.  So the first term is HIGHEST when it is both
+    factors' first, and a later product with this one as a factor names
+    its NegativeTwist pairs, as `annotate_character` names undecodable
+    monomials, in this order."""
     if not chi1.datum == chi2.datum == datum:
         raise QtCharError(
             f"cannot multiply characters of {chi1.datum!r} and "
@@ -185,36 +194,31 @@ def twisted_product(datum: RootDatum, chi1: Character,
     lo2, mass2 = lo_and_mass(coeffs2)
     width = (mass1 * mass2).bit_length() + 1
     window, right, classes = twist_rows(chi1, chi2)
-    # the lowering degree rides above the packed v, so one add makes both
-    top = window.bits * len(window.keys)
-    right = [(v2 + (vdeg2 << top), x2) for (v2, vdeg2), x2
+    right = [(v2, vdeg2, x2) for (v2, vdeg2), x2
              in zip(right, pack(coeffs2, width, lo2))]
     terms1 = chi1.terms
     packed1 = dict(zip(coeffs1, pack(coeffs1, width, lo1)))
     step = 2 * width
-    acc: dict[int, int] = {}
+    acc: dict[Monomial, int] = {}
     get = acc.get
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     for ps, left in classes:
         # chi2 pre-shifted by this class's twists (t^{2p} is a shift by 2Wp)
         # and the class's own terms; both are dropped before the next class
-        table = [(v2, x2 << step * p) for (v2, x2), p in zip(right, ps)]
-        rows = [(v1 + (m1.vdeg << top), packed1[terms1[m1]])
-                for m1, v1 in left]
-        # right terms outermost: the accumulator's ints come out less
-        # fragmented (peak RSS of the D4 node-2 product 2 MB lower)
-        for v2, x2 in table:
-            for v1, x1 in rows:
-                v = v1 + v2
-                acc[v] = get(v, 0) + x1 * x2
+        table = [(v2, d2, x2 << step * p)
+                 for (v2, d2, x2), p in zip(right, ps)]
+        rows = [(v1, m1.vdeg, packed1[terms1[m1]]) for m1, v1 in left]
+        for v2, d2, x2 in table:
+            for v1, d1, x1 in rows:
+                m = new(Monomial, (v1 + v2, d1 + d2))
+                acc[m] = get(m, 0) + x1 * x2
     decoded = Decoded(width, lo1 + lo2)
-    terms = {}
-    mask = (1 << top) - 1
-    while acc:  # popping frees each packed key and sum once it is read
-        v, x = acc.popitem()
-        terms[Monomial(v & mask, v >> top)] = decoded[x]
-    return Character(window, terms)
+    for m, x in acc.items():  # in place: each packed sum is freed once read
+        acc[m] = decoded[x]
+    return Character(window, acc)
 
 
+@paused_gc
 def standard_module_qt(datum: RootDatum, factors) -> Character:
     """q,t-character of the standard module with the given fundamental
     factors; independent of the order in which factors are listed."""

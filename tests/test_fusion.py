@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -292,6 +293,26 @@ def test_packed_product_matches_dict_reference(pair):
     assert prod.terms == dict_product(chi1, chi2).terms
 
 
+def test_product_terms_come_in_first_factorization_order():
+    # the order of the first factorization m1 m2 of each monomial: class
+    # by class, then m2 in chi2's order, then the class's m1 in chi1's
+    # order; the factors start at HIGHEST, and so does the product
+    for chi1, chi2 in [
+        (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1)),
+        (standard_module_qt(D4, [(2, 0), (2, 2)]), fundamental_qt(D4, 1, 3)),
+    ]:
+        prod = twisted_product(chi1.datum, chi1, chi2)
+        assert next(iter(prod.terms)) == HIGHEST
+        _window, right, classes = twist_rows(chi1, chi2)
+        order = {}
+        for _ps, left in classes:
+            left = list(left)
+            for v2, vdeg2 in right:
+                for m1, v1 in left:
+                    order.setdefault(Monomial(v1 + v2, m1.vdeg + vdeg2))
+        assert list(prod.terms) == list(order)
+
+
 def test_packed_product_keeps_cancelled_monomial():
     # m1 m2 arises twice: c1(m1) c2(m2) t^2 + c1(m2) c2(m1) = 1 - 1
     chi = fundamental_qt(A2, 1, 0)
@@ -486,3 +507,18 @@ def test_d4_node2_cube_shares_coefficients():
     for c in coeffs:
         validate_poincare(c)
     assert validate_poincare.cache_info().misses == 32
+
+
+def test_d4_node2_cube_memory_peak():
+    # the traced peak of the cube was 3.48 MB when the accumulator was
+    # keyed on packed ints and split into Monomials after, and 2.92 MB
+    # keyed on the Monomials; the bound allows 13% over the latter
+    factors = [(2, 0), (2, 2), (2, 4)]
+    standard_module_qt(D4, factors)  # the rank-one templates are cached
+    tracemalloc.start()
+    try:
+        standard_module_qt(D4, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3e6
