@@ -28,8 +28,10 @@ a_e 2^(W (e - lo)), lo the factor's lowest t-exponent, and t^{2p} is a
 shift by 2Wp.  The twist p(m1, .) depends on m1 only through a few fields
 of v1 (`twist_rows`), so the terms of the left factor fall into classes
 that share one row of twists: each class shifts the right factor's packed
-coefficients once into a table, and a pair costs one add of packed keys,
-one lookup, one multiply and one store.  The width W is derived, not
+coefficients once into a table.  A pair costs one add of packed v, one
+add of degrees, one lookup, one multiply and one store: the sums make the
+product's Monomial, which keys the accumulator as it keys the result, so
+no key is split or rebuilt after the loop.  The width W is derived, not
 set: no digit of any partial sum exceeds A1 A2 in size, A the absolute
 mass sum |a| of a factor over all its terms, so W = (A1 A2).bit_length()
 + 1 keeps signed digits from carrying into one another, for Laurent,
@@ -182,9 +184,9 @@ def twisted_product(datum: RootDatum, chi1: Character,
     The terms come in the order of their first factorization m1 m2: class
     by class of `twist_rows`, then m2 in chi2's order, then the class's m1
     in chi1's order.  So the first term is HIGHEST when it is both
-    factors' first, and a later product with this one as a factor names
-    its NegativeTwist pairs, as `annotate_character` names undecodable
-    monomials, in this order."""
+    factors' first.  `annotate_character` names the first monomial in this
+    order whose coefficient does not decode, and NegativeTwist the first
+    failing pair in it when the product is a factor again."""
     if not chi1.datum == chi2.datum == datum:
         raise QtCharError(
             f"cannot multiply characters of {chi1.datum!r} and "

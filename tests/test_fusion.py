@@ -510,9 +510,9 @@ def test_d4_node2_cube_shares_coefficients():
 
 
 def test_d4_node2_cube_memory_peak():
-    # the traced peak of the cube was 3.48 MB when the accumulator was
-    # keyed on packed ints and split into Monomials after, and 2.92 MB
-    # keyed on the Monomials; the bound allows 13% over the latter
+    # the traced peak is 2.92 MB with the accumulator keyed on the
+    # result's Monomials; the bound allows 13% over it and stays below
+    # the 3.48 MB of splitting packed int keys into Monomials after
     factors = [(2, 0), (2, 2), (2, 4)]
     standard_module_qt(D4, factors)  # the rank-one templates are cached
     tracemalloc.start()
