@@ -10,12 +10,14 @@ keyed by (orbit, node, shift).
 Every monomial of a character is its highest monomial Y^w times one
 inverse A-variable per unit of its lowering exponents v, with A_{i,n} =
 Y_{i,n-1} Y_{i,n+1} prod_{j~i} Y_{j,n}^{-1}.  All terms share ``w``, so a
-`Character` keeps it once, in its `Window`, and a `Monomial` is ``v``
-packed into one integer over the window's fields, with its sum ``vdeg``.
-A-variables are algebraically independent, so for a fixed ``w`` the
-vector ``v`` fixes the Y-exponents ``y``: monomials hash and compare on
-``v``, ``y`` is derived, and multiplying monomials is adding integers.
-Compare monomials within one character, or across equal ``w``.
+`Character` keeps it once, in its `Window`, and a `Monomial` is one
+integer: ``v`` packed over the window's fields, above a ``DEG_BITS``-bit
+field that holds its sum ``vdeg``.  A-variables are algebraically
+independent, so for a fixed ``w`` the vector ``v`` fixes the Y-exponents
+``y``: monomials hash and compare as integers, ``y`` is derived, and
+multiplying two monomials is one integer add, which sums the degrees
+with the vectors.  Compare monomials within one character, or across
+equal ``w``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 from array import array
 from itertools import chain, compress
 from operator import itemgetter, sub
-from typing import NamedTuple
 
 from .errors import OutsideWindow, ParseError, NodeOutOfRange
 from .rootdata import RootDatum
@@ -36,14 +37,32 @@ DEFAULT_ORBIT = "a"
 _TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-class Monomial(NamedTuple):
-    """An l-weight label: packed lowering vector and lowering degree."""
-
-    v: int
-    vdeg: int
+DEG_BITS = 32  # the low bits of a monomial: its lowering degree
+DEG_MASK = (1 << DEG_BITS) - 1
 
 
-HIGHEST = Monomial(0, 0)
+class Monomial(int):
+    """An l-weight label: the packed lowering vector ``v`` shifted above
+    the lowering degree ``vdeg``, ``v << DEG_BITS | vdeg``.
+
+    The degree field of a `Window` holds twice its ``bound``, so the sum
+    of two of its monomials has the sum of their degrees in the low bits.
+    When that is at most ``bound``, every field of ``v`` holds at most
+    ``bound`` and none carries either: the sum is their product.
+    Arithmetic gives plain ints; ``Monomial(x)`` makes one a term key."""
+
+    __slots__ = ()
+
+    @property
+    def v(self) -> int:
+        return self >> DEG_BITS
+
+    @property
+    def vdeg(self) -> int:
+        return self & DEG_MASK
+
+
+HIGHEST = Monomial(0)
 
 
 class Window:
@@ -58,7 +77,9 @@ class Window:
     ``y`` is computed on the packed integer: a one-field shift moves
     v[i,n] to (i, n-1) or (i, n+1), and row copies move it to the
     neighbours of i.  Fields hold ``bound``, the largest lowering degree
-    ``w`` allows; ``slots`` maps each key ``v`` may occupy to its field.
+    ``w`` allows, and the degree field of a `Monomial` twice that, else
+    the window raises OutsideWindow; ``slots`` maps each key ``v`` may
+    occupy to its field.
 
     A monomial is read row by row off the packed parts of its ``y``.  One
     memo, keyed by a row and its fields of those parts, holds the row's
@@ -74,6 +95,11 @@ class Window:
                  "_row_masks", "_keysize", "_records")
 
     def __init__(self, datum: RootDatum, w: dict):
+        self.bound = sum(m * datum.lowest_depths[i - 1]
+                         for (_o, i, _n), m in w.items())
+        if 2 * self.bound >> DEG_BITS:
+            raise OutsideWindow(f"lowering degree {self.bound} overflows "
+                                f"the {DEG_BITS}-bit degree field")
         self.datum = datum
         self.w = {k: m for k, m in sorted(w.items()) if m}
         self.orbits = tuple(sorted({o for o, _i, _n in self.w}))
@@ -85,8 +111,6 @@ class Window:
                 blocks[-1][1] = max(blocks[-1][1], s + h - 1)
             else:
                 blocks.append([s + 1, s + h - 1])
-        self.bound = sum(m * datum.lowest_depths[i - 1]
-                         for (_o, i, _n), m in self.w.items())
         # a field holds v (<= bound), and w plus neighbouring v for y
         need = max(self.w.values(), default=0) + self.bound
         size = self._size(need)
@@ -143,7 +167,7 @@ class Window:
             vdeg += a
         if vdeg > self.bound:
             raise OutsideWindow(f"degree {vdeg} > {self.bound} in {self!r}")
-        return Monomial(packed, vdeg)
+        return Monomial(packed << DEG_BITS | vdeg)
 
     def fields(self, v: int, count: int | None = None) -> array:
         """Every field of a packed vector, in slot order; only the first
@@ -162,7 +186,7 @@ class Window:
 
     def v(self, m: Monomial) -> dict:
         """Lowering exponents of m as a map (orbit, node, shift) -> mult."""
-        f = self.fields(m.v)
+        f = self.fields(m >> DEG_BITS)
         return dict(zip(compress(self.keys, f), filter(None, f)))
 
     def _yparts(self, v: int) -> tuple[int, int]:
@@ -215,13 +239,13 @@ class Window:
         Keys of different windows do not compare.
         """
         records = self._row_records(m)
-        return (m.vdeg.to_bytes(self._keysize, "big")
+        return ((m & DEG_MASK).to_bytes(self._keysize, "big")
                 + b"".join([record[0] for record in records]),
                 " ".join([record[1] for record in records]) or "1")
 
     def _row_records(self, m: Monomial) -> list:
         # the records of m's rows with a nonzero Y-exponent, in field order
-        plus, minus = self._yparts(m.v)
+        plus, minus = self._yparts(m >> DEG_BITS)
         records = self._records
         out = []
         for r, start, mask in self._row_masks:

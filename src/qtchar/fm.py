@@ -84,9 +84,7 @@ most mass(c) mass(tc).
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-from .charalg import HIGHEST, Character, Monomial, Window
+from .charalg import DEG_BITS, DEG_MASK, HIGHEST, Character, Monomial, Window
 from .errors import (
     InconsistentExpansion,
     NodeOutOfRange,
@@ -104,20 +102,21 @@ _WIDTH = 32  # digit width of the expansion's packed coefficients
 def _string(window: Window, i: int, roots: tuple, width: int,
             cache: dict) -> tuple[int, list]:
     """The rank-one template of ``roots`` embedded in direction i: its mass
-    at t = 1 and, by lowering degree, its (packed lowering, packed template
-    coefficient) pairs for every template monomial but the highest.
-    Adding the lowering to a host monomial gives the image of that
-    monomial; the highest, whose coefficient must be 1, maps to the host
-    itself.  An image's node-i row is its template monomial's, so a
-    template without the monomial 1, which is checked too, gives every
-    image a row at node i.  ``cache`` holds one width."""
+    at t = 1 and, by lowering degree, its (lowering monomial, packed
+    template coefficient) pairs for every template monomial but the
+    highest.  Adding the lowering to a host monomial gives the image of
+    that monomial, its degree included; the highest, whose coefficient
+    must be 1, maps to the host itself.  An image's node-i row is its
+    template monomial's, so a template without the monomial 1, which is
+    checked too, gives every image a row at node i.  ``cache`` holds one
+    width."""
     out = cache.get((i, roots))
     if out is None:
         template = sl2_simple_qt(roots)
         tv = template.window.v
         pairs = sorted(zip(template.terms,
                            pack(template.terms.values(), width, 0)),
-                       key=lambda pair: pair[0].vdeg)
+                       key=lambda pair: pair[0] & DEG_MASK)
         if pairs[0] != (HIGHEST, 1) or not all(
                 map(template.window.y, template.terms)):
             raise InconsistentExpansion(
@@ -140,34 +139,38 @@ def _string_steps(window: Window, i: int, string: list) -> list:
     """The single lowering steps inside a string of `_string`, as
     (d1, d2, (orbit, n)) with d2 = d1 times A_{i, orbit n}^{-1}.
 
-    Such a pair differs by one unit in the field (orbit, i, n): d2.v - d1.v
-    is that field's unit.  A difference of one unit with a carry out of a
-    field would change the lowering degree by other than +1, so checking
-    d2.vdeg = d1.vdeg + 1 as well leaves no other pair."""
-    unit = {1 << window.bits * k: (o, n)
+    Such a pair differs by the monomial A_{i, orbit n}^{-1}: one unit in
+    the field (orbit, i, n) and one in the degree.  Two degrees of a
+    window differ by less than half the degree field's range (see
+    `Monomial`), so d2 - d1 is that monomial exactly when d2.v - d1.v is
+    the field's unit and d2.vdeg = d1.vdeg + 1.  A difference of one unit
+    with a carry out of a field would change the lowering degree by other
+    than +1, which leaves no other pair."""
+    unit = {(1 << window.bits * k << DEG_BITS) + 1: (o, n)
             for (o, j, n), k in window.slots.items() if j == i}
     lowerings = [HIGHEST] + [d for d, _x in string]
-    return [(d1, d2, unit[d2.v - d1.v])
-            for d1 in lowerings for d2 in lowerings
-            if d2.vdeg == d1.vdeg + 1 and d2.v - d1.v in unit]
+    return [(d1, d2, unit[d2 - d1])
+            for d1 in lowerings for d2 in lowerings if d2 - d1 in unit]
 
 
-def _mirror(window: Window, low: int):
-    """The duality involution on the packed lowering vectors of the window
-    of one Y_{i,s}: v -> low - sigma(v), sigma reversing each node's row
-    and moving it to the dual node's row, ``low`` the lowest weight's v.
-    Each row's part is computed once per distinct row; raises
-    InconsistentExpansion where a field of the image would be negative."""
+def _mirror(window: Window, low: Monomial):
+    """The duality involution on the monomials of the window of one
+    Y_{i,s}: v -> low.v - sigma(v), sigma reversing each node's row and
+    moving it to the dual node's row, and vdeg -> low.vdeg - vdeg, ``low``
+    the lowest weight.  Each row's part is computed once per distinct row;
+    raises InconsistentExpansion where a field of the image would be
+    negative."""
     datum, b = window.datum, window.bits
     size = len(window.keys) // datum.rank  # the fields of a node's row
     mask = (1 << b * size) - 1
-    rows = [(b * size * (i - 1), b * size * (j - 1), {})
-            for i, j in zip(datum.nodes, datum.duals)]
+    rows = [(b * size * (i - 1) + DEG_BITS, b * size * (j - 1) + DEG_BITS,
+             {}) for i, j in zip(datum.nodes, datum.duals)]
+    bound = low & DEG_MASK
 
-    def phi(v: int) -> int:
-        out = 0
+    def phi(m: int) -> int:
+        out = bound - (m & DEG_MASK)
         for start, dual, memo in rows:
-            part = v >> start & mask
+            part = m >> start & mask
             x = memo.get(part)
             if x is None:
                 high = low >> dual & mask
@@ -208,22 +211,22 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     rank = datum.rank
     decoded = Decoded(_WIDTH, 0)
     half = 1 << _WIDTH - 1
-    # layers[d]: packed v of degree d -> the packed coefficient each
+    # layers[d]: monomial of degree d -> the packed coefficient each
     # direction generated there; images lie strictly deeper than their
     # host, so a layer is complete when it is reached
-    layers = [{0: [0] * rank}] + [{} for _ in range(mid)]
+    layers = [{HIGHEST: [0] * rank}] + [{} for _ in range(mid)]
     strings: dict = {}
     budget = 0
     terms: dict = {}
     shapes = []  # `Window.node_roots` of each term, aligned with terms
-    upper = []  # (v, coefficient, mirror's shape) of each term mirrored
+    upper = []  # (m, coefficient, mirror's shape) of each term mirrored
     starts = []  # where each degree's terms start in terms and upper
 
     for vdeg in range(mid + 1):
         layer, layers[vdeg] = layers[vdeg], None
         starts.append(len(shapes))
-        for v, generated in layer.items():
-            m = Monomial(v, vdeg)
+        for key, generated in layer.items():
+            m = Monomial(key)
             if vdeg < mirrored:
                 shape, mirror = window.node_roots_and_mirror(m)
             else:
@@ -245,7 +248,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
             terms[m] = c = decoded[coeff]
             shapes.append(shape)
             if vdeg < mirrored:
-                upper.append((v, c, mirror))
+                upper.append((m, c, mirror))
             # no string reaches m in a direction where m has no row, so
             # the residual there is coeff: one check for all of them
             if len(shape) < rank and decoded.positive_mass(coeff) is None:
@@ -276,10 +279,10 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                         f"coefficient budget {budget} overruns the "
                         f"{_WIDTH}-bit digits at {window.text(m)}")
                 for d, x in string:
-                    ivdeg = vdeg + d.vdeg
+                    image = m + d
+                    ivdeg = image & DEG_MASK
                     if ivdeg > mid:
                         break
-                    image = v + d.v
                     entry = layers[ivdeg].get(image)
                     if entry is None:
                         entry = layers[ivdeg][image] = [0] * rank
@@ -296,17 +299,17 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
         raise InconsistentExpansion(
             f"no lowest weight Y_{{{jbar or 'jbar'},{end}}}^-1 lies in the "
             f"window at degree {bound}")
-    phi = _mirror(window, low.v)
+    phi = _mirror(window, low)
     expanded = list(terms.items())
-    if {phi(m.v): c for m, c in expanded[starts[mirrored]:
-                                        starts[mirrored + 1]]} != {
-            m.v: c for m, c in expanded[starts[mid]:]}:
+    if {phi(m): c for m, c in expanded[starts[mirrored]:
+                                      starts[mirrored + 1]]} != dict(
+            expanded[starts[mid]:]):
         raise InconsistentExpansion(
             f"the expanded layer of degree {mid} is not the mirror of the "
             f"layer of degree {mirrored}")
     for d in reversed(range(mirrored)):
-        for v, c, mirror in upper[starts[d]:starts[d + 1]]:
-            m = Monomial(phi(v), bound - d)
+        for src, c, mirror in upper[starts[d]:starts[d + 1]]:
+            m = Monomial(phi(src))
             if None not in mirror.values():
                 raise NonMinuscule(
                     f"second dominant monomial {window.text(m)}; the "
@@ -346,24 +349,22 @@ def _peel(chi: Character, shapes: list | None = None,
     lo, mass = lo_and_mass(coeffs)
     width = (2 * mass).bit_length() + 1
     decoded = Decoded(width, lo)
-    coeff = dict(zip(map(attrgetter("v"), chi.terms),
-                     pack(coeffs, width, lo)))
+    coeff = dict(zip(chi.terms, pack(coeffs, width, lo)))
     bound = window.bound
     nodes = chi.datum.nodes
     rank = len(nodes)
-    terms = sorted(chi.terms, key=attrgetter("vdeg"))
+    terms = sorted(chi.terms, key=DEG_MASK.__and__)
     if shapes is None:
         shapes = list(map(window.node_roots, terms))
     strings: dict = {}
     steps: dict = {}  # (i, roots) -> `_string_steps`, for ``edges`` only
-    pending: dict = {}  # v -> what each direction subtracted there
+    pending: dict = {}  # monomial -> what each direction subtracted there
     budgets = [0] * rank
     failed, failure = rank + 1, None  # the lowest failing direction
 
     for m, shape in zip(terms, shapes):
-        v, vdeg = m
-        c = coeff[v]
-        taken = pending.pop(v, None)
+        c = coeff[m]
+        taken = pending.pop(m, None)
         for i, roots in shape.items():
             if i >= failed:
                 continue
@@ -384,9 +385,9 @@ def _peel(chi: Character, shapes: list | None = None,
             tmass, string = _string(window, i, roots, width, strings)
             budgets[i - 1] += cmass * tmass
             # the deepest image comes last; a pending image is a term
-            missing = vdeg + string[-1][0].vdeg > bound
+            missing = (m & DEG_MASK) + (string[-1][0] & DEG_MASK) > bound
             for d, x in () if missing else string:
-                image = v + d.v
+                image = m + d
                 entry = pending.get(image)
                 if entry is None:
                     if image not in coeff:
@@ -407,8 +408,7 @@ def _peel(chi: Character, shapes: list | None = None,
                 if pairs is None:
                     pairs = steps[i, roots] = _string_steps(window, i, string)
                 for d1, d2, step in pairs:
-                    edges[Monomial(v + d1.v, vdeg + d1.vdeg),
-                          Monomial(v + d2.v, vdeg + d2.vdeg), i, step] = None
+                    edges[Monomial(m + d1), Monomial(m + d2), i, step] = None
         if c and len(shape) < rank and decoded.positive_mass(c) is None:
             i = min(set(nodes) - set(shape))
             if i < failed:
@@ -420,7 +420,7 @@ def _peel(chi: Character, shapes: list | None = None,
     for i in range(1, failed):
         if any(entry[i - 1] for entry in pending.values()):
             m = next(m for m in chi.terms
-                     if m.v in pending and pending[m.v][i - 1])
+                     if m in pending and pending[m][i - 1])
             raise InconsistentExpansion(
                 f"direction {i}: decomposition does not close; leftover "
                 f"mass at {window.text(m)}")

@@ -28,10 +28,12 @@ a_e 2^(W (e - lo)), lo the factor's lowest t-exponent, and t^{2p} is a
 shift by 2Wp.  The twist p(m1, .) depends on m1 only through a few fields
 of v1 (`twist_rows`), so the terms of the left factor fall into classes
 that share one row of twists: each class shifts the right factor's packed
-coefficients once into a table.  A pair costs one add of packed v, one
-add of degrees, one lookup, one multiply and one store: the sums make the
-product's Monomial, which keys the accumulator as it keys the result, so
-no key is split or rebuilt after the loop.  The width W is derived, not
+coefficients once into a table.  Both factors' monomials are re-embedded
+into the product's window, where a monomial is one integer and their sum
+is the product monomial, degree included (`charalg.Monomial`).  A pair
+costs one add, one lookup, one multiply and one store: the sum, made a
+Monomial, keys the accumulator as it keys the result, so no key is split
+or rebuilt after the loop.  The width W is derived, not
 set: no digit of any partial sum exceeds A1 A2 in size, A the absolute
 mass sum |a| of a factor over all its terms, so W = (A1 A2).bit_length()
 + 1 keeps signed digits from carrying into one another, for Laurent,
@@ -44,7 +46,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
+from .charalg import (
+    DEFAULT_ORBIT,
+    DEG_BITS,
+    DEG_MASK,
+    Character,
+    Monomial,
+    Window,
+)
 from .errors import NegativeTwist, QtCharError
 from .gcpause import paused_gc
 from .rootdata import RootDatum
@@ -87,11 +96,11 @@ def twist_rows(chi1: Character, chi2: Character):
     terms are grouped by the mask taken in chi1's own window, and each is
     re-embedded only when its class comes up.
 
-    Returns (window, right, classes): ``right`` lists (v2, vdeg2) for the
-    terms of chi2, packed in the window, and ``classes`` yields (ps, left)
-    for each class in order of first appearance, where ps[k] is the twist
-    of the class against right[k] and ``left`` yields (m1, v1) for the
-    class's terms in chi1's order, v1 packed in the window.  Raises
+    Returns (window, right, classes): ``right`` lists the terms of chi2 as
+    monomials of the window, and ``classes`` yields (ps, left) for each
+    class in order of first appearance, where ps[k] is the twist of the
+    class against right[k] and ``left`` yields (m1, k1) for the class's
+    terms in chi1's order, k1 the monomial m1 of the window.  Raises
     NegativeTwist on a pair with p < 0, naming the first such pair in
     chi1's and chi2's order.
     """
@@ -111,19 +120,20 @@ def twist_rows(chi1: Character, chi2: Character):
         pairing.append(tuple((k, s) for k, s in row if k is not None))
 
     def nonzero(chi):
-        """The nonzero fields of a packed v of chi, as (field of the
+        """The nonzero fields of v of a monomial of chi, as (field of the
         window, exponent) pairs."""
         src = chi.window
         moved = [slot(key) for key in src.keys]
-        return lambda v: [(moved[k], a)
-                          for k, a in enumerate(src.fields(v)) if a]
+        return lambda m: [(moved[k], a) for k, a
+                          in enumerate(src.fields(m >> DEG_BITS)) if a]
 
     right = []
     dots = []  # fields of v2, each repeated by its exponent
     nonzero2 = nonzero(chi2)
     for m2 in chi2.terms:
-        nz = nonzero2(m2.v)
-        right.append((sum(a << bits * k for k, a in nz), m2.vdeg))
+        nz = nonzero2(m2)
+        right.append((sum(a << bits * k for k, a in nz) << DEG_BITS)
+                     + (m2 & DEG_MASK))
         dots.append(tuple(k for k, a in nz for _ in range(a)))
     read = {k for ks in dots for k in ks}
     src = chi1.window
@@ -132,27 +142,27 @@ def twist_rows(chi1: Character, chi2: Character):
         k = slot(key)
         if k is not None and (w2_below[k] or
                               any(k2 in read for k2, _s in pairing[k])):
-            mask |= (1 << src.bits) - 1 << src.bits * k1
-    members: dict[int, list] = {}  # v1 & mask -> the terms of chi1
+            mask |= (1 << src.bits) - 1 << src.bits * k1 + DEG_BITS
+    members: dict[int, list] = {}  # m1 & mask -> the terms of chi1
     for m1 in chi1.terms:
-        members.setdefault(m1.v & mask, []).append(m1)
+        members.setdefault(m1 & mask, []).append(m1)
     nonzero1 = nonzero(chi1)
     # each field of v1 moves up to its field of the window (whose keys and
     # widths include chi1's), and fields that move by the same number of
     # bits move as one mask: with equal widths, one mask per row at most,
-    # as a row of chi1's window lies inside one row of the window
-    moves: dict = {}  # bits moved -> the mask of the fields moved so
+    # as a row of chi1's window lies inside one row of the window; the
+    # degree stays where it is
+    moves: dict = {0: DEG_MASK}  # bits moved -> the mask of the bits moved
     for key, k1 in src.slots.items():
         shift = bits * slot(key) - src.bits * k1
         moves[shift] = moves.get(shift, 0) | (1 << src.bits) - 1 << \
-            src.bits * k1
+            src.bits * k1 + DEG_BITS
     moves = sorted(moves.items())
 
     def left(terms):
         for m1 in terms:
-            v1 = m1.v
-            yield m1, sum([(v1 & fields) << shift
-                           for shift, fields in moves])
+            yield m1, sum([(m1 & bits_moved) << shift
+                           for shift, bits_moved in moves])
 
     def classes():
         for key, terms in members.items():
@@ -196,23 +206,20 @@ def twisted_product(datum: RootDatum, chi1: Character,
     lo2, mass2 = lo_and_mass(coeffs2)
     width = (mass1 * mass2).bit_length() + 1
     window, right, classes = twist_rows(chi1, chi2)
-    right = [(v2, vdeg2, x2) for (v2, vdeg2), x2
-             in zip(right, pack(coeffs2, width, lo2))]
+    right = list(zip(right, pack(coeffs2, width, lo2)))
     terms1 = chi1.terms
     packed1 = dict(zip(coeffs1, pack(coeffs1, width, lo1)))
     step = 2 * width
     acc: dict[Monomial, int] = {}
     get = acc.get
-    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     for ps, left in classes:
         # chi2 pre-shifted by this class's twists (t^{2p} is a shift by 2Wp)
         # and the class's own terms; both are dropped before the next class
-        table = [(v2, d2, x2 << step * p)
-                 for (v2, d2, x2), p in zip(right, ps)]
-        rows = [(v1, m1.vdeg, packed1[terms1[m1]]) for m1, v1 in left]
-        for v2, d2, x2 in table:
-            for v1, d1, x1 in rows:
-                m = new(Monomial, (v1 + v2, d1 + d2))
+        table = [(k2, x2 << step * p) for (k2, x2), p in zip(right, ps)]
+        rows = [(k1, packed1[terms1[m1]]) for m1, k1 in left]
+        for k2, x2 in table:
+            for k1, x1 in rows:
+                m = Monomial(k1 + k2)
                 acc[m] = get(m, 0) + x1 * x2
     decoded = Decoded(width, lo1 + lo2)
     for m, x in acc.items():  # in place: each packed sum is freed once read

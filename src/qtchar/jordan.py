@@ -45,10 +45,6 @@ def sigma(n: int, k: int) -> int:
     return n // 2 + (k + 1) // 2
 
 
-def sigma_permutation(n: int) -> tuple[int, ...]:
-    return tuple(sigma(n, k) for k in range(n + 1))
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """The hard-Lefschetz checks a coefficient fails; true if none."""

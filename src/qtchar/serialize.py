@@ -45,6 +45,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .charalg import (
+    DEG_BITS,
     HIGHEST,
     Character,
     Window,
@@ -54,6 +55,7 @@ from .charalg import (
     render_monomial,
 )
 from .errors import OutsideWindow, ParseError
+from .gcpause import paused_gc
 from .rootdata import parse_type
 from .tpoly import TPoly
 
@@ -86,6 +88,7 @@ def _parse_coeff(pairs) -> TPoly:
     return TPoly.from_pairs(pairs)
 
 
+@paused_gc
 def write_character(chi: Character, annotations: dict | None,
                     fh) -> None:
     """Write the character document to the text file ``fh`` term by term:
@@ -95,22 +98,38 @@ def write_character(chi: Character, annotations: dict | None,
     fh.writelines(_pieces(chi, annotations))
 
 
-def _nested(value) -> str:
-    """``json.dumps(value, indent=2)`` for a value of a term's field."""
-    return json.dumps(value, indent=2).replace("\n", "\n      ")
+def _nested(value, pad: str = "\n      ") -> str:
+    """``json.dumps(value, indent=2)`` for a value ``pad`` deep: a term's
+    field by default.  Rendered directly, as `json`'s indenting encoder is
+    pure Python and leaves reference cycles behind each call."""
+    if isinstance(value, dict):
+        items = [_quote(key) + ": " + _nested(x, pad + "  ")
+                 for key, x in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_nested(x, pad + "  ") for x in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return (brackets[0] + inner + ("," + inner).join(items) + pad
+            + brackets[1])
 
 
 def _pieces(chi: Character, annotations: dict | None):
     """The document's text: the head, one piece per term, the tail."""
     window = chi.window
-    head = json.dumps({"type": f"{chi.datum.family}{chi.datum.rank}",
-                       "orbits": list(window.orbits),
-                       "highest": render_monomial(chi.w)}, indent=2)
+    head = _nested({"type": f"{chi.datum.family}{chi.datum.rank}",
+                    "orbits": list(window.orbits),
+                    "highest": render_monomial(chi.w)}, "\n")
     yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
     # each row's memo: its packed fields -> their part of v's text
-    rows = [(k, start, mask, {}) for k, start, mask in window.row_masks()]
+    rows = [(k, start + DEG_BITS, mask, {})
+            for k, start, mask in window.row_masks()]
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
@@ -128,7 +147,7 @@ def _pieces(chi: Character, annotations: dict | None):
             coeffs[c] = coeff
         parts = []
         for k, start, mask, vtexts in rows:
-            fields = m.v >> start & mask
+            fields = m >> start & mask
             if fields:
                 part = vtexts.get(fields)
                 if part is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charalg import HIGHEST, Character, Window, trivial_character
+from .charalg import HIGHEST, Character, Monomial, Window, trivial_character
 from .errors import QtCharError
 from .rootdata import build_root_datum
 from .tpoly import TPoly
@@ -80,10 +80,11 @@ def ladder_character(seg: Segment) -> Character:
     one = TPoly.one()
     window = Window(RANK_ONE, {(seg.orbit, 1, n): 1 for n in seg.shifts()})
     terms = {HIGHEST: one}
-    v = {}  # each step lowers once more, at the next shift down
+    m = HIGHEST  # each step multiplies by A^{-1} at the next shift down
     for k in range(seg.length):
-        v[seg.orbit, 1, seg.head + 2 * (seg.length - k) - 1] = 1
-        terms[window.pack(v)] = one
+        m = Monomial(m + window.pack(
+            {(seg.orbit, 1, seg.head + 2 * (seg.length - k) - 1): 1}))
+        terms[m] = one
     return Character(window, terms)
 
 

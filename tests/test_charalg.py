@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import defaultdict
 from itertools import chain
 
@@ -7,8 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtchar.charalg import (
+    DEG_BITS,
+    DEG_MASK,
     HIGHEST,
     Character,
+    Monomial,
     Window,
     check_orbit,
     parse_key,
@@ -19,6 +23,8 @@ from qtchar.errors import NodeOutOfRange, OutsideWindow, ParseError
 from qtchar.fm import fundamental_qt
 from qtchar.fusion import standard_module_qt, twisted_product
 from qtchar.rootdata import build_root_datum
+from qtchar.serialize import character_from_doc, character_to_doc
+from qtchar.sl2 import sl2_simple_qt
 from qtchar.tpoly import TPoly
 
 A2 = build_root_datum("A", 2)
@@ -87,6 +93,93 @@ def test_pack_rejects_outside_window():
               {("a", 1, 1): -1}, {("a", 1, 1): 3}):
         with pytest.raises(OutsideWindow):
             win.pack(v)
+
+
+# -- the integer monomial ------------------------------------------------
+
+
+def with_node2_depth(depth):
+    # D4 with node 2's lowest depth tampered, to size a window's bound
+    datum = build_root_datum("D", 4)
+    depths = list(datum.lowest_depths)
+    depths[1] = depth
+    datum.__dict__["lowest_depths"] = tuple(depths)
+    return datum
+
+
+def test_window_rejects_a_bound_past_the_degree_field():
+    # the degree field holds twice the bound; 2000 far-apart factors
+    # would allocate some 28000 fields, and a rejected window allocates
+    # none of them
+    w = {("a", 2, 10 * k): 1 for k in range(2000)}
+    for depth in (2 ** (DEG_BITS - 1) // 2000 + 1, 2 ** DEG_BITS):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutsideWindow, match="degree field"):
+                Window(with_node2_depth(depth), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e3
+    tracemalloc.start()
+    try:
+        window = Window(with_node2_depth(2 ** (DEG_BITS - 1) // 2000), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * window.bound < 2 ** DEG_BITS <= 2 * window.bound + 4000
+    assert peak > 1e6
+
+
+WINDOWS = [top(D4, 2), top(A2, 1), Window(A2, {("a", 1, 0): 300}),
+           Window(D4, {("a", 2, 0): 1, ("a", 2, 8): 1, ("b", 1, 3): 2})]
+
+
+@st.composite
+def lowering_pairs(draw):
+    """A window and two lowering vectors in it, each of degree at most its
+    bound: a degree spread over up to four of its slots."""
+    window = draw(st.sampled_from(WINDOWS))
+
+    def lowering():
+        keys = draw(st.lists(st.sampled_from(sorted(window.slots)),
+                             max_size=4))
+        degree = draw(st.integers(0, window.bound)) if keys else 0
+        v = {}
+        for n, key in enumerate(keys):
+            v[key] = v.get(key, 0) + degree // len(keys) + (
+                n < degree % len(keys))
+        return {key: a for key, a in v.items() if a}
+
+    return window, lowering(), lowering()
+
+
+@given(lowering_pairs())
+def test_monomial_sum_adds_v_and_vdeg(pair):
+    # the sum's low bits are the sum of the degrees; within the bound the
+    # sum is the monomial of the summed lowering vectors
+    window, v1, v2 = pair
+    m1, m2 = window.pack(v1), window.pack(v2)
+    assert (type(m1), type(m2)) == (Monomial, Monomial)
+    assert (m1 + m2) & DEG_MASK == m1.vdeg + m2.vdeg
+    if m1.vdeg + m2.vdeg <= window.bound:
+        m = Monomial(m1 + m2)
+        assert (m.v, m.vdeg) == (m1.v + m2.v, m1.vdeg + m2.vdeg)
+        assert m == window.pack({key: v1.get(key, 0) + v2.get(key, 0)
+                                 for key in v1.keys() | v2.keys()})
+
+
+def test_term_keys_are_monomials():
+    chi = fundamental_qt(D4, 2)
+    for built in [
+        chi,
+        twisted_product(D4, chi, fundamental_qt(D4, 2, 2)),
+        standard_module_qt(A2, [(1, 0), (2, 1, "b"), (1, 2)]),
+        character_from_doc(character_to_doc(chi)),
+        sl2_simple_qt([("a", 0), ("a", 0), ("a", 2)]),
+    ]:
+        assert built.terms
+        assert {type(m) for m in built.terms} == {Monomial}
 
 
 # -- lowering ------------------------------------------------------------

@@ -5,7 +5,7 @@ from operator import attrgetter
 import pytest
 
 from qtchar import fm
-from qtchar.charalg import HIGHEST, Character, Monomial, Window
+from qtchar.charalg import DEG_BITS, HIGHEST, Character, Monomial, Window
 from qtchar.errors import InconsistentExpansion, NonMinuscule
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import standard_module_qt
@@ -487,7 +487,7 @@ def full_depth_qt(datum, node, shift=0):
     for vdeg in range(bound + 1):
         layer, layers[vdeg] = layers[vdeg], None
         for v, generated in layer.items():
-            m = Monomial(v, vdeg)
+            m = Monomial(v << DEG_BITS | vdeg)
             shape = window.node_roots(m)
             pin = next((j for j, roots in shape.items() if roots is None),
                        None)
@@ -506,7 +506,7 @@ def full_depth_qt(datum, node, shift=0):
                     for d, x in string:
                         layers[vdeg + d.vdeg].setdefault(
                             v + d.v, [0] * datum.rank)[i - 1] += residual * x
-    assert [terms[Monomial(v, bound)] for v in layer] == [1]
+    assert [terms[Monomial(v << DEG_BITS | bound)] for v in layer] == [1]
     return Character(window, terms)
 
 
@@ -527,7 +527,7 @@ def direction_major_peel(chi):
         residue = dict(zip(map(attrgetter("v"), chi.terms), packed))
         budget = 0
         for m, shape in zip(terms, shapes):
-            v, vdeg = m
+            v, vdeg = m.v, m.vdeg
             c = residue[v]
             if not c:
                 continue

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtchar.charalg import HIGHEST, Character, Monomial, Window, \
+from qtchar.charalg import DEG_BITS, HIGHEST, Character, Monomial, Window, \
     parse_monomial, render_monomial
 from qtchar.errors import NegativeTwist, QtCharError
 from qtchar.fm import audit_expansion, fundamental_qt
@@ -112,8 +112,9 @@ def test_left_terms_move_by_masks_as_the_per_field_rebuild():
         assert (window.bits == 16) == (chi2 is wide)
         seen = 0
         for _ps, left in classes:
-            for m1, v1 in left:
-                assert v1 == per_field_embedding(window, chi1, m1.v)
+            for m1, k1 in left:
+                assert k1 == per_field_embedding(
+                    window, chi1, m1.v) << DEG_BITS | m1.vdeg
                 seen += 1
         assert seen == len(chi1)
 
@@ -244,18 +245,20 @@ def dict_product(chi1, chi2):
     product monomial, updated for every exponent pair of every term pair."""
     window, right, classes = twist_rows(chi1, chi2)
     right = list(zip(right, chi2.terms.values()))
-    rows = {m1: (v1, ps) for ps, left in classes for m1, v1 in left}
+    rows = {m1: (Monomial(k1).v, ps) for ps, left in classes
+            for m1, k1 in left}
     acc = {}
     for m1, c1 in chi1.terms.items():
         v1, ps = rows[m1]
         vdeg1 = m1.vdeg
-        for ((v2, vdeg2), c2), p in zip(right, ps):
+        for (k2, c2), p in zip(right, ps):
+            v2, vdeg2 = Monomial(k2).v, Monomial(k2).vdeg
             coeffs = acc.setdefault(v1 + v2, (vdeg1 + vdeg2, {}))[1]
             for e2, a2 in c2.c.items():
                 for e1, a1 in c1.c.items():
                     e = e1 + e2 + 2 * p
                     coeffs[e] = coeffs.get(e, 0) + a1 * a2
-    return Character(window, {Monomial(v, vdeg): TPoly(coeffs)
+    return Character(window, {Monomial(v << DEG_BITS | vdeg): TPoly(coeffs)
                               for v, (vdeg, coeffs) in acc.items()})
 
 
@@ -307,9 +310,9 @@ def test_product_terms_come_in_first_factorization_order():
         order = {}
         for _ps, left in classes:
             left = list(left)
-            for v2, vdeg2 in right:
-                for m1, v1 in left:
-                    order.setdefault(Monomial(v1 + v2, m1.vdeg + vdeg2))
+            for k2 in right:
+                for _m1, k1 in left:
+                    order.setdefault(Monomial(k1 + k2))
         assert list(prod.terms) == list(order)
 
 
@@ -510,9 +513,9 @@ def test_d4_node2_cube_shares_coefficients():
 
 
 def test_d4_node2_cube_memory_peak():
-    # the traced peak is 2.92 MB with the accumulator keyed on the
-    # result's Monomials; the bound allows 13% over it and stays below
-    # the 3.48 MB of splitting packed int keys into Monomials after
+    # the traced peak is 2.30 MB with each Monomial one integer; the
+    # bound allows 13% over it and stays below the 2.92 MB of Monomial
+    # tuples beside their packed v
     factors = [(2, 0), (2, 2), (2, 4)]
     standard_module_qt(D4, factors)  # the rank-one templates are cached
     tracemalloc.start()
@@ -521,4 +524,4 @@ def test_d4_node2_cube_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.3e6
+    assert peak < 2.6e6

@@ -1,13 +1,15 @@
 import gc
+import io
 
 import pytest
 
-from qtchar import fm, fusion
+from qtchar import fm, fusion, serialize
 from qtchar.charalg import Character, Window
 from qtchar.errors import InconsistentExpansion, NegativeTwist
 from qtchar.fm import fundamental_qt, string_edges
 from qtchar.fusion import standard_module_qt, twisted_product
 from qtchar.rootdata import build_root_datum
+from qtchar.serialize import write_character
 from qtchar.tpoly import TPoly
 
 A2 = build_root_datum("A", 2)
@@ -45,6 +47,10 @@ CALLS = {
         lambda: twisted_product(A2, *[fundamental_qt(A2, 1, 0)] * 2),
         lambda: twisted_product(A2, *[negative_twist_factor()] * 2),
         NegativeTwist, (fusion, "twist_rows")),
+    "write_character": (
+        lambda: write_character(fundamental_qt(D4, 2), None, io.StringIO()),
+        lambda: write_character(fundamental_qt(D4, 2), {}, io.StringIO()),
+        KeyError, (serialize, "_pieces")),
 }
 
 
@@ -83,6 +89,10 @@ def test_bulk_builders_leave_no_cycles():
     # counting frees, so a collection after them finds nothing
     gc.collect()
     chi = fundamental_qt(E6, 1)
-    standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)])
+    cube = standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)])
     string_edges(chi)
     assert gc.collect() == 0
+    for built in (cube, standard_module_qt(D4, [(2, 0), (2, 2), (2, 4),
+                                                (2, 6)])):
+        write_character(built, None, io.StringIO())
+        assert gc.collect() == 0

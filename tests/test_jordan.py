@@ -20,7 +20,6 @@ from qtchar.jordan import (
     encode,
     profile_from_blocks,
     sigma,
-    sigma_permutation,
     validate_poincare,
 )
 from qtchar.rootdata import build_root_datum
@@ -32,6 +31,10 @@ def poly(*pairs):
 
 
 # -- sigma ---------------------------------------------------------------
+
+
+def sigma_permutation(n):
+    return tuple(sigma(n, k) for k in range(n + 1))
 
 
 def test_sigma_values():
