@@ -9,12 +9,16 @@ exponent multiset, embedded back through the inverse A-variables of node i.
 Bookkeeping: layer d maps each monomial of lowering degree d that a string
 reached to the coefficient mass each direction generated there.  Images lie
 strictly deeper than their host, so a layer is complete when the expansion
-reaches it, and it is dropped once read.  A monomial's coefficient is
-pinned by the first direction in which it carries a negative exponent, and
-the residual at every other such direction must vanish.  This converts the
-unproven bookkeeping assumptions into runtime checks, and `audit_expansion`
-re-verifies the finished character by peeling the per-direction
-decomposition off it, by the node shapes the expansion computed.
+reaches it, and it is dropped once read.  A monomial is one integer
+(`charalg.Monomial`), so an image is its host plus a lowering monomial
+of the string, one add that sums the degrees too, and the layers, the
+peel's residues and the mirror key on these integers.  A monomial's
+coefficient is pinned by the first direction in which it carries a
+negative exponent, and the residual at every other such direction must
+vanish.  This converts the unproven bookkeeping assumptions into runtime
+checks, and `audit_expansion` re-verifies the finished character by
+peeling the per-direction decomposition off it, by the node shapes the
+expansion computed.
 
 Half depth.  Let jbar be the node that -w0 sends j to (`RootDatum.duals`)
 and h the Coxeter number.  The duality involution phi: Y_{j,n} ->

@@ -35,8 +35,10 @@ from a memo keyed by a window row and that row's packed fields
 (`Window.row_masks`), so no term is scanned field by field.  The ``w``
 block, each window field's quoted tag, each distinct row part of ``v``
 and each distinct coefficient with its Jordan block are rendered once;
-the pieces go to ``fh.writelines``.  `character_to_doc` reads that text
-back, so the schema is rendered in one place.
+the pieces go to ``fh.writelines``.  The writer builds no reference
+cycles, so it runs with the cyclic collector paused (`gcpause`).
+`character_to_doc` reads that text back, so the schema is rendered in
+one place.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def write_character(chi: Character, annotations: dict | None,
 
 
 def _nested(value, pad: str = "\n      ") -> str:
-    """``json.dumps(value, indent=2)`` for a value ``pad`` deep: a term's
-    field by default.  Rendered directly, as `json`'s indenting encoder is
-    pure Python and leaves reference cycles behind each call."""
+    """``json.dumps(value, indent=2)`` for a value on a line that ``pad``
+    (a newline and that line's indent) starts: a term's field by default.
+    Rendered directly, as `json`'s indenting encoder is pure Python and
+    leaves reference cycles behind each call."""
     if isinstance(value, dict):
         items = [_quote(key) + ": " + _nested(x, pad + "  ")
                  for key, x in value.items()]
