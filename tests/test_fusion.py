@@ -252,8 +252,8 @@ def dict_product(chi1, chi2):
         v1, ps = rows[m1]
         vdeg1 = m1.vdeg
         for (k2, c2), p in zip(right, ps):
-            v2, vdeg2 = Monomial(k2).v, Monomial(k2).vdeg
-            coeffs = acc.setdefault(v1 + v2, (vdeg1 + vdeg2, {}))[1]
+            m2 = Monomial(k2)
+            coeffs = acc.setdefault(v1 + m2.v, (vdeg1 + m2.vdeg, {}))[1]
             for e2, a2 in c2.c.items():
                 for e1, a1 in c1.c.items():
                     e = e1 + e2 + 2 * p

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtchar import serialize
 from qtchar.charalg import Character
 from qtchar.errors import ParseError, QtCharError
 from qtchar.fm import fundamental_qt
@@ -301,6 +302,15 @@ _trees = st.recursive(
 @given(_trees)
 def test_dumps_is_json_dumps_with_indent(obj):
     assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@given(_trees)
+def test_nested_blocks_are_json_dumps_with_indent(obj):
+    # the writer renders its nested blocks itself, byte for byte, at the
+    # head's depth and at a term field's
+    text = json.dumps(obj, indent=2)
+    assert serialize._nested(obj, "\n") == text
+    assert serialize._nested(obj) == text.replace("\n", "\n      ")
 
 
 def _shared_values():
