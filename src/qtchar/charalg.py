@@ -25,10 +25,11 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter, sub
 
-from .errors import OutsideWindow, ParseError, NodeOutOfRange
+from .errors import (InconsistentExpansion, NodeOutOfRange, OutsideWindow,
+                     ParseError)
 from .rootdata import RootDatum
 from .tpoly import TPoly
 
@@ -88,6 +89,10 @@ class Window:
     mirror row (`node_roots_and_mirror`).  A record decodes
     only its own row's fields.  So a term costs one pass over the rows and
     not one over the fields.
+
+    The window alone knows where a field's bits lie: other modules read
+    and move monomials by `pack`, `pairs`, `v`, `mask`, `row_masks` and
+    `fields`, `embedding` and `mirror`, and the degree by ``DEG_MASK``.
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
@@ -102,7 +107,8 @@ class Window:
                                 f"the {DEG_BITS}-bit degree field")
         self.datum = datum
         self.w = {k: m for k, m in sorted(w.items()) if m}
-        self.orbits = tuple(sorted({o for o, _i, _n in self.w}))
+        # an orbit must be a name the text format can write
+        self.orbits = tuple(sorted({check_orbit(o) for o, _i, _n in self.w}))
         h = datum.coxeter_number
         spans: dict = {}  # orbit -> [lowest, highest shift] of v per block
         for o, _i, s in sorted(self.w, key=lambda key: (key[0], key[2])):
@@ -178,16 +184,74 @@ class Window:
             out.byteswap()
         return out
 
-    def row_masks(self) -> list[tuple[int, int, int]]:
-        """(first field, offset in bits, mask) of each row, in field order:
-        ``v >> offset & mask`` packs the row's fields of a packed v."""
-        return [(start // self.bits, start, mask)
-                for _r, start, mask in self._row_masks]
+    def pairs(self, m: Monomial) -> list[tuple[int, int]]:
+        """(field, exponent) of each nonzero lowering exponent of m, in
+        field order."""
+        return [(k, a) for k, a in enumerate(self.fields(m >> DEG_BITS)) if a]
 
     def v(self, m: Monomial) -> dict:
         """Lowering exponents of m as a map (orbit, node, shift) -> mult."""
-        f = self.fields(m >> DEG_BITS)
-        return dict(zip(compress(self.keys, f), filter(None, f)))
+        return {self.keys[k]: a for k, a in self.pairs(m)}
+
+    def mask(self, keys) -> int:
+        """The bits of a monomial that hold the fields of ``keys``."""
+        ones = (1 << self.bits) - 1
+        return sum(ones << self.bits * self._field[key] + DEG_BITS
+                   for key in set(keys))
+
+    def row_masks(self) -> list[tuple[int, int, int, int]]:
+        """(first field, offset, mask, field count) of each row, in field
+        order: ``m >> offset & mask`` packs the row's fields of a monomial
+        m, and `fields` reads them with that count."""
+        b = self.bits
+        return [(k, b * k + DEG_BITS, (1 << b * len(row)) - 1, len(row))
+                for _i, k, _stride, row in self._rows]
+
+    def embedding(self, src: "Window"):
+        """The map of ``src``'s monomials to this window's, degree kept.
+        Each field of src must lie here as wide and no lower, as it does in
+        the window of a product of src.  Fields that move by the same
+        number of bits move as one mask: with equal widths, one per row of
+        src at most, as a row of src lies inside one row here."""
+        moves: dict = {0: DEG_MASK}  # bits moved -> the mask of the bits
+        b, ones = src.bits, (1 << src.bits) - 1
+        for key, k in src.slots.items():
+            shift = self.bits * self.slots[key] - b * k
+            moves[shift] = moves.get(shift, 0) | ones << b * k + DEG_BITS
+        moves = sorted(moves.items())
+        return lambda m: sum([(m & bits) << shift for shift, bits in moves])
+
+    def mirror(self, low: Monomial):
+        """The duality involution of `fm` on the window of one Y_{i,s}:
+        v -> low.v - sigma(v) and vdeg -> low.vdeg - vdeg, ``low`` the
+        lowest weight and sigma moving each row, reversed, to the row of
+        the dual node, as `node_roots_and_mirror` mirrors shapes.  A row
+        part's image is computed once; InconsistentExpansion if a field of
+        it is negative."""
+        b, duals = self.bits, self.datum.duals
+        rows = [(b * k + DEG_BITS, b * (k + (duals[i - 1] - i) * stride)
+                 + DEG_BITS, len(row), (1 << b * len(row)) - 1, {})
+                for i, k, stride, row in self._rows]
+        bound = low & DEG_MASK
+
+        def phi(m: int) -> int:
+            out = bound - (m & DEG_MASK)
+            for start, dual, count, mask, memo in rows:
+                part = m >> start & mask
+                x = memo.get(part)
+                if x is None:
+                    high = low >> dual & mask
+                    mirrored = self.fields(part, count)[::-1]
+                    if any(map(int.__lt__, self.fields(high, count),
+                               mirrored)):
+                        raise InconsistentExpansion(
+                            "the mirror of a term leaves the window")
+                    x = memo[part] = high - sum(
+                        a << b * t for t, a in enumerate(mirrored)) << dual
+                out += x
+            return out
+
+        return phi
 
     def _yparts(self, v: int) -> tuple[int, int]:
         # y = w + (v moved to the neighbours) - (v moved up and down); the

@@ -163,8 +163,7 @@ def _emit_character(chi, args) -> None:
 
 def cmd_fundamental(args) -> int:
     datum = parse_type(args.type)
-    chi = fundamental_qt(datum, args.node, args.shift,
-                         check_orbit(args.orbit))
+    chi = fundamental_qt(datum, args.node, args.shift, args.orbit)
     _emit_character(chi, args)
     return 0
 

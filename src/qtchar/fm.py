@@ -33,9 +33,10 @@ q-character duality of V and V* (Frenkel-Reshetikhin, arXiv:math/9810055).
 Term for term it holds on every fundamental the tests compare with the
 full-depth expansion: A1-A8, D4-D8, E6, and E7 but node 3.  So
 `fundamental_qt` expands the layers 0 .. ceil(bound/2) only, and no string
-image goes past them.  The deeper layers are phi of the upper ones: each
-mirrored term shares its source's TPoly and takes its node shapes from
-the mirror halves of the source's row records
+image goes past them.  The deeper layers are phi of the upper ones, and
+`Window.mirror` computes phi, as the window alone owns the bit layout:
+each mirrored term shares its source's TPoly and takes its node shapes
+from the mirror halves of the source's row records
 (`Window.node_roots_and_mirror`).  Where the halves meet the property is
 checked: the expanded layer ceil(bound/2) must equal phi of the layer
 bound // 2, terms and coefficients, by one code path for odd and even
@@ -88,7 +89,7 @@ most mass(c) mass(tc).
 
 from __future__ import annotations
 
-from .charalg import DEG_BITS, DEG_MASK, HIGHEST, Character, Monomial, Window
+from .charalg import DEG_MASK, HIGHEST, Character, Monomial, Window
 from .errors import (
     InconsistentExpansion,
     NodeOutOfRange,
@@ -150,44 +151,11 @@ def _string_steps(window: Window, i: int, string: list) -> list:
     the field's unit and d2.vdeg = d1.vdeg + 1.  A difference of one unit
     with a carry out of a field would change the lowering degree by other
     than +1, which leaves no other pair."""
-    unit = {(1 << window.bits * k << DEG_BITS) + 1: (o, n)
-            for (o, j, n), k in window.slots.items() if j == i}
+    unit = {window.pack({(o, j, n): 1}): (o, n)
+            for o, j, n in window.slots if j == i}
     lowerings = [HIGHEST] + [d for d, _x in string]
     return [(d1, d2, unit[d2 - d1])
             for d1 in lowerings for d2 in lowerings if d2 - d1 in unit]
-
-
-def _mirror(window: Window, low: Monomial):
-    """The duality involution on the monomials of the window of one
-    Y_{i,s}: v -> low.v - sigma(v), sigma reversing each node's row and
-    moving it to the dual node's row, and vdeg -> low.vdeg - vdeg, ``low``
-    the lowest weight.  Each row's part is computed once per distinct row;
-    raises InconsistentExpansion where a field of the image would be
-    negative."""
-    datum, b = window.datum, window.bits
-    size = len(window.keys) // datum.rank  # the fields of a node's row
-    mask = (1 << b * size) - 1
-    rows = [(b * size * (i - 1) + DEG_BITS, b * size * (j - 1) + DEG_BITS,
-             {}) for i, j in zip(datum.nodes, datum.duals)]
-    bound = low & DEG_MASK
-
-    def phi(m: int) -> int:
-        out = bound - (m & DEG_MASK)
-        for start, dual, memo in rows:
-            part = m >> start & mask
-            x = memo.get(part)
-            if x is None:
-                high = low >> dual & mask
-                mirrored = window.fields(part, size)[::-1]
-                if any(map(int.__lt__, window.fields(high, size), mirrored)):
-                    raise InconsistentExpansion(
-                        "the mirror of a term leaves the window")
-                x = memo[part] = high - sum(
-                    a << b * t for t, a in enumerate(mirrored)) << dual
-            out += x
-        return out
-
-    return phi
 
 
 @paused_gc
@@ -303,7 +271,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
         raise InconsistentExpansion(
             f"no lowest weight Y_{{{jbar or 'jbar'},{end}}}^-1 lies in the "
             f"window at degree {bound}")
-    phi = _mirror(window, low)
+    phi = window.mirror(low)
     expanded = list(terms.items())
     if {phi(m): c for m, c in expanded[starts[mirrored]:
                                       starts[mirrored + 1]]} != dict(

@@ -28,9 +28,10 @@ a_e 2^(W (e - lo)), lo the factor's lowest t-exponent, and t^{2p} is a
 shift by 2Wp.  The twist p(m1, .) depends on m1 only through a few fields
 of v1 (`twist_rows`), so the terms of the left factor fall into classes
 that share one row of twists: each class shifts the right factor's packed
-coefficients once into a table.  Both factors' monomials are re-embedded
-into the product's window, where a monomial is one integer and their sum
-is the product monomial, degree included (`charalg.Monomial`).  A pair
+coefficients once into a table.  Both factors' monomials move into the
+product's window by one map, `Window.embedding`, as the window alone owns
+the layout; there a monomial is one integer and their sum is the product
+monomial, degree included (`charalg.Monomial`).  A pair
 costs one add, one lookup, one multiply and one store: the sum, made a
 Monomial, keys the accumulator as it keys the result, so no key is split
 or rebuilt after the loop.  The width W is derived, not
@@ -46,14 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charalg import (
-    DEFAULT_ORBIT,
-    DEG_BITS,
-    DEG_MASK,
-    Character,
-    Monomial,
-    Window,
-)
+from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
 from .errors import NegativeTwist, QtCharError
 from .gcpause import paused_gc
 from .rootdata import RootDatum
@@ -82,8 +76,9 @@ def twist_rows(chi1: Character, chi2: Character):
     """The twist p(m1, m2) of every pair of terms, one row per class of
     terms of chi1.
 
-    Both characters are re-embedded once into the window of w1 + w2.  For
-    a fixed m1 the form is affine in v2, p = c(m1) + u(m1).v2, with
+    Both characters move into the window of w1 + w2 by
+    `Window.embedding`.  For a fixed m1 the form is affine in v2,
+    p = c(m1) + u(m1).v2, with
 
         c(m1) = sum of v1[j,n] w2[j,n-1]
         u(m1)[i,n] = w1[i,n+1] - v1[i,n] - v1[i,n+2] + sum_{j~i} v1[j,n+1]
@@ -93,8 +88,8 @@ def twist_rows(chi1: Character, chi2: Character):
     through the v1 fields that pair with those.  Those fields make up the
     mask, and p(m1, .) is a function of v1 restricted to it: terms of
     chi1 with equal restrictions form one class and share one row.  The
-    terms are grouped by the mask taken in chi1's own window, and each is
-    re-embedded only when its class comes up.
+    terms are grouped by the mask taken in chi1's own window
+    (`Window.mask`), and each is moved only when its class comes up.
 
     Returns (window, right, classes): ``right`` lists the terms of chi2 as
     monomials of the window, and ``classes`` yields (ps, left) for each
@@ -110,7 +105,7 @@ def twist_rows(chi1: Character, chi2: Character):
     for key, a in w2.items():
         w[key] = w.get(key, 0) + a
     window = Window(datum, w)
-    slot, bits = window.slots.get, window.bits
+    slot = window.slots.get
     u0 = [w1.get((o, i, n + 1), 0) for o, i, n in window.keys]
     w2_below = [w2.get((o, i, n - 1), 0) for o, i, n in window.keys]
     pairing = []
@@ -119,54 +114,23 @@ def twist_rows(chi1: Character, chi2: Character):
         row += [(slot((o, i, n - 1)), 1) for i in datum.adjacency[j - 1]]
         pairing.append(tuple((k, s) for k, s in row if k is not None))
 
-    def nonzero(chi):
-        """The nonzero fields of v of a monomial of chi, as (field of the
-        window, exponent) pairs."""
-        src = chi.window
-        moved = [slot(key) for key in src.keys]
-        return lambda m: [(moved[k], a) for k, a
-                          in enumerate(src.fields(m >> DEG_BITS)) if a]
-
-    right = []
-    dots = []  # fields of v2, each repeated by its exponent
-    nonzero2 = nonzero(chi2)
-    for m2 in chi2.terms:
-        nz = nonzero2(m2)
-        right.append((sum(a << bits * k for k, a in nz) << DEG_BITS)
-                     + (m2 & DEG_MASK))
-        dots.append(tuple(k for k, a in nz for _ in range(a)))
-    read = {k for ks in dots for k in ks}
     src = chi1.window
-    mask = 0
-    for k1, key in enumerate(src.keys):
-        k = slot(key)
-        if k is not None and (w2_below[k] or
-                              any(k2 in read for k2, _s in pairing[k])):
-            mask |= (1 << src.bits) - 1 << src.bits * k1 + DEG_BITS
+    left = window.embedding(src)
+    right = list(map(window.embedding(chi2.window), chi2.terms))
+    # fields of v2, each repeated by its exponent
+    dots = [tuple(k for k, a in window.pairs(k2) for _ in range(a))
+            for k2 in right]
+    read = {k for ks in dots for k in ks}
+    used = {key for key, k in window.slots.items() if w2_below[k] or
+            any(k2 in read for k2, _s in pairing[k])}
+    mask = src.mask(used & src.slots.keys())
     members: dict[int, list] = {}  # m1 & mask -> the terms of chi1
     for m1 in chi1.terms:
         members.setdefault(m1 & mask, []).append(m1)
-    nonzero1 = nonzero(chi1)
-    # each field of v1 moves up to its field of the window (whose keys and
-    # widths include chi1's), and fields that move by the same number of
-    # bits move as one mask: with equal widths, one mask per row at most,
-    # as a row of chi1's window lies inside one row of the window; the
-    # degree stays where it is
-    moves: dict = {0: DEG_MASK}  # bits moved -> the mask of the bits moved
-    for key, k1 in src.slots.items():
-        shift = bits * slot(key) - src.bits * k1
-        moves[shift] = moves.get(shift, 0) | (1 << src.bits) - 1 << \
-            src.bits * k1 + DEG_BITS
-    moves = sorted(moves.items())
-
-    def left(terms):
-        for m1 in terms:
-            yield m1, sum([(m1 & bits_moved) << shift
-                           for shift, bits_moved in moves])
 
     def classes():
         for key, terms in members.items():
-            nz = nonzero1(key)
+            nz = window.pairs(left(key))
             c = sum(a * w2_below[k] for k, a in nz)
             u = u0[:]
             for k, a in nz:
@@ -178,7 +142,7 @@ def twist_rows(chi1: Character, chi2: Character):
                 raise NegativeTwist(
                     f"negative attracting rank {min(ps)} for pair "
                     f"({src.text(terms[0])}, {chi2.window.text(m2)})")
-            yield ps, left(terms)
+            yield ps, ((m1, left(m1)) for m1 in terms)
 
     return window, right, classes()
 

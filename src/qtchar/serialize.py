@@ -31,8 +31,9 @@ term's ``v``, and one must have ``v = 0``.
 whole text held: each term is rendered from `Character.sorted_terms`,
 which joins its monomial text from the window's memoised row pieces in
 the pass that builds the order key.  Its ``v`` is joined the same way,
-from a memo keyed by a window row and that row's packed fields
-(`Window.row_masks`), so no term is scanned field by field.  The ``w``
+from a memo keyed by a window row and that row's packed fields, which
+`Window.row_masks` locates and `Window.fields` reads, as the window alone
+owns the layout; so no term is scanned field by field.  The ``w``
 block, each window field's quoted tag, each distinct row part of ``v``
 and each distinct coefficient with its Jordan block are rendered once;
 the pieces go to ``fh.writelines``.  The writer builds no reference
@@ -47,7 +48,6 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .charalg import (
-    DEG_BITS,
     HIGHEST,
     Character,
     Window,
@@ -131,8 +131,7 @@ def _pieces(chi: Character, annotations: dict | None):
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
     # each row's memo: its packed fields -> their part of v's text
-    rows = [(k, start + DEG_BITS, mask, {})
-            for k, start, mask in window.row_masks()]
+    rows = [(*row, {}) for row in window.row_masks()]
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
@@ -149,15 +148,14 @@ def _pieces(chi: Character, annotations: dict | None):
                 })
             coeffs[c] = coeff
         parts = []
-        for k, start, mask, vtexts in rows:
+        for k, start, mask, count, vtexts in rows:
             fields = m >> start & mask
             if fields:
                 part = vtexts.get(fields)
                 if part is None:
                     part = vtexts[fields] = ",".join([
-                        tags[j] + str(a) for j, a in enumerate(window.fields(
-                            fields, mask.bit_length() // window.bits), k)
-                        if a])
+                        tags[j] + str(a) for j, a
+                        in enumerate(window.fields(fields, count), k) if a])
                 parts.append(part)
         v = ",".join(parts)
         v = "{" + v + "\n      }" if v else "{}"

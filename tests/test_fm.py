@@ -429,6 +429,18 @@ def test_expansion_checks_the_window_above_the_middle():
         fundamental_qt(datum, 1, 0)
 
 
+def test_mirror_checks_that_images_stay_in_the_window():
+    # with the degree-1 term of A2 node 1 as a too shallow lowest weight,
+    # the highest weight mirrors onto it, and the term onto no monomial
+    chi = fundamental_qt(A2, 1, 0)
+    shallow = next(m for m in chi.terms if m.vdeg == 1)
+    phi = chi.window.mirror(shallow)
+    assert phi(HIGHEST) == shallow
+    with pytest.raises(InconsistentExpansion,
+                       match="the mirror of a term leaves the window"):
+        phi(shallow)
+
+
 def test_expansion_checks_the_mirrored_half_for_dominant_monomials(
         monkeypatch):
     # a mirror shape without negative exponents below the middle layer

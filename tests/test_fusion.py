@@ -96,8 +96,9 @@ def per_field_embedding(window, chi, v):
 
 
 def test_left_terms_move_by_masks_as_the_per_field_rebuild():
-    # two orbits, gapped and four-factor D4 products, and a right factor
-    # whose w widens the product's fields from 8 to 16 bits
+    # two orbits, gapped and four-factor D4 products, and a factor whose
+    # w widens the product's fields from 8 to 16 bits, on either side;
+    # the right factor's terms move by the same embedding
     wide = Character(Window(A2, {("a", 1, 0): 300}), {HIGHEST: TPoly.one()})
     for chi1, chi2 in [
         (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1, orbit="b")),
@@ -107,9 +108,12 @@ def test_left_terms_move_by_masks_as_the_per_field_rebuild():
         (standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)]),
          fundamental_qt(D4, 2, 6)),
         (fundamental_qt(A2, 1, 0), wide),
+        (wide, fundamental_qt(A2, 1, 0)),
     ]:
-        window, _right, classes = twist_rows(chi1, chi2)
-        assert (window.bits == 16) == (chi2 is wide)
+        window, right, classes = twist_rows(chi1, chi2)
+        assert (window.bits == 16) == (wide in (chi1, chi2))
+        assert right == [per_field_embedding(window, chi2, m2.v) << DEG_BITS
+                         | m2.vdeg for m2 in chi2.terms]
         seen = 0
         for _ps, left in classes:
             for m1, k1 in left:

@@ -38,3 +38,20 @@ def test_runtime_imports_are_standard_library_only():
                       for name in names if name.partition(".")[0]
                       not in sys.stdlib_module_names]
     assert not found
+
+
+def test_only_charalg_knows_the_bit_layout():
+    # `charalg.Window` alone lays out a monomial's fields: no other module
+    # names DEG_BITS or reads a `.bits` field width.  DEG_MASK stays open,
+    # as the degree in the low bits is `Monomial`'s contract
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "charalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "DEG_BITS"
+                    or isinstance(node, ast.alias) and node.name == "DEG_BITS"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "bits"):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found

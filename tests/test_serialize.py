@@ -99,6 +99,17 @@ def test_rejects_lowering_outside_window():
         character_from_doc(doc)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: fundamental_qt(A2, 1, 0, "x y"),
+    lambda: standard_module_qt(A2, [(1, 0, "1b"), (2, 1)]),
+], ids=["fundamental", "standard"])
+def test_no_character_on_an_orbit_a_document_cannot_name(build):
+    # the window checks its orbits, so a character is never built that
+    # writes a document `character_from_doc` rejects
+    with pytest.raises(ParseError, match="bad orbit name"):
+        build()
+
+
 def test_rejects_terms_with_another_w():
     doc = character_to_doc(fundamental_qt(A2, 1, 0))
     doc["terms"][2].update(monomial="1_0 2_3^-1", w={"1_0": 2})
