@@ -383,6 +383,9 @@ PINNED_OUTPUT = [
      "2c316d5039e5d6c75d487b9ee622c330b22cf318ec5c69f0bf6aa4c856f1f49b"),
     (["standard", "--type", "D4", "--factors", "2:0,1:7,2:8"],
      "599802bc5e9e8be59065e6b5ebc286090607c269adf1baf22bf00ca52da124fb"),
+    # both shift parities at every node: v's and y's keys interleave
+    (["standard", "--type", "D4", "--factors", "2:0,2:1"],
+     "451871f5706f1c51e8fa256e93dc81e4958127d44bb22429c853e598f5cf5735"),
 ]
 
 
