@@ -11,13 +11,14 @@ Every monomial of a character is its highest monomial Y^w times one
 inverse A-variable per unit of its lowering exponents v, with A_{i,n} =
 Y_{i,n-1} Y_{i,n+1} prod_{j~i} Y_{j,n}^{-1}.  All terms share ``w``, so a
 `Character` keeps it once, in its `Window`, and a `Monomial` is one
-integer: ``v`` packed over the window's fields, above a ``DEG_BITS``-bit
-field that holds its sum ``vdeg``.  A-variables are algebraically
-independent, so for a fixed ``w`` the vector ``v`` fixes the Y-exponents
-``y``: monomials hash and compare as integers, ``y`` is derived, and
-multiplying two monomials is one integer add, which sums the degrees
-with the vectors.  Compare monomials within one character, or across
-equal ``w``.
+integer: ``v`` packed over the window's fields, the keys the lowest
+weight's lowering vector uses and so all a term can use, above a
+``DEG_BITS``-bit field that holds its sum ``vdeg``.  A-variables are
+algebraically independent, so for a fixed ``w`` the vector ``v`` fixes
+the Y-exponents ``y``: monomials hash and compare as integers, ``y`` is
+derived, and multiplying two monomials is one integer add, which sums
+the degrees with the vectors.  Compare monomials within one character,
+or across equal ``w``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import sys
 from array import array
 from itertools import chain
-from operator import itemgetter, sub
+from operator import itemgetter
 
 from .errors import (InconsistentExpansion, NodeOutOfRange, OutsideWindow,
                      ParseError)
@@ -64,31 +65,38 @@ class Monomial(int):
 
 
 HIGHEST = Monomial(0)
+_UNSEEN = object()  # a row part that no record is memoised for yet
 
 
 class Window:
-    """Dense (orbit, node, shift) fields of the monomials of one character
-    with highest-weight exponents ``w``.
+    """The fields of the monomials of one character with highest-weight
+    exponents ``w``.
 
-    ``v`` lives on the shifts s+1 .. s+h-1 of each Y_{i,s} in ``w`` (h the
-    Coxeter number: the A-variables of V(Y_{i,s}) lie strictly between s
-    and s+h), merged into blocks per orbit; blocks over two shifts apart
-    stay apart.  Rows, laid out by orbit, node and block so that ``keys``
-    is sorted, span one more shift at either end, the range of ``y``.  So
-    ``y`` is computed on the packed integer: a one-field shift moves
-    v[i,n] to (i, n-1) or (i, n+1), and row copies move it to the
-    neighbours of i.  Fields hold ``bound``, the largest lowering degree
-    ``w`` allows, and the degree field of a `Monomial` twice that, else
-    the window raises OutsideWindow; ``slots`` maps each key ``v`` may
-    occupy to its field.
+    ``v`` is packed over the support of the lowest weight's lowering
+    vector and nothing else: each Y_{i,s} of ``w`` gives the fields
+    (orbit, j, s+u) with c_ij(u) > 0 (`RootDatum.lowest_lowering`), and
+    the window takes their union.  A term of a fundamental module lowers
+    below its lowest weight (the half-depth mirror of `fm` checks it on
+    every term), and a product's lowering vectors are sums of its
+    factors', so no term has a field outside it.  ``keys`` lists the
+    fields in sorted order, ``slots`` maps each key to its field, and a
+    row is the fields of one (orbit, node), in shift order.  Fields hold
+    ``bound``, the largest lowering degree ``w`` allows, and the degree
+    field of a `Monomial` twice that, else the window raises OutsideWindow.
 
-    A monomial is read row by row off the packed parts of its ``y``.  One
-    memo, keyed by a row and its fields of those parts, holds the row's
-    record: its piece of the order key, of the text and of ``y`` (`label`,
-    `y`), its node and its node shape (`node_roots`), and the shape of its
-    mirror row (`node_roots_and_mirror`).  A record decodes
-    only its own row's fields.  So a term costs one pass over the rows and
-    not one over the fields.
+    ``y`` has rows of its own, one per (orbit, node), over the shifts
+    where a Y-exponent can be nonzero: those of ``w`` at the node, each
+    shift of its v fields plus and minus one, and each shift of its
+    neighbours' v fields.  Where one factor's v lies on one shift parity
+    of a node, its y lies on the other; where two factors' parities differ
+    (D4 ``2:0,2:1``), both parities share the node's rows, in shift order.
+    A y row is read off the packed v rows of its node and its neighbours.
+    One memo per y row, keyed by those parts, holds the row's record: its
+    piece of the order key, of the text and of ``y`` (`label`, `y`), its
+    node and its node shape (`node_roots`), and the shape of its mirror
+    row (`node_roots_and_mirror`).  Rows with equal Y-exponents share one
+    record, and a record decodes only the fields of its parts.  So a term
+    costs one pass over the rows and not one over the fields.
 
     The window alone knows where a field's bits lie: other modules read
     and move monomials by `pack`, `pairs`, `v`, `mask`, `row_masks` and
@@ -96,8 +104,8 @@ class Window:
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
-                 "_field", "_code", "_nbytes", "_wpacked", "_rows", "_moves",
-                 "_row_masks", "_keysize", "_records")
+                 "_code", "_nbytes", "_rows", "_masks", "_center", "_yrows",
+                 "_ykeys", "_memos", "_keysize")
 
     def __init__(self, datum: RootDatum, w: dict):
         self.bound = sum(m * datum.lowest_depths[i - 1]
@@ -109,49 +117,61 @@ class Window:
         self.w = {k: m for k, m in sorted(w.items()) if m}
         # an orbit must be a name the text format can write
         self.orbits = tuple(sorted({check_orbit(o) for o, _i, _n in self.w}))
-        h = datum.coxeter_number
-        spans: dict = {}  # orbit -> [lowest, highest shift] of v per block
-        for o, _i, s in sorted(self.w, key=lambda key: (key[0], key[2])):
-            blocks = spans.setdefault(o, [])
-            if blocks and s + 1 <= blocks[-1][1] + 2:
-                blocks[-1][1] = max(blocks[-1][1], s + h - 1)
-            else:
-                blocks.append([s + 1, s + h - 1])
-        # a field holds v (<= bound), and w plus neighbouring v for y
-        need = max(self.w.values(), default=0) + self.bound
-        size = self._size(need)
-        self.bits = b = 8 * size
+        self.keys = sorted({(o, j, s + u) for o, i, s in self.w
+                            for j, u, _c in datum.lowest_lowering(i)})
+        self.slots = {key: k for k, key in enumerate(self.keys)}
+        size = self._size(self.bound)
+        self.bits = 8 * size
         self._code = _TYPECODES[size]
-        self._rows = []  # (node, first field, stride, (orbit, shift)s)
-        self.keys = []
-        for o, blocks in spans.items():
-            rows = [[(o, n) for n in range(lo - 1, hi + 2)]
-                    for lo, hi in blocks]
-            stride = sum(map(len, rows))
-            for i in datum.nodes:
-                for row in rows:
-                    self._rows.append((i, len(self.keys), stride, row))
-                    self.keys += [(o, i, n) for o, n in row]
-        self._field = {key: k for k, key in enumerate(self.keys)}
-        self.slots = {(o, i, n): k for i, start, _stride, row in self._rows
-                      for k, (o, n) in enumerate(row[1:-1], start + 1)}
         self._nbytes = size * len(self.keys)
-        self._wpacked = sum(m << b * self._field[key]
-                            for key, m in self.w.items())
-        # rows that move by the same number of bits move as one mask
-        moves: dict = {}  # bits moved -> mask of the rows moved so
-        for i, k, stride, row in self._rows:
-            mask = (1 << b * len(row)) - 1 << b * k
-            for j in datum.adjacency[i - 1]:
-                shift = b * (j - i) * stride
-                moves[shift] = moves.get(shift, 0) | mask
-        self._moves = sorted(moves.items())
-        self._row_masks = [
-            (r, b * k, (1 << b * len(row)) - 1)
-            for r, (_i, k, _stride, row) in enumerate(self._rows)]
-        # an order-key unit holds vdeg, a field or an exponent + bound
-        self._keysize = self._size(max(len(self.keys) - 1, need + self.bound))
-        self._records: dict = {}  # (row, plus row, minus row) -> record
+        rows: dict = {}  # (orbit, node) -> [first field, field count]
+        for k, (o, j, _n) in enumerate(self.keys):
+            rows.setdefault((o, j), [k, 0])[1] += 1
+        self._rows = [tuple(row) for row in rows.values()]
+        self._masks = [(start, mask) for _k, start, mask, _n
+                       in self.row_masks()]
+        # the shifts of each (orbit, node) where y can be nonzero
+        shifts: dict = {}
+        for o, i, s in self.w:
+            shifts.setdefault((o, i), set()).add(s)
+        for o, j, n in self.keys:
+            shifts.setdefault((o, j), set()).update((n - 1, n + 1))
+            for k in datum.adjacency[j - 1]:
+                shifts.setdefault((o, k), set()).add(n)
+        # the mirror n -> c - n of each orbit: c = 2s + h on the window of
+        # one Y_{i,s}, the duality involution of `fm`
+        self._center = {o: min(n for p, _i, n in self.w if p == o)
+                        + max(n for p, _i, n in self.w if p == o)
+                        + datum.coxeter_number for o in self.orbits}
+        order = {oj: r for r, oj in enumerate(rows)}
+        # each y row: its node, orbit, shifts, first y field, w and, for
+        # each v row it reads, the (position, sign) of its fields' y terms
+        self._yrows = []
+        self._ykeys = []  # the key of each y field, in sorted order
+        # (y row, reader of its v rows' parts, record by those parts,
+        # record by Y-exponents)
+        self._memos = []
+        for (o, i), ns in sorted(shifts.items()):
+            ns = sorted(ns)
+            at = {n: t for t, n in enumerate(ns)}
+            feeds = [order[o, j] for j in sorted((i, *datum.adjacency[i - 1]))
+                     if (o, j) in order]
+            spread = []
+            for f in feeds:
+                k, count = self._rows[f]
+                spread.append((count, [
+                    ((at[n - 1], -1), (at[n + 1], -1)) if j == i
+                    else ((at[n], 1),)
+                    for _o, j, n in self.keys[k:k + count]]))
+            self._memos.append((len(self._yrows), itemgetter(*feeds), {}, {}))
+            self._yrows.append((i, o, ns, len(self._ykeys),
+                                [self.w.get((o, i, n), 0) for n in ns],
+                                spread))
+            self._ykeys += [(o, i, n) for n in ns]
+        # an order-key unit holds vdeg, a y field or an exponent + bound
+        self._keysize = self._size(max(
+            len(self._ykeys) - 1,
+            max(self.w.values(), default=0) + 2 * self.bound))
 
     def _size(self, top: int) -> int:
         # bytes of the least array unit that holds 0 .. top
@@ -196,7 +216,7 @@ class Window:
     def mask(self, keys) -> int:
         """The bits of a monomial that hold the fields of ``keys``."""
         ones = (1 << self.bits) - 1
-        return sum(ones << self.bits * self._field[key] + DEG_BITS
+        return sum(ones << self.bits * self.slots[key] + DEG_BITS
                    for key in set(keys))
 
     def row_masks(self) -> list[tuple[int, int, int, int]]:
@@ -204,15 +224,16 @@ class Window:
         order: ``m >> offset & mask`` packs the row's fields of a monomial
         m, and `fields` reads them with that count."""
         b = self.bits
-        return [(k, b * k + DEG_BITS, (1 << b * len(row)) - 1, len(row))
-                for _i, k, _stride, row in self._rows]
+        return [(k, b * k + DEG_BITS, (1 << b * count) - 1, count)
+                for k, count in self._rows]
 
     def embedding(self, src: "Window"):
         """The map of ``src``'s monomials to this window's, degree kept.
         Each field of src must lie here as wide and no lower, as it does in
         the window of a product of src.  Fields that move by the same
-        number of bits move as one mask: with equal widths, one per row of
-        src at most, as a row of src lies inside one row here."""
+        number of bits move as one mask: one per row of src when its
+        shifts are consecutive fields here, as they are in a product of
+        factors whose rows do not interleave."""
         moves: dict = {0: DEG_MASK}  # bits moved -> the mask of the bits
         b, ones = src.bits, (1 << src.bits) - 1
         for key, k in src.slots.items():
@@ -224,46 +245,36 @@ class Window:
     def mirror(self, low: Monomial):
         """The duality involution of `fm` on the window of one Y_{i,s}:
         v -> low.v - sigma(v) and vdeg -> low.vdeg - vdeg, ``low`` the
-        lowest weight and sigma moving each row, reversed, to the row of
-        the dual node, as `node_roots_and_mirror` mirrors shapes.  A row
-        part's image is computed once; InconsistentExpansion if a field of
-        it is negative."""
+        lowest weight and sigma moving the field (orbit, j, n) to
+        (orbit, jbar, 2s+h-n), as `node_roots_and_mirror` mirrors shapes.
+        The image of a row's part is computed once; InconsistentExpansion
+        if a field of it leaves the window or exceeds ``low``'s."""
         b, duals = self.bits, self.datum.duals
-        rows = [(b * k + DEG_BITS, b * (k + (duals[i - 1] - i) * stride)
-                 + DEG_BITS, len(row), (1 << b * len(row)) - 1, {})
-                for i, k, stride, row in self._rows]
-        bound = low & DEG_MASK
+        high = self.fields(low >> DEG_BITS)
+        image = [self.slots.get((o, duals[j - 1], self._center[o] - n))
+                 for o, j, n in self.keys]
+        rows = [(k, b * k + DEG_BITS, (1 << b * count) - 1, count, {})
+                for k, count in self._rows]
 
         def phi(m: int) -> int:
-            out = bound - (m & DEG_MASK)
-            for start, dual, count, mask, memo in rows:
+            out = low - (m & DEG_MASK)
+            for k, start, mask, count, memo in rows:
                 part = m >> start & mask
                 x = memo.get(part)
                 if x is None:
-                    high = low >> dual & mask
-                    mirrored = self.fields(part, count)[::-1]
-                    if any(map(int.__lt__, self.fields(high, count),
-                               mirrored)):
-                        raise InconsistentExpansion(
-                            "the mirror of a term leaves the window")
-                    x = memo[part] = high - sum(
-                        a << b * t for t, a in enumerate(mirrored)) << dual
-                out += x
+                    x = 0
+                    for t, a in enumerate(self.fields(part, count), k):
+                        if a:
+                            d = image[t]
+                            if d is None or high[d] < a:
+                                raise InconsistentExpansion(
+                                    "the mirror of a term leaves the window")
+                            x += a << b * d + DEG_BITS
+                    memo[part] = x
+                out -= x
             return out
 
         return phi
-
-    def _yparts(self, v: int) -> tuple[int, int]:
-        # y = w + (v moved to the neighbours) - (v moved up and down); the
-        # two parts are packed like v, and no field of either carries
-        plus = self._wpacked
-        for shift, mask in self._moves:
-            if shift > 0:
-                plus += (v & mask) << shift
-            else:
-                plus += (v & mask) >> -shift
-        b = self.bits
-        return plus, (v >> b) + (v << b)
 
     def y(self, m: Monomial) -> dict:
         """Y-exponents of m, in sorted key order."""
@@ -280,21 +291,21 @@ class Window:
         then by the Y-exponents' (key, exponent) pairs in sorted key order.
 
         The key is a run of equal-width big-endian units: vdeg, then the
-        field and ``bound`` + exponent of each nonzero Y-exponent, in
+        y field and ``bound`` + exponent of each nonzero Y-exponent, in
         field order.  For any two monomials of this window it sorts like
         the tuple (vdeg, k1, e1, k2, e2, ...) of those pairs:
 
-        * Every unit fits.  vdeg <= bound and a field is below len(keys).
-          y = w + (v moved to the neighbours) - (v moved up and down)
-          takes its two v-sums from disjoint fields of v, each sum at most
-          vdeg <= bound, so -bound <= e <= max(w) + bound.  The unit is
-          the least array width that holds len(keys) - 1 and
-          max(w) + 2 bound.
-        * ``keys`` is sorted in field order, and e -> e + bound is
-          strictly increasing.  The tuple and the units alternate key and
-          exponent positions alike, so mapping every position strictly
-          increasingly keeps their lexicographic order, and a prefix
-          stays a prefix.
+        * Every unit fits.  vdeg <= bound and a y field is below the
+          number of y fields.  y = w + (v moved to the neighbours) - (v
+          moved up and down) takes its two v-sums from disjoint fields of
+          v, each sum at most vdeg <= bound, so -bound <= e <= max(w) +
+          bound.  The unit is the least array width that holds the last
+          y field and max(w) + 2 bound.
+        * The y fields are numbered in sorted key order, and e -> e +
+          bound is strictly increasing.  The tuple and the units alternate
+          key and exponent positions alike, so mapping every position
+          strictly increasingly keeps their lexicographic order, and a
+          prefix stays a prefix.
         * Equal-width big-endian units compare as bytes do: the first
           differing byte lies in the first differing unit and decides it
           as it decides the unit, and a prefix of units is a prefix of
@@ -308,36 +319,56 @@ class Window:
                 " ".join([record[1] for record in records]) or "1")
 
     def _row_records(self, m: Monomial) -> list:
-        # the records of m's rows with a nonzero Y-exponent, in field order
-        plus, minus = self._yparts(m >> DEG_BITS)
-        records = self._records
+        # the records of m's y rows with a nonzero Y-exponent, in order
+        parts = [m >> start & mask for start, mask in self._masks]
         out = []
-        for r, start, mask in self._row_masks:
-            p, q = plus >> start & mask, minus >> start & mask
-            if p != q:
-                record = records.get((r, p, q))
-                if record is None:
-                    record = records[r, p, q] = self._row_record(r, p, q)
+        for r, read, memo, records in self._memos:
+            key = read(parts)
+            record = memo.get(key, _UNSEEN)
+            if record is _UNSEEN:
+                es = self._exponents(r, key)
+                record = records.get(es, _UNSEEN)
+                if record is _UNSEEN:
+                    record = records[es] = self._row_record(r, es)
+                memo[key] = record
+            if record is not None:
                 out.append(record)
         return out
 
-    def _row_record(self, r: int, p: int, q: int) -> tuple:
-        # a row with Y-exponents p - q: its order-key units, text, Y-items,
-        # node and node shape, None if an exponent is negative, else the
-        # (orbit, shift) of each exponent unit; then the node shape of its
-        # mirror row, whose node is the dual of its own
-        i, k, _stride, row = self._rows[r]
-        es = list(map(sub, self.fields(p, len(row)), self.fields(q, len(row))))
-        y = [(field, e) for field, e in enumerate(es, k) if e]
+    def _exponents(self, r: int, parts) -> tuple:
+        # the Y-exponents of y row r from the parts of the v rows it reads
+        # (one part alone if it reads one)
+        _i, _o, _shifts, _first, es, spread = self._yrows[r]
+        es = es[:]
+        if len(spread) == 1:
+            parts = (parts,)
+        for (count, targets), part in zip(spread, parts):
+            for a, moves in zip(self.fields(part, count), targets):
+                if a:
+                    for t, sign in moves:
+                        es[t] += sign * a
+        return tuple(es)
+
+    def _row_record(self, r: int, es: tuple) -> tuple | None:
+        # y row r with Y-exponents es: None if they are all 0, else its
+        # order-key units, text, Y-items, node and node shape, None if an
+        # exponent is negative, else the (orbit, shift) of each exponent
+        # unit; then the node shape of its mirror row, whose node is the
+        # dual of its own
+        i, o, shifts, first, _w, _spread = self._yrows[r]
+        if not any(es):
+            return None
+        y = [(field, e) for field, e in enumerate(es, first) if e]
         units = array(_TYPECODES[self._keysize],
                       [x for field, e in y for x in (field, e + self.bound)])
         if sys.byteorder == "little":
             units.byteswap()
-        keys = self.keys
+        keys, c = self._ykeys, self._center[o]
         shape = None if min(es) < 0 else tuple(
-            key for key, e in zip(row, es) for _ in range(e))
+            (o, n) for n, e in zip(shifts, es) for _ in range(e))
         mirror = None if max(es) > 0 else tuple(
-            key for key, e in zip(row, reversed(es)) for _ in range(-e))
+            (o, c - n) for n, e in zip(reversed(shifts), reversed(es))
+            for _ in range(-e))
         return (units.tobytes(),
                 " ".join(factor_text(keys[field], e) for field, e in y),
                 tuple((keys[field], e) for field, e in y), i, shape, mirror)
@@ -346,20 +377,19 @@ class Window:
         """The shape of m's Y-exponents at each node with a nonzero row:
         None if one of them is negative, else the node's root tuple, the
         sorted (orbit, shift) multiset of its exponents (see
-        `sl2.root_tuple`), its blocks merged.  Each row's shape is read
-        from its record, and a node's rows come in field order: by orbit,
-        then by block."""
+        `sl2.root_tuple`).  Each row's shape is read from its record, and
+        a node's rows come in orbit order."""
         return _node_shapes(self._row_records(m), 4)
 
     def node_roots_and_mirror(self, m: Monomial) -> tuple[dict, dict]:
         """`node_roots` of m and of its mirror, from one pass over m's rows.
 
         The mirror of a row reverses its shifts, negates its exponents and
-        moves it to the row of the dual node (`RootDatum.duals`): m maps
-        under Y_{j,n} -> Y_{jbar,a+b-n}^-1, a and b the first and last
-        shift of the row.  On the window of one Y_{i,s} that is the
-        duality involution of `fm`.  Each record holds its mirror's
-        shape."""
+        moves it to the dual node (`RootDatum.duals`): m maps under
+        Y_{j,n} -> Y_{jbar,c-n}^-1, c the lowest plus the highest shift of
+        ``w`` on the row's orbit plus h.  On the window of one Y_{i,s},
+        c = 2s+h and that is the duality involution of `fm`.  Each record
+        holds its mirror's shape."""
         records = self._row_records(m)
         return (_node_shapes(records, 4),
                 _node_shapes(records, 5, self.datum.duals))
@@ -370,28 +400,37 @@ class Window:
                                    for (o, i, n), m in self.w.items()})
 
     def solve(self, y: dict) -> Monomial | None:
-        """The monomial with Y-exponents ``y``, or None: solves (y-w)[i,s]
-        = -v[i,s+1] - v[i,s-1] + sum_{j~i} v[j,s] upward in s, then checks
-        that v is a lowering vector of the window and gives all of y."""
-        d = [0] * len(self.keys)
+        """The monomial with Y-exponents ``y``, or None: solves (y-w)[i,n]
+        = -v[i,n+1] - v[i,n-1] + sum_{j~i} v[j,n] upward in n, on a dense
+        scratch row of every node over each orbit's y shifts, then packs
+        v and checks that it gives all of y.  None if a key of y lies
+        outside those shifts, a v entry is negative or `pack` refuses v."""
+        span: dict = {}  # orbit -> its lowest and highest y shift
+        for _i, o, shifts, *_rest in self._yrows:
+            lo, hi = span.get(o, (shifts[0], shifts[-1]))
+            span[o] = min(lo, shifts[0]), max(hi, shifts[-1])
+        d = dict(self.w)  # w - y
         for key, e in y.items():
-            if key not in self._field:
+            o, i, n = key
+            lo, hi = span.get(o, (n + 1, n))
+            if not (lo <= n <= hi and i in self.datum.nodes):
                 return None
-            d[self._field[key]] = e
-        w = self.fields(self._wpacked)
-        v = [0] * len(self.keys)  # each row's end fields stay 0
-        adj = self.datum.adjacency
-        for t in range(max((len(r[3]) for r in self._rows), default=2) - 2):
-            for i, start, stride, row in self._rows:
-                if t < len(row) - 2:
-                    k = start + t
-                    near = sum(v[k + (j - i) * stride] for j in adj[i - 1])
-                    v[k + 1] = a = w[k] - d[k] - v[k - 1] + near
-                    if a < 0:
-                        return None
-        if sum(v) > self.bound:
+            d[key] = d.get(key, 0) - e
+        nodes, adj = self.datum.nodes, self.datum.adjacency
+        v = {}
+        for o, (lo, hi) in span.items():
+            before = now = [0] * len(nodes)  # v at the shifts n-1 and n
+            for n in range(lo, hi + 1):
+                before, now = now, [
+                    d.get((o, i, n), 0) - before[i - 1]
+                    + sum(now[j - 1] for j in adj[i - 1]) for i in nodes]
+                if min(now) < 0:
+                    return None
+                v.update(((o, i, n + 1), a) for i, a in zip(nodes, now) if a)
+        try:
+            m = self.pack(v)
+        except OutsideWindow:
             return None
-        m = self.pack({key: a for key, a in zip(self.keys, v) if a})
         return m if self.y(m) == y else None
 
     def __repr__(self):

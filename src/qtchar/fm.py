@@ -26,7 +26,9 @@ Y_{jbar, 2s+h-n}^-1 sends A_{j,n} to A_{jbar, 2s+h-n}^-1, so on the window
 of Y_{i,s} it sends the monomial with lowering vector v to the one with
 low - sigma(v), where sigma reverses each node's row and moves it to the
 row of jbar, and low is the lowering vector of the lowest weight
-Y_{ibar, s+h}^-1 = phi(Y_{i,s}).  It maps lowering degree d to bound - d.
+Y_{ibar, s+h}^-1 = phi(Y_{i,s}).  The window's fields are the support of
+low (`RootDatum.lowest_lowering`), which sigma maps onto itself; that
+every term lies below low is what `Window.mirror` checks.  It maps lowering degree d to bound - d.
 That phi maps the q,t-character of V(Y_{i,s}) onto itself, coefficients
 included, is a checked property, not a proved one.  At t = 1 it is the
 q-character duality of V and V* (Frenkel-Reshetikhin, arXiv:math/9810055).

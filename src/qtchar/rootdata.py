@@ -14,7 +14,7 @@ the worked character tables shipped as fixtures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import UnsupportedType
 
@@ -83,6 +83,26 @@ class RootDatum:
             x[i] = (rhs[i] - c[i][p] * x[p]) / diag[i]
         return tuple(int(v) for v in x)
 
+    def lowest_lowering(self, i: int) -> tuple[tuple[int, int, int], ...]:
+        """The lowering vector of the lowest weight of V(Y_{i,0}), as the
+        (node j, shift u, c_ij(u)) with c_ij(u) > 0, sorted.
+
+        The lowest weight is Y_{ibar,h}^-1, and Y_{i,0} Y_{ibar,h} is the
+        product of the A_{j,u}^{c_ij(u)}, c_ij(u) the entries of the
+        inverse quantum Cartan matrix (Hernandez-Leclerc, arXiv:1109.0862).
+        Read off the Y-exponents shift by shift, they obey
+
+            c_ij(1) = [i = j],
+            c_ij(u+1) = sum over k ~ j of c_ik(u) - c_ij(u-1),
+
+        for 1 <= u < h, with c_ij(0) = 0.  Every term of V(Y_{i,s}) has a
+        lowering vector below this one shifted by s (the half-depth mirror
+        of `fm` checks it on every term), so these fields are all a term
+        can use, and their multiplicities add up to ``lowest_depths[i-1]``.
+        Computed once per node.
+        """
+        return _lowest_lowering(self.adjacency, self.coxeter_number, i)
+
     @cached_property
     def duals(self) -> tuple[int | None, ...]:
         """j-bar for each node j: -w0 omega_j = omega_{j-bar}, w0 the
@@ -119,6 +139,19 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
+
+
+@lru_cache(maxsize=None)
+def _lowest_lowering(adjacency: tuple, h: int, i: int) -> tuple:
+    # the recurrence of `RootDatum.lowest_lowering`, one shift at a time
+    nodes = range(1, len(adjacency) + 1)
+    before, now = [0] * len(adjacency), [int(j == i) for j in nodes]
+    out = []
+    for u in range(1, h):
+        out += [(j, u, c) for j, c in zip(nodes, now) if c > 0]
+        before, now = now, [sum(now[k - 1] for k in adjacency[j - 1])
+                            - before[j - 1] for j in nodes]
+    return tuple(sorted(out))
 
 
 def _edges(family: str, rank: int) -> list[tuple[int, int]]:

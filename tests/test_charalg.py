@@ -68,23 +68,29 @@ def test_y_a2_two_lowerings():
 
 
 def test_window_layout():
-    # v on the shifts s+1 .. s+h-1 of rows spanning s .. s+h; fields wide
-    # enough for the lowest weight
+    # v on the support of the lowest weight's lowering vector, shifted by
+    # s: the c_ij(u) > 0, which skip node 1's shift 3 on D4 node 1; fields
+    # wide enough for the bound
     win = top(D4, 2, 3)
     assert (win.bound, win.bits) == (10, 8)
-    assert win.keys[:2] == [("a", 1, 3), ("a", 1, 4)]
-    assert len(win.keys) == 4 * 7
-    assert ("a", 1, 3) not in win.slots and win.slots["a", 1, 4] == 1
+    assert win.keys == sorted(win.slots) == [
+        ("a", 1, 5), ("a", 1, 7), ("a", 2, 4), ("a", 2, 6), ("a", 2, 8),
+        ("a", 3, 5), ("a", 3, 7), ("a", 4, 5), ("a", 4, 7)]
+    assert win.slots["a", 2, 4] == 2
+    assert sorted(top(D4, 1).slots) == [
+        ("a", 1, 1), ("a", 1, 5), ("a", 2, 2), ("a", 2, 4), ("a", 3, 3),
+        ("a", 4, 3)]
     assert Window(A2, {("a", 1, 0): 200}).bits == 16
     with pytest.raises(OutsideWindow):
         Window(A2, {("a", 1, 0): 2 ** 64})
-    # factors more than h apart get separate blocks, closer ones merge
-    for gap in (7, 1000):
-        far = Window(D4, {("a", 2, 0): 1, ("a", 2, gap): 1})
-        assert len(far.keys) == 2 * 4 * 7
-        assert far.keys == sorted(far.keys)
-    near = Window(D4, {("a", 2, 0): 1, ("a", 2, 6): 1})
-    assert len(near.keys) == 4 * 13
+    # a product's fields are the union of its factors' shifted supports,
+    # on both parities of a node when the shifts' parities differ
+    for gap, fields in ((1, 18), (2, 13), (6, 18), (7, 18), (1000, 18)):
+        both = Window(D4, {("a", 2, 0): 1, ("a", 2, gap): 1})
+        assert both.slots.keys() == \
+            top(D4, 2).slots.keys() | top(D4, 2, gap).slots.keys()
+        assert len(both.keys) == fields
+        assert both.keys == sorted(both.keys)
 
 
 def test_pack_rejects_outside_window():
@@ -93,6 +99,55 @@ def test_pack_rejects_outside_window():
               {("a", 1, 1): -1}, {("a", 1, 1): 3}):
         with pytest.raises(OutsideWindow):
             win.pack(v)
+
+
+# the eight fundamentals of ROADMAP's used-fields survey, the D4 node-2
+# cube, a product with both shift parities at every node, and a product
+# on two orbits
+USED_FIELDS = [
+    ("E", 7, [(1, 0)]), ("E", 7, [(4, 0)]), ("E", 8, [(1, 0)]),
+    ("E", 8, [(8, 0)]), ("E", 6, [(3, 0)]), ("D", 4, [(2, 0)]),
+    ("D", 5, [(1, 0)]), ("A", 5, [(3, 0)]),
+    ("D", 4, [(2, 0), (2, 2), (2, 4)]), ("D", 4, [(2, 0), (2, 1)]),
+    ("A", 2, [(1, 0), (2, 1, "b"), (1, 2)]),
+]
+
+
+def built(family, rank, factors):
+    datum = build_root_datum(family, rank)
+    if len(factors) == 1:
+        return fundamental_qt(datum, *factors[0])
+    return standard_module_qt(datum, factors)
+
+
+@pytest.mark.parametrize("family,rank,factors", USED_FIELDS, ids=[
+    f"{f}{r}:" + ",".join(":".join(map(str, x)) for x in fs)
+    for f, r, fs in USED_FIELDS])
+def test_window_slots_are_the_fields_the_terms_use(family, rank, factors):
+    # the support derived from w alone is every field some term's v
+    # uses, and no other: the bitwise or of the terms has each nonzero
+    chi = built(family, rank, factors)
+    used = 0
+    for m in chi.terms:
+        used |= m
+    assert chi.window.v(Monomial(used)).keys() == chi.window.slots.keys()
+
+
+@pytest.mark.parametrize("family,rank,factors,fields", [
+    ("D", 4, [(2, 0), (2, 2), (2, 4)], 17), ("E", 7, [(4, 0)], 50),
+    ("E", 8, [(8, 0)], 92)], ids=["D4-cube", "E7-node-4", "E8-node-8"])
+def test_term_keys_are_as_wide_as_the_support(family, rank, factors,
+                                              fields):
+    # one byte per field of the support above the degree: E8 node 8's
+    # keys are at most 768 bits, where the window of every shift of each
+    # node took 2016
+    window = Window(build_root_datum(family, rank),
+                    {("a", i, s): 1 for i, s in factors})
+    assert (window.bits, len(window.slots)) == (8, fields)
+    if family != "E" or rank != 8:  # its expansion takes seconds
+        chi = built(family, rank, factors)
+        assert max(m.bit_length() for m in chi.terms) <= \
+            DEG_BITS + 8 * fields
 
 
 # -- the integer monomial ------------------------------------------------
@@ -258,9 +313,25 @@ def test_coefficient_of_absent_monomial():
     assert chi.coefficient("2_0^2 2_2^-1") == TPoly.zero()
     # a lowering vector of the window that is not a term
     win = chi.window
-    m = win.pack({("a", 1, 1): 1})
+    m = win.pack({("a", 1, 2): 1})
     assert m not in chi.terms
     assert chi.coefficient(win.text(m)) == TPoly.zero()
+
+
+@pytest.mark.parametrize("datum,node,key", [
+    (D4, 2, ("a", 1, 1)), (D4, 1, ("a", 1, 3)), (A2, 1, ("a", 2, 1))])
+def test_solve_refuses_a_lowering_off_the_support(datum, node, key):
+    # Y^w A^-1 at a field of the y rows' shifts that the lowest weight's
+    # lowering vector skips: a valid Y-monomial, whose v the window does
+    # not pack, so it is no monomial of the window
+    chi = fundamental_qt(datum, node, 0)
+    win = chi.window
+    assert key not in win.slots
+    y = y_exponents(datum, win.w, {key: 1})
+    with pytest.raises(OutsideWindow):
+        win.pack({key: 1})
+    assert win.solve(y) is None
+    assert chi.coefficient(render_monomial(y)) == TPoly.zero()
 
 
 def test_coefficient_outside_window():
@@ -429,7 +500,7 @@ def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):
     monomials = {HIGHEST}
     while len(monomials) < 400:
         v = {}
-        for key in rng.sample(slots, rng.randint(1, 3)):
+        for key in rng.sample(slots, rng.randint(1, min(3, len(slots)))):
             v[key] = rng.randint(0, window.bound - sum(v.values()))
         monomials.add(window.pack(v))
     exps = [e for m in monomials

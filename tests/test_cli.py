@@ -243,11 +243,15 @@ def a2_node_1(terms=A2_NODE_1, extra=(), highest="1_0", w_key="1_0"):
      "'orbits' ['zz', 5] are not the highest monomial's ['a']"),
     ({key: value for key, value in a2_node_1().items() if key != "orbits"},
      "character document has no 'orbits'"),
+    # Y_{1,0} A_{2,1}^-1: a v field that no term of V(Y_{1,0}) uses
+    (a2_node_1([*A2_NODE_1, ("1_0 1_1 2_0^-1 2_2^-1", {"2_1": 1})]),
+     "term '1_0 1_1 2_0^-1 2_2^-1': v[('a', 2, 1)] = 1 is outside "
+     "Window(A2, w=1_0)"),
 ], ids=["coeff-not-a-list", "exponent-not-an-integer", "top-level-list",
         "no-terms", "duplicate-term", "bad-orbit-in-key",
         "non-ascii-digit-in-key", "repeated-exponent-key", "no-v0-term",
         "highest-not-the-v0-term", "malformed-exponent-key", "w-differs",
-        "orbits-differ", "no-orbits"])
+        "orbits-differ", "no-orbits", "v-off-the-support"])
 def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc,
                                              message):
     src = tmp_path / "bad.json"

@@ -517,9 +517,9 @@ def test_d4_node2_cube_shares_coefficients():
 
 
 def test_d4_node2_cube_memory_peak():
-    # the traced peak is 2.30 MB with each Monomial one integer; the
-    # bound allows 13% over it and stays below the 2.92 MB of Monomial
-    # tuples beside their packed v
+    # the traced peak is 1.92 MB with v packed over the lowest weight's
+    # support; the bound allows 13% over it and stays below the 2.30 MB
+    # of the window of every shift of each node
     factors = [(2, 0), (2, 2), (2, 4)]
     standard_module_qt(D4, factors)  # the rank-one templates are cached
     tracemalloc.start()
@@ -528,4 +528,4 @@ def test_d4_node2_cube_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.6e6
+    assert peak < 2.17e6

@@ -118,6 +118,29 @@ def test_lowest_depths_match_gauss_jordan(family, rank):
     assert datum.lowest_depths == gauss_jordan_depths(datum)
 
 
+@pytest.mark.parametrize("family,rank", [("A", n) for n in range(1, 13)]
+                         + [("D", n) for n in range(4, 13)]
+                         + [("E", n) for n in (6, 7, 8)])
+def test_lowest_lowering_adds_up_to_the_lowest_depths(family, rank):
+    # the quantum recurrence against the classical solve, which share no
+    # code: the lowest weight's lowering vector has the depth's degree
+    datum = build_root_datum(family, rank)
+    for i in datum.nodes:
+        support = datum.lowest_lowering(i)
+        assert all(0 < u < datum.coxeter_number and c > 0
+                   for _j, u, c in support)
+        assert sum(c for _j, _u, c in support) == datum.lowest_depths[i - 1]
+
+
+def test_lowest_lowering_of_d4_node_2():
+    # A_{2,1} A_{1,2} A_{3,2} A_{4,2} A_{2,3}^2 A_{1,4} A_{3,4} A_{4,4}
+    # A_{2,5}: the product Y_{2,0} Y_{2,6} of the inverse quantum Cartan
+    # matrix's column
+    assert build_root_datum("D", 4).lowest_lowering(2) == (
+        (1, 2, 1), (1, 4, 1), (2, 1, 1), (2, 3, 2), (2, 5, 1), (3, 2, 1),
+        (3, 4, 1), (4, 2, 1), (4, 4, 1))
+
+
 def test_lowest_depths_are_linear_in_the_rank():
     # twice the height of omega_i in A_n is i (n + 1 - i); the elimination
     # along the path takes O(n) steps where Gauss-Jordan takes O(n^3)
