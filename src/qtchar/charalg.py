@@ -101,6 +101,10 @@ class Window:
     The window alone knows where a field's bits lie: other modules read
     and move monomials by `pack`, `pairs`, `v`, `mask`, `row_masks` and
     `fields`, `embedding` and `mirror`, and the degree by ``DEG_MASK``.
+    It is also the one check of a highest weight, in one pass over ``w``
+    before the bound and any layout: a node outside 1..rank raises
+    NodeOutOfRange, a negative exponent ParseError, and so does an orbit
+    that is not a name the text format can write (`check_orbit`).
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
@@ -108,6 +112,14 @@ class Window:
                  "_ykeys", "_memos", "_keysize")
 
     def __init__(self, datum: RootDatum, w: dict):
+        for (o, i, _n), m in w.items():
+            if not 1 <= i <= datum.rank:
+                raise NodeOutOfRange(f"node {i} not in 1..{datum.rank}")
+            if m < 0:
+                raise ParseError(
+                    f"highest weight {render_monomial(w)!r} is not a product "
+                    f"of Y-variables of {datum.family}{datum.rank}")
+            check_orbit(o)  # a name the text format can write
         self.bound = sum(m * datum.lowest_depths[i - 1]
                          for (_o, i, _n), m in w.items())
         if 2 * self.bound >> DEG_BITS:
@@ -115,8 +127,7 @@ class Window:
                                 f"the {DEG_BITS}-bit degree field")
         self.datum = datum
         self.w = {k: m for k, m in sorted(w.items()) if m}
-        # an orbit must be a name the text format can write
-        self.orbits = tuple(sorted({check_orbit(o) for o, _i, _n in self.w}))
+        self.orbits = tuple(sorted({o for o, _i, _n in self.w}))
         self.keys = sorted({(o, j, s + u) for o, i, s in self.w
                             for j, u, _c in datum.lowest_lowering(i)})
         self.slots = {key: k for k, key in enumerate(self.keys)}
@@ -394,11 +405,6 @@ class Window:
         return (_node_shapes(records, 4),
                 _node_shapes(records, 5, self.datum.duals))
 
-    def shifted(self, delta: int) -> "Window":
-        """The window of w shifted by ``delta``; packed v carry over."""
-        return Window(self.datum, {(o, i, n + delta): m
-                                   for (o, i, n), m in self.w.items()})
-
     def solve(self, y: dict) -> Monomial | None:
         """The monomial with Y-exponents ``y``, or None: solves (y-w)[i,n]
         = -v[i,n+1] - v[i,n-1] + sum_{j~i} v[j,n] upward in n, on a dense
@@ -568,9 +574,6 @@ class Character:
     def mass_at_t1(self) -> int:
         """Total dimension: sum of all coefficients evaluated at t = 1."""
         return sum(c.mass() for c in self.terms.values())
-
-    def shifted(self, delta: int) -> "Character":
-        return Character(self.window.shifted(delta), dict(self.terms))
 
     def __len__(self):
         return len(self.terms)

@@ -92,12 +92,7 @@ most mass(c) mass(tc).
 from __future__ import annotations
 
 from .charalg import DEG_MASK, HIGHEST, Character, Monomial, Window
-from .errors import (
-    InconsistentExpansion,
-    NodeOutOfRange,
-    NonMinuscule,
-    OutsideWindow,
-)
+from .errors import InconsistentExpansion, NonMinuscule, OutsideWindow
 from .gcpause import paused_gc
 from .rootdata import RootDatum
 from .sl2 import sl2_simple_qt
@@ -115,11 +110,14 @@ def _string(window: Window, i: int, roots: tuple, width: int,
     that monomial, its degree included; the highest, whose coefficient
     must be 1, maps to the host itself.  An image's node-i row is its
     template monomial's, so a template without the monomial 1, which is
-    checked too, gives every image a row at node i.  ``cache`` holds one
-    width."""
+    checked too, gives every image a row at node i.  The template moves
+    with its roots, so it is computed with the lowest root at shift 0 and
+    embedded back at that shift: a module and its shifts share templates.
+    ``cache`` holds one width."""
     out = cache.get((i, roots))
     if out is None:
-        template = sl2_simple_qt(roots)
+        base = min((n for _o, n in roots), default=0)
+        template = sl2_simple_qt(tuple((o, n - base) for o, n in roots))
         tv = template.window.v
         pairs = sorted(zip(template.terms,
                            pack(template.terms.values(), width, 0)),
@@ -131,7 +129,7 @@ def _string(window: Window, i: int, roots: tuple, width: int,
                 f"coefficient other than 1 or the monomial 1")
         try:
             out = (template.mass_at_t1(),
-                   [(window.pack({(o, i, n): a for (o, _node, n), a
+                   [(window.pack({(o, i, n + base): a for (o, _node, n), a
                                   in tv(tm).items()}), x)
                     for tm, x in pairs[1:]])
         except OutsideWindow as err:
@@ -177,8 +175,6 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     InconsistentExpansion if the per-direction bookkeeping disagrees, the
     coefficient budget overruns the packed digits, or either check fails.
     """
-    if not 1 <= node <= datum.rank:
-        raise NodeOutOfRange(f"node {node} not in 1..{datum.rank}")
     window = Window(datum, {(orbit, node, shift): 1})
     bound = window.bound
     mid, mirrored = bound - bound // 2, bound // 2
@@ -267,8 +263,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     # Y_{jbar, orbit shift+h}^-1, which must lie at degree bound
     end = shift + datum.coxeter_number
     jbar = datum.duals[node - 1]
-    low = window.solve({(orbit, jbar, end): -1}) if set(datum.duals) == set(
-        datum.nodes) else None
+    low = window.solve({(orbit, jbar, end): -1})
     if low is None or low.vdeg != bound:
         raise InconsistentExpansion(
             f"no lowest weight Y_{{{jbar or 'jbar'},{end}}}^-1 lies in the "

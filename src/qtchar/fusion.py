@@ -194,7 +194,9 @@ def twisted_product(datum: RootDatum, chi1: Character,
 @paused_gc
 def standard_module_qt(datum: RootDatum, factors) -> Character:
     """q,t-character of the standard module with the given fundamental
-    factors; independent of the order in which factors are listed."""
+    factors; independent of the order in which factors are listed.  Each
+    factor is computed at its own shift, its window checking its node and
+    orbit, and multiplied on in sorted order."""
     from . import fm
 
     specs = [as_factor(f) for f in factors]
@@ -202,16 +204,8 @@ def standard_module_qt(datum: RootDatum, factors) -> Character:
         raise QtCharError("standard module needs at least one factor")
     specs.sort(key=FactorSpec.sort_key)
 
-    base: dict[tuple[int, str], Character] = {}
-    chis = []
+    out = None
     for f in specs:
-        chi = base.get((f.node, f.orbit))
-        if chi is None:
-            chi = fm.fundamental_qt(datum, f.node, 0, f.orbit)
-            base[(f.node, f.orbit)] = chi
-        chis.append(chi.shifted(f.shift) if f.shift else chi)
-
-    out = chis[0]
-    for chi in chis[1:]:
-        out = twisted_product(datum, out, chi)
+        chi = fm.fundamental_qt(datum, f.node, f.shift, f.orbit)
+        out = chi if out is None else twisted_product(datum, out, chi)
     return out

@@ -185,8 +185,10 @@ def character_from_doc(doc) -> Character:
             isinstance(e, dict) for e in entries):
         raise ParseError("'terms' must be a list of objects")
     datum = parse_type(doc["type"])
-    window = _window(datum, parse_monomial(doc["highest"], datum),
-                     doc["type"])
+    try:
+        window = Window(datum, parse_monomial(doc["highest"], datum))
+    except OutsideWindow as err:
+        raise ParseError(f"highest weight: {err}") from err
     if doc["orbits"] != list(window.orbits):
         raise ParseError(f"'orbits' {doc['orbits']!r} are not the highest "
                          f"monomial's {list(window.orbits)!r}")
@@ -218,17 +220,6 @@ def character_from_doc(doc) -> Character:
     if HIGHEST not in terms:
         raise ParseError("character document has no monomial with v = 0")
     return Character(window, terms)
-
-
-def _window(datum, w: dict, type_name: str) -> Window:
-    if not all(1 <= node <= datum.rank and mult >= 0
-               for (_o, node, _n), mult in w.items()):
-        raise ParseError(f"highest weight {render_monomial(w)!r} is not a "
-                         f"product of Y-variables of {type_name}")
-    try:
-        return Window(datum, w)
-    except OutsideWindow as err:
-        raise ParseError(f"highest weight: {err}") from err
 
 
 def dumps(doc: dict) -> str:

@@ -131,8 +131,8 @@ def memory_bytes() -> int:
 def pack(coeffs, width: int, lo: int) -> list[int]:
     """Each coefficient sum a_e t^e, in order, as the integer sum
     a_e 2^(width (e - lo)); equal coefficients are packed once.  One of
-    more bits than `memory_bytes` raises ExceedsMemory before any shift:
-    `Decoded` reads a value through its binary string, a byte per bit."""
+    more bits than `memory_bytes` raises ExceedsMemory before any shift,
+    which leaves room for the few copies of a value `Decoded` holds."""
     packed: dict[TPoly, int] = {}
     room = memory_bytes()
     out = []
@@ -161,21 +161,36 @@ class Decoded(dict):
         self.masses: dict[int, int] = {}
 
     def __missing__(self, x: int) -> TPoly:
-        # adding half to every digit, up to past the top one, makes them
-        # all nonnegative, so the sum carries nowhere and each width-bit
-        # slice of its binary string is one digit plus half: one pass,
-        # linear in the exponent span
+        # from the lowest digit up: jump past the zero digits below the
+        # lowest set bit, read one signed digit, take it off and shift.  A
+        # piece of more than 64 digits is first cut in two at a digit, its
+        # low half the value of its own signed digits and read first, so
+        # the cost follows the nonzero digits, n log n when they are dense
         width = self.width
-        half = 1 << width - 1
-        n = abs(x).bit_length() // width + 2  # digits, the top ones 0
-        bits = format(x + int(format(half, "b") * n, 2), f"0{width * n}b")
+        half, full = 1 << width - 1, (1 << width) - 1
         coeffs = {}
-        e = self.lo
-        for end in range(width * n, 0, -width):
-            a = int(bits[end - width:end], 2) - half
-            if a:
+        todo = [(x, self.lo)]  # the memo stays keyed by x
+        while todo:
+            y, e = todo.pop()
+            while y:
+                skip = ((y & -y).bit_length() - 1) // width
+                if skip:
+                    y >>= width * skip
+                    e += skip
+                n = y.bit_length() // width // 2
+                if n > 32:
+                    ones = (1 << width * n) - 1
+                    halves = ones // full * half  # half in each digit
+                    low = ((y + halves) & ones) - halves
+                    todo.append(((y - low) >> width * n, e + n))
+                    y = low
+                    continue
+                a = y & full
+                if a >= half:
+                    a -= 1 << width
                 coeffs[e] = a
-            e += 1
+                y = (y - a) >> width
+                e += 1
         p = self[x] = TPoly.from_dict(coeffs)
         return p
 

@@ -162,6 +162,20 @@ def with_node2_depth(depth):
     return datum
 
 
+@pytest.mark.parametrize("w,error,message", [
+    ({("a", 0, 0): 1}, NodeOutOfRange, "node 0 not in 1..4"),
+    ({("a", 5, 0): 1}, NodeOutOfRange, "node 5 not in 1..4"),
+    ({("a", 2, 0): 1, ("a", 1, 3): -1}, ParseError,
+     "highest weight '1_3^-1 2_0' is not a product of Y-variables of D4"),
+    ({("a b", 2, 0): 1}, ParseError, "bad orbit name 'a b'"),
+], ids=["node-0", "node-past-the-rank", "negative-exponent", "bad-orbit"])
+def test_window_checks_its_highest_weight(w, error, message):
+    # the one check of a highest weight, before any layout
+    with pytest.raises(error) as excinfo:
+        Window(D4, w)
+    assert str(excinfo.value) == message
+
+
 def test_window_rejects_a_bound_past_the_degree_field():
     # the degree field holds twice the bound; 2000 far-apart factors
     # would allocate some 28000 fields, and a rejected window allocates

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from test_serialize import _mutated_documents
 
 import qtchar.cli
-from qtchar import serialize
+from qtchar import fixtures, serialize
 from qtchar.cli import main, parse_factors
 from qtchar.errors import InconsistentExpansion, ParseError
 from qtchar.fusion import FactorSpec
@@ -37,15 +37,22 @@ def test_parse_factors():
         parse_factors("1")
     with pytest.raises(ParseError):
         parse_factors("")
-    for orbit in ["b\u00e9", "9", "", "x y"]:
-        with pytest.raises(ParseError, match="bad orbit name"):
-            parse_factors(f"1:0@{orbit}")
 
 
-@pytest.mark.parametrize("orbit", ["x y", "9", "", "b\u00e9"])
-def test_bad_orbit_name_is_a_usage_error(capsys, orbit):
-    assert main(["fundamental", "--type", "A2", "--node", "1",
-                 "--orbit", orbit]) == 2
+BAD_ORBITS = ["x y", "9", "", "b\u00e9"]
+
+
+@pytest.mark.parametrize("argv,orbit", [
+    *(pytest.param(["fundamental", "--type", "A2", "--node", "1",
+                    "--orbit", orbit], orbit, id=orbit)
+      for orbit in BAD_ORBITS),
+    *(pytest.param(["standard", "--type", "A2", "--factors",
+                    f"1:0@{orbit}"], orbit, id=f"standard-{orbit}")
+      for orbit in BAD_ORBITS),
+])
+def test_bad_orbit_name_is_a_usage_error(capsys, argv, orbit):
+    # the window checks the name, for either command
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad orbit name {orbit!r}\n"
@@ -233,6 +240,10 @@ def a2_node_1(terms=A2_NODE_1, extra=(), highest="1_0", w_key="1_0"):
      "exponent key '2_02' repeats '2_2'"),
     (a2_node_1(A2_NODE_1[1:]),
      "character document has no monomial with v = 0"),
+    ({"type": "D4", "orbits": ["a"], "highest": "2_0^1000000000",
+      "terms": []},
+     "highest weight: lowering degree 10000000000 overflows the 32-bit "
+     "degree field"),
     (a2_node_1(highest="2_3^-1"),
      "highest weight '2_3^-1' is not a product of Y-variables of A2"),
     (a2_node_1(w_key="1-0"), "malformed exponent key '1-0'"),
@@ -250,6 +261,7 @@ def a2_node_1(terms=A2_NODE_1, extra=(), highest="1_0", w_key="1_0"):
 ], ids=["coeff-not-a-list", "exponent-not-an-integer", "top-level-list",
         "no-terms", "duplicate-term", "bad-orbit-in-key",
         "non-ascii-digit-in-key", "repeated-exponent-key", "no-v0-term",
+        "highest-overflows-the-degree-field",
         "highest-not-the-v0-term", "malformed-exponent-key", "w-differs",
         "orbits-differ", "no-orbits", "v-off-the-support"])
 def test_malformed_document_is_a_usage_error(tmp_path, capsys, doc,
@@ -509,3 +521,20 @@ def test_fixtures_command(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_fixtures_command_reports_mismatches(capsys, monkeypatch):
+    # a fixture that no longer matches: its count and its first 5 lines
+    def verify(doc):
+        return [f"line {k}" for k in range(7)] if doc["kind"] == "standard" \
+            else []
+
+    monkeypatch.setattr(fixtures, "verify_fixture", verify)
+    assert main(["fixtures"]) == 5
+    assert capsys.readouterr().out == (
+        "PASS d4-fund-2 (28 pinned terms)\n"
+        "FAIL a2-std-1x0-1x0: 7 mismatches\n"
+        + "".join(f"  line {k}\n" for k in range(5))
+        + "FAIL a2-std-1x0-2x1: 7 mismatches\n"
+        + "".join(f"  line {k}\n" for k in range(5))
+        + "PASS e6-fund-3-partial (38 pinned terms)\n")

@@ -5,7 +5,15 @@ from operator import attrgetter
 import pytest
 
 from qtchar import fm
-from qtchar.charalg import DEG_BITS, HIGHEST, Character, Monomial, Window
+from qtchar.charalg import (
+    DEG_BITS,
+    HIGHEST,
+    Character,
+    Monomial,
+    Window,
+    parse_monomial,
+    render_monomial,
+)
 from qtchar.errors import InconsistentExpansion, NonMinuscule
 from qtchar.fixtures import load_fixture
 from qtchar.fusion import standard_module_qt
@@ -109,9 +117,15 @@ def test_exceptional_fundamental_dimensions():
 
 
 def test_all_fundamentals_shift_equivariant():
+    # a window's keys move with w and keep their order, so the packed
+    # terms at shift 5 are those at shift 0, in the same order
     base = fundamental_qt(D4, 2, 0)
     moved = fundamental_qt(D4, 2, 5)
-    assert texts(base.shifted(5)) == texts(moved)
+    assert list(moved.terms.items()) == list(base.terms.items())
+    assert texts(moved) == {
+        render_monomial({(o, i, n + 5): e for (o, i, n), e
+                         in parse_monomial(text, D4).items()}): c
+        for text, c in texts(base).items()}
 
 
 def test_expansion_must_end_on_the_lowest_weight():
@@ -378,6 +392,44 @@ def test_expansion_checks_residuals_are_positive(monkeypatch):
                        match=r"negative residual -1 in direction 2 "
                        r"at 1_2\^-1 2_1"):
         fundamental_qt(A2, 1, 0)
+
+
+def test_expansion_checks_residuals_in_directions_without_a_row(
+        monkeypatch):
+    # on A3, negated direction-1 images pin Y_{1,2}^-1 Y_{2,1} at -1,
+    # and that monomial has no row at node 3, whose residual is its
+    # coefficient
+    string = fm._string
+
+    def negated(window, i, roots, width, cache):
+        tmass, images = string(window, i, roots, width, cache)
+        if i == 1:
+            images = [(d, -x) for d, x in images]
+        return tmass, images
+
+    monkeypatch.setattr(fm, "_string", negated)
+    with pytest.raises(InconsistentExpansion) as excinfo:
+        fundamental_qt(build_root_datum("A", 3), 1, 0)
+    assert str(excinfo.value) == (
+        "negative residual -1 in direction 3 at 1_2^-1 2_1")
+
+
+def test_expansion_checks_the_template_head(monkeypatch):
+    # a template whose highest coefficient is 2 cannot be a string
+    simple = fm.sl2_simple_qt
+
+    def doubled(roots):
+        template = simple(roots)
+        return Character(template.window,
+                         {m: TPoly({0: 2}) if m == HIGHEST else c
+                          for m, c in template.terms.items()})
+
+    monkeypatch.setattr(fm, "sl2_simple_qt", doubled)
+    with pytest.raises(InconsistentExpansion) as excinfo:
+        fundamental_qt(A2, 1, 0)
+    assert str(excinfo.value) == (
+        "direction 1: the template of (('a', 0),) has a highest "
+        "coefficient other than 1 or the monomial 1")
 
 
 def test_expansion_checks_for_a_second_dominant_monomial(monkeypatch):

@@ -55,3 +55,34 @@ def test_only_charalg_knows_the_bit_layout():
                     and node.attr == "bits"):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found
+
+
+def _name(node) -> str | None:
+    # the name a call or a raise refers to, bare or as an attribute
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_one_owner_checks_a_highest_weight():
+    # `charalg` alone checks orbit names and node ranges (`Window` and
+    # `parse_monomial`), and each factor of a standard module is computed
+    # at its own shift: no module defines or calls a `shifted`
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        owner = path == PACKAGE / "charalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                bad = _name(node) == "shifted" or (
+                    _name(node) == "check_orbit" and not owner)
+            elif isinstance(node, ast.Raise):
+                bad = _name(node.exc) == "NodeOutOfRange" and not owner
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad = node.name == "shifted"
+            else:
+                continue
+            if bad:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found

@@ -1,5 +1,6 @@
 import random
 import resource
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -127,6 +128,37 @@ def test_decoded_is_linear_in_the_exponent_span():
     x = 1 + (1 << 3 * 2000000)
     assert Decoded(3, 0)[x] == TPoly({0: 1, 2000000: 1})
     assert Decoded(3, 0)[-x] == TPoly({0: -1, 2000000: -1})
+
+
+def test_decoded_cuts_long_values_exactly():
+    # values past the decoder's run of digits are cut in two, a negative
+    # top digit of the low half included; dense, sparse and one-sided
+    rng = random.Random(11)
+    for width in (3, 5, 32):
+        half = 1 << width - 1
+        for _ in range(60):
+            digits = rng.randint(60, 400)
+            density = rng.choice((1.0, 0.5, 0.05))
+            x = sum(rng.randint(-half, half - 1) << width * k
+                    for k in range(digits) if rng.random() < density)
+            for lo in (-5, 0, 5):
+                assert Decoded(width, lo)[x].c == digit_loop(x, width, lo)
+                assert Decoded(width, lo)[-x].c == digit_loop(-x, width, lo)
+
+
+def test_decoded_memory_follows_the_value():
+    # 1 + t^(10^7) at W = 5 packs into 6.25 MB; reading its two digits
+    # holds a few copies of it at most, where a binary string of it
+    # took 16 bytes per byte
+    x = 1 + (1 << 5 * 10 ** 7)
+    tracemalloc.start()
+    try:
+        p = Decoded(5, 0)[x]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == TPoly({0: 1, 10 ** 7: 1})
+    assert peak < 5 * (x.bit_length() + 7) // 8
 
 
 def test_pack_refuses_a_span_past_memory():
