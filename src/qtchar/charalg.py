@@ -12,8 +12,9 @@ inverse A-variable per unit of its lowering exponents v, with A_{i,n} =
 Y_{i,n-1} Y_{i,n+1} prod_{j~i} Y_{j,n}^{-1}.  All terms share ``w``, so a
 `Character` keeps it once, in its `Window`, and a `Monomial` is one
 integer: ``v`` packed over the window's fields, the keys the lowest
-weight's lowering vector uses and so all a term can use, above a
-``DEG_BITS``-bit field that holds its sum ``vdeg``.  A-variables are
+weight's lowering vector uses and so all a term can use, each as wide as
+the bit length of the window's bound, above a ``DEG_BITS``-bit field
+that holds its sum ``vdeg``.  A-variables are
 algebraically independent, so for a fixed ``w`` the vector ``v`` fixes
 the Y-exponents ``y``: monomials hash and compare as integers, ``y`` is
 derived, and multiplying two monomials is one integer add, which sums
@@ -80,9 +81,11 @@ class Window:
     every term), and a product's lowering vectors are sums of its
     factors', so no term has a field outside it.  ``keys`` lists the
     fields in sorted order, ``slots`` maps each key to its field, and a
-    row is the fields of one (orbit, node), in shift order.  Fields hold
-    ``bound``, the largest lowering degree ``w`` allows, and the degree
-    field of a `Monomial` twice that, else the window raises OutsideWindow.
+    row is the fields of one (orbit, node), in shift order.  A field holds
+    at most ``bound``, the largest lowering degree ``w`` allows, so it is
+    ``bits`` = ``bound.bit_length()`` wide (one bit for a bound of 0); the
+    degree field of a `Monomial` holds twice ``bound``, else the window
+    raises OutsideWindow.
 
     ``y`` has rows of its own, one per (orbit, node), over the shifts
     where a Y-exponent can be nonzero: those of ``w`` at the node, each
@@ -108,8 +111,8 @@ class Window:
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
-                 "_code", "_nbytes", "_rows", "_masks", "_center", "_yrows",
-                 "_ykeys", "_memos", "_keysize")
+                 "_rows", "_masks", "_center", "_yrows", "_ykeys", "_memos",
+                 "_keysize")
 
     def __init__(self, datum: RootDatum, w: dict):
         for (o, i, _n), m in w.items():
@@ -131,10 +134,7 @@ class Window:
         self.keys = sorted({(o, j, s + u) for o, i, s in self.w
                             for j, u, _c in datum.lowest_lowering(i)})
         self.slots = {key: k for k, key in enumerate(self.keys)}
-        size = self._size(self.bound)
-        self.bits = 8 * size
-        self._code = _TYPECODES[size]
-        self._nbytes = size * len(self.keys)
+        self.bits = max(1, self.bound.bit_length())
         rows: dict = {}  # (orbit, node) -> [first field, field count]
         for k, (o, j, _n) in enumerate(self.keys):
             rows.setdefault((o, j), [k, 0])[1] += 1
@@ -206,14 +206,14 @@ class Window:
             raise OutsideWindow(f"degree {vdeg} > {self.bound} in {self!r}")
         return Monomial(packed << DEG_BITS | vdeg)
 
-    def fields(self, v: int, count: int | None = None) -> array:
-        """Every field of a packed vector, in slot order; only the first
-        ``count`` when it is given."""
-        size = self._nbytes if count is None else count * self.bits // 8
-        out = array(self._code, v.to_bytes(size, "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
-        return out
+    def fields(self, v: int, count: int | None = None) -> list[int]:
+        """Every field of a packed vector, ``bits`` wide, as a list in
+        slot order; only the first ``count`` when it is given."""
+        b = self.bits
+        ones = (1 << b) - 1
+        if count is None:
+            count = len(self.keys)
+        return [v >> s & ones for s in range(0, b * count, b)]
 
     def pairs(self, m: Monomial) -> list[tuple[int, int]]:
         """(field, exponent) of each nonzero lowering exponent of m, in
@@ -240,11 +240,14 @@ class Window:
 
     def embedding(self, src: "Window"):
         """The map of ``src``'s monomials to this window's, degree kept.
-        Each field of src must lie here as wide and no lower, as it does in
-        the window of a product of src.  Fields that move by the same
-        number of bits move as one mask: one per row of src when its
-        shifts are consecutive fields here, as they are in a product of
-        factors whose rows do not interleave."""
+        Each field of src must lie here no narrower and no lower, as it
+        does in the window of a product of src.  Fields that move by the
+        same number of bits move as one mask: one per row of src when the
+        two windows' widths agree and its shifts are consecutive fields
+        here, as they are in a product of factors whose rows do not
+        interleave.  Where src's fields are narrower, as a factor's are
+        when the product's bound needs more bits, each moves by its own
+        mask."""
         moves: dict = {0: DEG_MASK}  # bits moved -> the mask of the bits
         b, ones = src.bits, (1 << src.bits) - 1
         for key, k in src.slots.items():

@@ -27,6 +27,7 @@ from qtchar.serialize import character_from_doc, character_to_doc
 from qtchar.sl2 import sl2_simple_qt
 from qtchar.tpoly import TPoly
 
+A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
 D4 = build_root_datum("D", 4)
 
@@ -70,9 +71,9 @@ def test_y_a2_two_lowerings():
 def test_window_layout():
     # v on the support of the lowest weight's lowering vector, shifted by
     # s: the c_ij(u) > 0, which skip node 1's shift 3 on D4 node 1; fields
-    # wide enough for the bound
+    # of the bound's bit length
     win = top(D4, 2, 3)
-    assert (win.bound, win.bits) == (10, 8)
+    assert (win.bound, win.bits) == (10, 4)
     assert win.keys == sorted(win.slots) == [
         ("a", 1, 5), ("a", 1, 7), ("a", 2, 4), ("a", 2, 6), ("a", 2, 8),
         ("a", 3, 5), ("a", 3, 7), ("a", 4, 5), ("a", 4, 7)]
@@ -80,7 +81,7 @@ def test_window_layout():
     assert sorted(top(D4, 1).slots) == [
         ("a", 1, 1), ("a", 1, 5), ("a", 2, 2), ("a", 2, 4), ("a", 3, 3),
         ("a", 4, 3)]
-    assert Window(A2, {("a", 1, 0): 200}).bits == 16
+    assert Window(A2, {("a", 1, 0): 200}).bits == 9
     with pytest.raises(OutsideWindow):
         Window(A2, {("a", 1, 0): 2 ** 64})
     # a product's fields are the union of its factors' shifted supports,
@@ -138,16 +139,17 @@ def test_window_slots_are_the_fields_the_terms_use(family, rank, factors):
     ("E", 8, [(8, 0)], 92)], ids=["D4-cube", "E7-node-4", "E8-node-8"])
 def test_term_keys_are_as_wide_as_the_support(family, rank, factors,
                                               fields):
-    # one byte per field of the support above the degree: E8 node 8's
-    # keys are at most 768 bits, where the window of every shift of each
-    # node took 2016
+    # the bound's bit length per field of the support above the degree:
+    # E8 node 8's keys are at most 768 bits, where the window of every
+    # shift of each node took 2016
     window = Window(build_root_datum(family, rank),
                     {("a", i, s): 1 for i, s in factors})
-    assert (window.bits, len(window.slots)) == (8, fields)
+    assert window.bits == window.bound.bit_length()
+    assert len(window.slots) == fields
     if family != "E" or rank != 8:  # its expansion takes seconds
         chi = built(family, rank, factors)
         assert max(m.bit_length() for m in chi.terms) <= \
-            DEG_BITS + 8 * fields
+            DEG_BITS + window.bits * fields
 
 
 # -- the integer monomial ------------------------------------------------
@@ -200,8 +202,11 @@ def test_window_rejects_a_bound_past_the_degree_field():
     assert peak > 1e6
 
 
+# the last four fill their one field to 6, 7, 8 and 9 bits, either side
+# of a width boundary
 WINDOWS = [top(D4, 2), top(A2, 1), Window(A2, {("a", 1, 0): 300}),
-           Window(D4, {("a", 2, 0): 1, ("a", 2, 8): 1, ("b", 1, 3): 2})]
+           Window(D4, {("a", 2, 0): 1, ("a", 2, 8): 1, ("b", 1, 3): 2}),
+           *(Window(A1, {("a", 1, 0): m}) for m in (63, 64, 255, 256))]
 
 
 @st.composite
@@ -236,6 +241,25 @@ def test_monomial_sum_adds_v_and_vdeg(pair):
         assert (m.v, m.vdeg) == (m1.v + m2.v, m1.vdeg + m2.vdeg)
         assert m == window.pack({key: v1.get(key, 0) + v2.get(key, 0)
                                  for key in v1.keys() | v2.keys()})
+
+
+def test_window_widths_are_the_bounds_bit_lengths():
+    assert [(w.bound, w.bits) for w in WINDOWS[-4:]] == [
+        (63, 6), (64, 7), (255, 8), (256, 9)]
+    # the lowest weight of D4 node 2 at shifts 0,2,4,6 is the sum of its
+    # factors' lowest weights and fills the bound of its 6-bit fields
+    shifts = (0, 2, 4, 6)
+    window = Window(D4, {("a", 2, s): 1 for s in shifts})
+    low = {}
+    for s in shifts:
+        chi = fundamental_qt(D4, 2, s)
+        lowest = max(chi.terms, key=lambda m: m.vdeg)
+        for key, a in chi.window.v(lowest).items():
+            low[key] = low.get(key, 0) + a
+    m = window.pack(low)
+    assert (window.bits, m.vdeg) == (6, window.bound)
+    assert window.fields(m.v) == [low.get(key, 0) for key in window.keys]
+    assert window.v(m) == low
 
 
 def test_term_keys_are_monomials():
@@ -503,7 +527,7 @@ def test_order_key_sorts_like_the_tuple_on_fundamentals(family, rank):
 
 
 @pytest.mark.parametrize("datum,w,bits", [
-    (A2, {("a", 1, 0): 200}, 16),  # 16-bit fields
+    (A2, {("a", 1, 0): 200}, 9),  # 9-bit fields
     (build_root_datum("A", 3), {("a", 2, 0): 40}, 8),  # 16-bit key units
 ])
 def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):

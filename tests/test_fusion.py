@@ -97,8 +97,8 @@ def per_field_embedding(window, chi, v):
 
 def test_left_terms_move_by_masks_as_the_per_field_rebuild():
     # two orbits, gapped and four-factor D4 products, and a factor whose
-    # w widens the product's fields from 8 to 16 bits, on either side;
-    # the right factor's terms move by the same embedding
+    # w widens the product's fields to 10 bits, the other factor's 2, on
+    # either side; the right factor's terms move by the same embedding
     wide = Character(Window(A2, {("a", 1, 0): 300}), {HIGHEST: TPoly.one()})
     for chi1, chi2 in [
         (fundamental_qt(A2, 1, 0), fundamental_qt(A2, 2, 1, orbit="b")),
@@ -111,7 +111,7 @@ def test_left_terms_move_by_masks_as_the_per_field_rebuild():
         (wide, fundamental_qt(A2, 1, 0)),
     ]:
         window, right, classes = twist_rows(chi1, chi2)
-        assert (window.bits == 16) == (wide in (chi1, chi2))
+        assert (window.bits == 10) == (wide in (chi1, chi2))
         assert right == [per_field_embedding(window, chi2, m2.v) << DEG_BITS
                          | m2.vdeg for m2 in chi2.terms]
         seen = 0
@@ -535,9 +535,10 @@ def test_d4_node2_cube_shares_coefficients():
 
 
 def test_d4_node2_cube_memory_peak():
-    # the traced peak is 1.78 MB with each distinct packed sum held once
-    # (1.93 MB with one object per sum); the bound allows 13% over it.
-    # The transient over the result's 1.66 MB is 7.1% (16.3% before)
+    # the traced peak is 1.70 MB with fields of the bound's bit length
+    # (1.78 MB with byte-wide fields, 1.93 MB with one object per packed
+    # sum); the bound allows 13% over it.  The transient over the result's
+    # 1.56 MB is 9.1% (7.1% over 1.66 MB with byte-wide fields)
     factors = [(2, 0), (2, 2), (2, 4)]
     standard_module_qt(D4, factors)  # the rank-one templates are cached
     tracemalloc.start()
@@ -547,5 +548,5 @@ def test_d4_node2_cube_memory_peak():
     finally:
         tracemalloc.stop()
     assert len(chi) == 14638
-    assert peak < 2.01e6
+    assert peak < 1.92e6
     assert peak - retained < 0.10 * retained
