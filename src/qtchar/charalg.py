@@ -241,20 +241,30 @@ class Window:
     def embedding(self, src: "Window"):
         """The map of ``src``'s monomials to this window's, degree kept.
         Each field of src must lie here no narrower and no lower, as it
-        does in the window of a product of src.  Fields that move by the
-        same number of bits move as one mask: one per row of src when the
-        two windows' widths agree and its shifts are consecutive fields
-        here, as they are in a product of factors whose rows do not
-        interleave.  Where src's fields are narrower, as a factor's are
-        when the product's bound needs more bits, each moves by its own
-        mask."""
-        moves: dict = {0: DEG_MASK}  # bits moved -> the mask of the bits
-        b, ones = src.bits, (1 << src.bits) - 1
-        for key, k in src.slots.items():
-            shift = self.bits * self.slots[key] - b * k
-            moves[shift] = moves.get(shift, 0) | ones << b * k + DEG_BITS
-        moves = sorted(moves.items())
-        return lambda m: sum([(m & bits) << shift for shift, bits in moves])
+        does in the window of a product of src.  A row's fields move as
+        one piece only where the two widths agree, and src's fields are
+        narrower wherever the product's bound needs more bits.  So each
+        row of src moves by its part, ``m >> offset & mask``
+        (`row_masks`): the part's image is computed field by field once
+        and memoised, as a factor's terms repeat few parts per row."""
+        b = self.bits
+        rows = [(start, mask, count, {},
+                 [b * self.slots[key] + DEG_BITS
+                  for key in src.keys[k:k + count]])
+                for k, start, mask, count in src.row_masks()]
+
+        def move(m: int) -> int:
+            out = m & DEG_MASK
+            for start, mask, count, memo, at in rows:
+                part = m >> start & mask
+                x = memo.get(part)
+                if x is None:
+                    x = memo[part] = sum([a << t for a, t in zip(
+                        src.fields(part, count), at)])
+                out += x
+            return out
+
+        return move
 
     def mirror(self, low: Monomial):
         """The duality involution of `fm` on the window of one Y_{i,s}:

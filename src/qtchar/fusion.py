@@ -30,9 +30,9 @@ of v1 (`twist_rows`), so the terms of the left factor fall into classes
 that share one row of twists: each class shifts the right factor's packed
 coefficients once into a table.  Both factors' monomials move into the
 product's window by one map, `Window.embedding`, as the window alone owns
-the layout: a factor's fields are as wide as its own bound needs, so
-where the product's are wider they move field by field.  There a
-monomial is one integer and their sum is the product monomial, degree
+the layout: a factor's fields are as wide as its own bound needs, and
+each of its rows moves by one memoised lookup of the row's part.  There
+a monomial is one integer and their sum is the product monomial, degree
 included (`charalg.Monomial`).  A pair
 costs one add, one lookup, one multiply, one intern and one store: the
 sum, made a Monomial, keys the accumulator as it keys the result, so no
