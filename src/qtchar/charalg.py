@@ -25,8 +25,6 @@ or across equal ``w``.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from itertools import chain
 from operator import itemgetter
 
@@ -36,9 +34,6 @@ from .rootdata import RootDatum
 from .tpoly import TPoly
 
 DEFAULT_ORBIT = "a"
-
-_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
 
 DEG_BITS = 32  # the low bits of a monomial: its lowering degree
 DEG_MASK = (1 << DEG_BITS) - 1
@@ -94,16 +89,17 @@ class Window:
     of a node, its y lies on the other; where two factors' parities differ
     (D4 ``2:0,2:1``), both parities share the node's rows, in shift order.
     A y row is read off the packed v rows of its node and its neighbours.
-    One memo per y row, keyed by those parts, holds the row's record: its
-    piece of the order key, of the text and of ``y`` (`label`, `y`), its
-    node and its node shape (`node_roots`), and the shape of its mirror
-    row (`node_roots_and_mirror`).  Rows with equal Y-exponents share one
-    record, and a record decodes only the fields of its parts.  So a term
+    One memo per y row, keyed by a monomial's bits of those rows (one
+    AND), holds the row's record: its piece of the order key, of the text
+    and of ``y`` (`label`, `y`), its node and its node shape
+    (`node_roots`), and the shape of its mirror row
+    (`node_roots_and_mirror`).  Rows with equal Y-exponents share one
+    record, and a record decodes only the fields of its rows.  So a term
     costs one pass over the rows and not one over the fields.
 
     The window alone knows where a field's bits lie: other modules read
-    and move monomials by `pack`, `pairs`, `v`, `mask`, `row_masks` and
-    `fields`, `embedding` and `mirror`, and the degree by ``DEG_MASK``.
+    and move monomials by `pack`, `pairs`, `v`, `mask`, `fields` and
+    `by_rows`, `embedding` and `mirror`, and the degree by ``DEG_MASK``.
     It is also the one check of a highest weight, in one pass over ``w``
     before the bound and any layout: a node outside 1..rank raises
     NodeOutOfRange, a negative exponent ParseError, and so does an orbit
@@ -111,8 +107,7 @@ class Window:
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
-                 "_rows", "_masks", "_center", "_yrows", "_ykeys", "_memos",
-                 "_keysize")
+                 "_rows", "_center", "_yrows", "_ykeys", "_memos", "_keysize")
 
     def __init__(self, datum: RootDatum, w: dict):
         for (o, i, _n), m in w.items():
@@ -134,13 +129,14 @@ class Window:
         self.keys = sorted({(o, j, s + u) for o, i, s in self.w
                             for j, u, _c in datum.lowest_lowering(i)})
         self.slots = {key: k for k, key in enumerate(self.keys)}
-        self.bits = max(1, self.bound.bit_length())
+        self.bits = b = max(1, self.bound.bit_length())
         rows: dict = {}  # (orbit, node) -> [first field, field count]
         for k, (o, j, _n) in enumerate(self.keys):
             rows.setdefault((o, j), [k, 0])[1] += 1
-        self._rows = [tuple(row) for row in rows.values()]
-        self._masks = [(start, mask) for _k, start, mask, _n
-                       in self.row_masks()]
+        # each v row: (first field, offset, mask, field count), so that
+        # m >> offset & mask packs the row's fields and `fields` reads them
+        self._rows = [(k, b * k + DEG_BITS, (1 << b * count) - 1, count)
+                      for k, count in rows.values()]
         # the shifts of each (orbit, node) where y can be nonzero
         shifts: dict = {}
         for o, i, s in self.w:
@@ -156,42 +152,34 @@ class Window:
                         + datum.coxeter_number for o in self.orbits}
         order = {oj: r for r, oj in enumerate(rows)}
         # each y row: its node, orbit, shifts, first y field, w and, for
-        # each v row it reads, the (position, sign) of its fields' y terms
+        # each v row it reads, its offset, its field count and the
+        # (position, sign) of its fields' y terms
         self._yrows = []
         self._ykeys = []  # the key of each y field, in sorted order
-        # (y row, reader of its v rows' parts, record by those parts,
-        # record by Y-exponents)
+        # (y row, the bits of the v rows it reads, record by a monomial's
+        # bits there, record by Y-exponents)
         self._memos = []
         for (o, i), ns in sorted(shifts.items()):
             ns = sorted(ns)
             at = {n: t for t, n in enumerate(ns)}
-            feeds = [order[o, j] for j in sorted((i, *datum.adjacency[i - 1]))
+            feeds = [self._rows[order[o, j]]
+                     for j in sorted((i, *datum.adjacency[i - 1]))
                      if (o, j) in order]
-            spread = []
-            for f in feeds:
-                k, count = self._rows[f]
-                spread.append((count, [
-                    ((at[n - 1], -1), (at[n + 1], -1)) if j == i
-                    else ((at[n], 1),)
-                    for _o, j, n in self.keys[k:k + count]]))
-            self._memos.append((len(self._yrows), itemgetter(*feeds), {}, {}))
+            spread = [(start, count, [
+                ((at[n - 1], -1), (at[n + 1], -1)) if j == i
+                else ((at[n], 1),)
+                for _o, j, n in self.keys[k:k + count]])
+                for k, start, _mask, count in feeds]
+            self._memos.append((len(self._yrows), sum(
+                mask << start for _k, start, mask, _n in feeds), {}, {}))
             self._yrows.append((i, o, ns, len(self._ykeys),
                                 [self.w.get((o, i, n), 0) for n in ns],
                                 spread))
             self._ykeys += [(o, i, n) for n in ns]
         # an order-key unit holds vdeg, a y field or an exponent + bound
-        self._keysize = self._size(max(
-            len(self._ykeys) - 1,
-            max(self.w.values(), default=0) + 2 * self.bound))
-
-    def _size(self, top: int) -> int:
-        # bytes of the least array unit that holds 0 .. top
-        size = 1
-        while top >= 1 << 8 * size:
-            size *= 2
-        if size not in _TYPECODES:
-            raise OutsideWindow(f"exponents up to {top} overflow {self!r}")
-        return size
+        top = max(len(self._ykeys) - 1,
+                  max(self.w.values(), default=0) + 2 * self.bound)
+        self._keysize = max(1, -(-top.bit_length() // 8))
 
     def pack(self, v: dict) -> Monomial:
         """The monomial with the lowering exponents of the map ``v``."""
@@ -230,13 +218,28 @@ class Window:
         return sum(ones << self.bits * self.slots[key] + DEG_BITS
                    for key in set(keys))
 
-    def row_masks(self) -> list[tuple[int, int, int, int]]:
-        """(first field, offset, mask, field count) of each row, in field
-        order: ``m >> offset & mask`` packs the row's fields of a monomial
-        m, and `fields` reads them with that count."""
-        b = self.bits
-        return [(k, b * k + DEG_BITS, (1 << b * count) - 1, count)
-                for k, count in self._rows]
+    def by_rows(self, image):
+        """The map of a monomial m to the list of ``image(k, fields)``,
+        one per row of m with a nonzero field, in field order: ``k`` the
+        row's first field and ``fields`` its exponents (`fields`).  Each
+        row's image is computed once per distinct part of it and memoised,
+        as the terms of a character repeat few parts per row."""
+        rows = [(k, start, mask, count, {})
+                for k, start, mask, count in self._rows]
+        fields = self.fields
+
+        def parts(m: int) -> list:
+            out = []
+            for k, start, mask, count, memo in rows:
+                part = m >> start & mask
+                if part:
+                    x = memo.get(part, _UNSEEN)
+                    if x is _UNSEEN:
+                        x = memo[part] = image(k, fields(part, count))
+                    out.append(x)
+            return out
+
+        return parts
 
     def embedding(self, src: "Window"):
         """The map of ``src``'s monomials to this window's, degree kept.
@@ -244,61 +247,39 @@ class Window:
         does in the window of a product of src.  A row's fields move as
         one piece only where the two widths agree, and src's fields are
         narrower wherever the product's bound needs more bits.  So each
-        row of src moves by its part, ``m >> offset & mask``
-        (`row_masks`): the part's image is computed field by field once
-        and memoised, as a factor's terms repeat few parts per row."""
-        b = self.bits
-        rows = [(start, mask, count, {},
-                 [b * self.slots[key] + DEG_BITS
-                  for key in src.keys[k:k + count]])
-                for k, start, mask, count in src.row_masks()]
-
-        def move(m: int) -> int:
-            out = m & DEG_MASK
-            for start, mask, count, memo, at in rows:
-                part = m >> start & mask
-                x = memo.get(part)
-                if x is None:
-                    x = memo[part] = sum([a << t for a, t in zip(
-                        src.fields(part, count), at)])
-                out += x
-            return out
-
-        return move
+        row of src moves through `src.by_rows`: a part's image is built
+        field by field once, as a factor's terms repeat few parts."""
+        at = [self.bits * self.slots[key] + DEG_BITS for key in src.keys]
+        parts = src.by_rows(lambda k, fields: sum(
+            [a << at[t] for t, a in enumerate(fields, k)]))
+        return lambda m: (m & DEG_MASK) + sum(parts(m))
 
     def mirror(self, low: Monomial):
         """The duality involution of `fm` on the window of one Y_{i,s}:
         v -> low.v - sigma(v) and vdeg -> low.vdeg - vdeg, ``low`` the
         lowest weight and sigma moving the field (orbit, j, n) to
         (orbit, jbar, 2s+h-n), as `node_roots_and_mirror` mirrors shapes.
-        The image of a row's part is computed once; InconsistentExpansion
-        if a field of it leaves the window or exceeds ``low``'s."""
+        Rows move through `by_rows`, so the image of a row's part is
+        built once; InconsistentExpansion if a field of it leaves the
+        window or exceeds ``low``'s."""
         b, duals = self.bits, self.datum.duals
         high = self.fields(low >> DEG_BITS)
         image = [self.slots.get((o, duals[j - 1], self._center[o] - n))
                  for o, j, n in self.keys]
-        rows = [(k, b * k + DEG_BITS, (1 << b * count) - 1, count, {})
-                for k, count in self._rows]
 
-        def phi(m: int) -> int:
-            out = low - (m & DEG_MASK)
-            for k, start, mask, count, memo in rows:
-                part = m >> start & mask
-                x = memo.get(part)
-                if x is None:
-                    x = 0
-                    for t, a in enumerate(self.fields(part, count), k):
-                        if a:
-                            d = image[t]
-                            if d is None or high[d] < a:
-                                raise InconsistentExpansion(
-                                    "the mirror of a term leaves the window")
-                            x += a << b * d + DEG_BITS
-                    memo[part] = x
-                out -= x
-            return out
+        def move(k: int, fields: list) -> int:
+            x = 0
+            for t, a in enumerate(fields, k):
+                if a:
+                    d = image[t]
+                    if d is None or high[d] < a:
+                        raise InconsistentExpansion(
+                            "the mirror of a term leaves the window")
+                    x += a << b * d + DEG_BITS
+            return x
 
-        return phi
+        parts = self.by_rows(move)
+        return lambda m: low - (m & DEG_MASK) - sum(parts(m))
 
     def y(self, m: Monomial) -> dict:
         """Y-exponents of m, in sorted key order."""
@@ -323,8 +304,8 @@ class Window:
           number of y fields.  y = w + (v moved to the neighbours) - (v
           moved up and down) takes its two v-sums from disjoint fields of
           v, each sum at most vdeg <= bound, so -bound <= e <= max(w) +
-          bound.  The unit is the least array width that holds the last
-          y field and max(w) + 2 bound.
+          bound.  The unit is the least number of bytes that holds the
+          last y field and max(w) + 2 bound.
         * The y fields are numbered in sorted key order, and e -> e +
           bound is strictly increasing.  The tuple and the units alternate
           key and exponent positions alike, so mapping every position
@@ -344,10 +325,9 @@ class Window:
 
     def _row_records(self, m: Monomial) -> list:
         # the records of m's y rows with a nonzero Y-exponent, in order
-        parts = [m >> start & mask for start, mask in self._masks]
         out = []
-        for r, read, memo, records in self._memos:
-            key = read(parts)
+        for r, bits, memo, records in self._memos:
+            key = m & bits
             record = memo.get(key, _UNSEEN)
             if record is _UNSEEN:
                 es = self._exponents(r, key)
@@ -359,15 +339,13 @@ class Window:
                 out.append(record)
         return out
 
-    def _exponents(self, r: int, parts) -> tuple:
-        # the Y-exponents of y row r from the parts of the v rows it reads
-        # (one part alone if it reads one)
+    def _exponents(self, r: int, key: int) -> tuple:
+        # the Y-exponents of y row r from a monomial's bits of the v rows
+        # it reads
         _i, _o, _shifts, _first, es, spread = self._yrows[r]
         es = es[:]
-        if len(spread) == 1:
-            parts = (parts,)
-        for (count, targets), part in zip(spread, parts):
-            for a, moves in zip(self.fields(part, count), targets):
+        for start, count, targets in spread:
+            for a, moves in zip(self.fields(key >> start, count), targets):
                 if a:
                     for t, sign in moves:
                         es[t] += sign * a
@@ -383,17 +361,16 @@ class Window:
         if not any(es):
             return None
         y = [(field, e) for field, e in enumerate(es, first) if e]
-        units = array(_TYPECODES[self._keysize],
-                      [x for field, e in y for x in (field, e + self.bound)])
-        if sys.byteorder == "little":
-            units.byteswap()
+        size = self._keysize
+        units = b"".join([x.to_bytes(size, "big") for field, e in y
+                          for x in (field, e + self.bound)])
         keys, c = self._ykeys, self._center[o]
         shape = None if min(es) < 0 else tuple(
             (o, n) for n, e in zip(shifts, es) for _ in range(e))
         mirror = None if max(es) > 0 else tuple(
             (o, c - n) for n, e in zip(reversed(shifts), reversed(es))
             for _ in range(-e))
-        return (units.tobytes(),
+        return (units,
                 " ".join(factor_text(keys[field], e) for field, e in y),
                 tuple((keys[field], e) for field, e in y), i, shape, mirror)
 

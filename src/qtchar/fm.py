@@ -28,7 +28,8 @@ low - sigma(v), where sigma reverses each node's row and moves it to the
 row of jbar, and low is the lowering vector of the lowest weight
 Y_{ibar, s+h}^-1 = phi(Y_{i,s}).  The window's fields are the support of
 low (`RootDatum.lowest_lowering`), which sigma maps onto itself; that
-every term lies below low is what `Window.mirror` checks.  It maps lowering degree d to bound - d.
+every term lies below low is what `Window.mirror` checks.  It maps
+lowering degree d to bound - d.
 That phi maps the q,t-character of V(Y_{i,s}) onto itself, coefficients
 included, is a checked property, not a proved one.  At t = 1 it is the
 q-character duality of V and V* (Frenkel-Reshetikhin, arXiv:math/9810055).

@@ -175,7 +175,8 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
     """Construct the root datum for a simply laced pair (family, rank)."""
     family = str(family).upper()
     if family not in _FAMILIES:
-        raise UnsupportedType(f"family must be one of {_FAMILIES}, got {family!r}")
+        raise UnsupportedType(
+            f"family must be one of {_FAMILIES}, got {family!r}")
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise UnsupportedType(f"rank must be an integer, got {rank!r}")
     edges = _edges(family, rank)

@@ -31,13 +31,13 @@ term's ``v``, and one must have ``v = 0``.
 whole text held: each term is rendered from `Character.sorted_terms`,
 which joins its monomial text from the window's memoised row pieces in
 the pass that builds the order key.  Its ``v`` is joined the same way,
-from a memo keyed by a window row and that row's packed fields, which
-`Window.row_masks` locates and `Window.fields` reads, as the window alone
-owns the layout; so no term is scanned field by field.  The ``w``
-block, each window field's quoted tag, each distinct row part of ``v``
-and each distinct coefficient with its Jordan block are rendered once;
-the pieces go to ``fh.writelines``.  The writer builds no reference
-cycles, so it runs with the cyclic collector paused (`gcpause`).
+from the text of each nonzero row, which `Window.by_rows` memoises per
+distinct part, as the window alone owns the layout; so no term is
+scanned field by field.  The ``w`` block, each window field's quoted
+tag, each distinct row part of ``v`` and each distinct coefficient with
+its Jordan block are rendered once; the pieces go to ``fh.writelines``.
+The writer builds no reference cycles, so it runs with the cyclic
+collector paused (`gcpause`).
 `character_to_doc` reads that text back, so the schema is rendered in
 one place.
 """
@@ -130,8 +130,8 @@ def _pieces(chi: Character, annotations: dict | None):
     yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
-    # each row's memo: its packed fields -> their part of v's text
-    rows = [(*row, {}) for row in window.row_masks()]
+    vtext = window.by_rows(lambda k, fields: ",".join(
+        [tags[j] + str(a) for j, a in enumerate(fields, k) if a]))
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
@@ -147,17 +147,7 @@ def _pieces(chi: Character, annotations: dict | None):
                     "graded": list(profile.graded),
                 })
             coeffs[c] = coeff
-        parts = []
-        for k, start, mask, count, vtexts in rows:
-            fields = m >> start & mask
-            if fields:
-                part = vtexts.get(fields)
-                if part is None:
-                    part = vtexts[fields] = ",".join([
-                        tags[j] + str(a) for j, a
-                        in enumerate(window.fields(fields, count), k) if a])
-                parts.append(part)
-        v = ",".join(parts)
+        v = ",".join(vtext(m))
         v = "{" + v + "\n      }" if v else "{}"
         yield (f'{sep}{{\n      "monomial": {_quote(text)},\n      "w": {w},'
                f'\n      "v": {v},\n      "coeff": {coeff}\n    }}')

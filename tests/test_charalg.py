@@ -529,10 +529,15 @@ def test_order_key_sorts_like_the_tuple_on_fundamentals(family, rank):
 @pytest.mark.parametrize("datum,w,bits", [
     (A2, {("a", 1, 0): 200}, 9),  # 9-bit fields
     (build_root_datum("A", 3), {("a", 2, 0): 40}, 8),  # 16-bit key units
+    (A1, {("a", 1, 0): 22000}, 15),  # 24-bit key units
 ])
 def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):
     window = Window(datum, w)
     assert window.bits == bits
+    if window.bound == 22000:
+        # vdeg, then the y field and exponent of 1_0^22000: units of the
+        # least number of bytes that holds 22000 + 2 * 22000
+        assert len(window.label(HIGHEST)[0]) == 9
     rng = random.Random(7)
     slots = sorted(window.slots)
     monomials = {HIGHEST}
@@ -545,6 +550,36 @@ def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):
             for e in y_exponents(datum, window.w, window.v(m)).values()]
     assert min(exps) < -127 and max(exps) > 127
     assert_order_matches_reference(window, list(monomials))
+
+
+@pytest.mark.parametrize("factors", [[(3, 0)], [(2, 0), (2, 2), (2, 4)]],
+                         ids=["E6-node-3", "D4-cube"])
+def test_by_rows_maps_each_nonzero_row_once_per_part(factors):
+    datum = build_root_datum("E", 6) if len(factors) == 1 else D4
+    chi = built(datum.family, datum.rank, factors)
+    window = chi.window
+    calls = []
+
+    def image(k, fields):
+        assert any(fields)
+        calls.append(k)
+        return [(t, a) for t, a in enumerate(fields, k) if a]
+
+    rows = window.by_rows(image)
+    parts = set()  # (orbit, node) and the row's nonzero pairs, per term
+    for m in chi.terms:
+        pairs = window.pairs(m)
+        by_row = defaultdict(list)
+        for k, a in pairs:
+            by_row[window.keys[k][:2]].append((k, a))
+        parts.update((row, tuple(p)) for row, p in by_row.items())
+        assert list(chain.from_iterable(rows(m))) == pairs
+    assert len(calls) == len(parts)
+    for m in chi.terms:
+        assert list(chain.from_iterable(rows(m))) == window.pairs(m)
+    assert len(calls) == len(parts)
+    if len(factors) == 1:
+        assert (len(chi.terms), len(calls)) == (2925, 105)
 
 
 def test_merge_monomials_sums_payloads():

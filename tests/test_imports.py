@@ -57,6 +57,15 @@ def test_only_charalg_knows_the_bit_layout():
     assert not found
 
 
+def test_source_lines_fit_79_columns():
+    found = [f"{path.relative_to(PACKAGE)}:{n}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for n, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             if len(line) > 79]
+    assert not found
+
+
 def _name(node) -> str | None:
     # the name a call or a raise refers to, bare or as an attribute
     if isinstance(node, ast.Call):
