@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from functools import partial
 from operator import methodcaller
 
-from . import fixtures as fixture_store
 from . import jordan, serialize
 from .charalg import HIGHEST
 from .errors import (
@@ -225,6 +224,9 @@ def cmd_dot(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    # imported here, so no other subcommand loads importlib.resources
+    from . import fixtures as fixture_store
+
     failed = False
     for name in fixture_store.fixture_names():
         doc = fixture_store.load_fixture(name)

@@ -52,7 +52,7 @@ so equal coefficients of a product share one TPoly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
 from .errors import NegativeTwist, QtCharError
@@ -61,13 +61,12 @@ from .rootdata import RootDatum
 from .tpoly import Decoded, lo_and_mass, pack
 
 
-@dataclass(frozen=True)
-class FactorSpec:
-    """One fundamental factor of a standard module."""
+class FactorSpec(namedtuple("FactorSpec", "node shift orbit",
+                            defaults=(0, DEFAULT_ORBIT))):
+    """One fundamental factor of a standard module: the tuple (node,
+    shift, orbit), shift 0 and orbit DEFAULT_ORBIT by default."""
 
-    node: int
-    shift: int = 0
-    orbit: str = DEFAULT_ORBIT
+    __slots__ = ()
 
     def sort_key(self):
         return (self.orbit, self.shift, self.node)

@@ -24,7 +24,7 @@ inverse bijections between valid polynomials and profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -45,11 +45,11 @@ def sigma(n: int, k: int) -> int:
     return n // 2 + (k + 1) // 2
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "violations",
+                                  defaults=((),))):
     """The hard-Lefschetz checks a coefficient fails; true if none."""
 
-    violations: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -104,23 +104,23 @@ def validate_poincare(p: TPoly) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class JordanProfile:
+class JordanProfile(namedtuple("JordanProfile", "blocks")):
     """Jordan structure of one l-weight space: the chain lengths
     ``blocks``, longest first, positive and of one parity.  The filtration
     length ``n`` (half the top t-degree) and the layer dimensions
     ``graded`` (graded[k] counts the blocks longer than k) derive from
     them."""
 
-    blocks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        b = self.blocks
+    def __new__(cls, blocks: tuple[int, ...]):
+        b = blocks
         if not b or list(b) != sorted(b, reverse=True) or b[-1] < 1 or any(
                 (x - b[0]) % 2 for x in b):
             raise InconsistentProfile(
                 f"blocks {b} are not a nonempty decreasing sequence of "
                 f"positive integers of one parity")
+        return super().__new__(cls, blocks)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,6 @@ the worked character tables shipped as fixtures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import UnsupportedType
@@ -21,19 +20,41 @@ from .errors import UnsupportedType
 _FAMILIES = ("A", "D", "E")
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """Immutable simply laced Cartan datum.
 
     ``cartan`` is the rank x rank Cartan matrix (tuple of tuples, 0-indexed
     internally) and ``adjacency`` maps each 1-based node to the sorted tuple
-    of its Dynkin neighbours.
+    of its Dynkin neighbours.  Equal and hashed as the tuple of these four
+    fields.  The fields are read-only; the instance dict also holds the
+    cached properties.
     """
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
+
+    def __init__(self, family, rank, cartan, adjacency):
+        self.__dict__.update(family=family, rank=rank, cartan=cartan,
+                             adjacency=adjacency)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.family, self.rank, self.cartan, self.adjacency)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def nodes(self) -> range:

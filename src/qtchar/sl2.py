@@ -11,7 +11,7 @@ expansion of minuscule modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .charalg import HIGHEST, Character, Monomial, Window, trivial_character
@@ -22,20 +22,19 @@ from .tpoly import TPoly
 RANK_ONE = build_root_datum("A", 1)
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """Step-2 chain of shifts: head, head+2, ..., head+2(length-1)."""
+class Segment(namedtuple("Segment", "orbit head length")):
+    """Step-2 chain of shifts: head, head+2, ..., head+2(length-1).
+    Ordered as the tuple (orbit, head, length)."""
 
-    orbit: str
-    head: int
-    length: int
+    __slots__ = ()
+
+    def __new__(cls, orbit: str, head: int, length: int):
+        if length < 1:
+            raise QtCharError(f"segment length {length} is not >= 1")
+        return super().__new__(cls, orbit, head, length)
 
     def shifts(self) -> list[int]:
         return [self.head + 2 * j for j in range(self.length)]
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise QtCharError(f"segment length {self.length} is not >= 1")
 
 
 def root_tuple(roots) -> tuple:

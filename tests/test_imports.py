@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +66,19 @@ def test_source_lines_fit_79_columns():
                  path.read_text(encoding="utf-8").splitlines(), 1)
              if len(line) > 79]
     assert not found
+
+
+def test_startup_loads_no_dataclasses_inspect_or_resources():
+    # every run starts a fresh interpreter, so what `import qtchar.cli`
+    # loads is paid on every call; -S keeps site hooks (a .pth file that
+    # imports them, say) from hiding or faking the result
+    heavy = ["dataclasses", "inspect", "importlib.resources"]
+    probe = ("import sys, qtchar, qtchar.cli; "
+             f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert out.stdout == "[]\n"
 
 
 def _name(node) -> str | None:
