@@ -122,6 +122,10 @@ class JordanProfile(namedtuple("JordanProfile", "blocks")):
                 f"positive integers of one parity")
         return super().__new__(cls, blocks)
 
+    @classmethod
+    def _make(cls, fields):  # so _replace checks the blocks too
+        return cls(*fields)
+
     @property
     def n(self) -> int:
         return self.blocks[0] - 1

@@ -33,6 +33,10 @@ class Segment(namedtuple("Segment", "orbit head length")):
             raise QtCharError(f"segment length {length} is not >= 1")
         return super().__new__(cls, orbit, head, length)
 
+    @classmethod
+    def _make(cls, fields):  # so _replace checks the length too
+        return cls(*fields)
+
     def shifts(self) -> list[int]:
         return [self.head + 2 * j for j in range(self.length)]
 

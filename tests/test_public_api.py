@@ -3,6 +3,7 @@ import pytest
 import qtchar
 from qtchar import FactorSpec, JordanProfile, QtCharError, Segment, parse_type
 from qtchar.charalg import DEFAULT_ORBIT
+from qtchar.errors import InconsistentProfile
 from qtchar.jordan import ValidationReport
 
 
@@ -13,11 +14,8 @@ def test_public_api():
     assert not missing
 
 
-FIELDS = ["family", "rank", "cartan", "adjacency"]
-
-
 @pytest.mark.parametrize("make, fields", [
-    (lambda: parse_type("D4"), FIELDS),
+    (lambda: parse_type("D4"), ["family", "rank", "cartan", "adjacency"]),
     (lambda: Segment("a", -1, 3), ["orbit", "head", "length"]),
     (lambda: FactorSpec(2, 4), ["node", "shift", "orbit"]),
     (lambda: ValidationReport(("palindromic",)), ["violations"]),
@@ -36,12 +34,17 @@ def test_value_classes_are_frozen_values(make, fields):
 
 
 def test_value_class_behaviour():
-    segments = [Segment("b", 0, 1), Segment("a", 2, 1), Segment("a", 0, 3),
-                Segment("a", 0, 2)]
-    assert sorted(segments) == sorted(
-        segments, key=lambda s: (s.orbit, s.head, s.length))
+    # ordered as (orbit, head, length)
+    ordered = [Segment("a", 0, 2), Segment("a", 0, 3), Segment("a", 2, 1),
+               Segment("b", 0, 1)]
+    assert sorted(reversed(ordered)) == ordered
     with pytest.raises(QtCharError, match="segment length 0 is not >= 1"):
         Segment("a", 0, 0)
+    # no copy escapes the checks either
+    with pytest.raises(QtCharError, match="segment length 0 is not >= 1"):
+        ordered[0]._replace(length=0)
+    with pytest.raises(InconsistentProfile):
+        JordanProfile((3, 1))._replace(blocks=(1, 3))
     assert FactorSpec(3) == FactorSpec(3, 0, DEFAULT_ORBIT)
     assert bool(ValidationReport(())) and ValidationReport().ok
     assert not ValidationReport(("palindromic",))
