@@ -295,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "decode", False) and args.format == "dot":
+        # refused before anything is computed: DOT carries no annotations
+        print("error: --decode cannot be combined with --format dot",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except (ParseError, NodeOutOfRange, UnsupportedType) as err:

@@ -27,26 +27,33 @@ coefficient sum a_e t^e of a factor becomes the integer sum
 a_e 2^(W (e - lo)), lo the factor's lowest t-exponent, and t^{2p} is a
 shift by 2Wp.  The twist p(m1, .) depends on m1 only through a few fields
 of v1 (`twist_rows`), so the terms of the left factor fall into classes
-that share one row of twists: each class shifts the right factor's packed
-coefficients once into a table.  Both factors' monomials move into the
+that share one row of twists: each class shifts each packed coefficient
+of the right factor once, by its twist.  Both factors' monomials move into the
 product's window by one map, `Window.embedding`, as the window alone owns
 the layout: a factor's fields are as wide as its own bound needs, and
 each of its rows moves by one memoised lookup of the row's part.  There
 a monomial is one integer and their sum is the product monomial, degree
-included (`charalg.Monomial`).  A pair
-costs one add, one lookup, one multiply, one intern and one store: the
-sum, made a Monomial, keys the accumulator as it keys the result, so no
-key is split or rebuilt after the loop.  Each add makes a new integer,
-but a product has few distinct coefficients, so every stored sum passes
-through a table local to the call and the accumulator refers to one
-object per distinct packed value rather than one per monomial (on the D4
-node-2 product at shifts 0,2,4,6, 228 objects for 327892 terms, partial
-sums included).  The width W is derived, not
-set: no digit of any partial sum exceeds A1 A2 in size, A the absolute
-mass sum |a| of a factor over all its terms, so W = (A1 A2).bit_length()
-+ 1 keeps signed digits from carrying into one another, for Laurent,
-negative and arbitrarily large coefficients alike.  Packing and decoding
-are `tpoly.pack` and `tpoly.Decoded`: each distinct sum is decoded once,
+included (`charalg.Monomial`).  A class has few distinct coefficients
+(at most 29 in each of the 23 classes of the D4 node-2 product at shifts
+0,2,4,6, whose left factor has 14638 terms), so each is multiplied by a
+right term's shifted coefficient once, before the class's terms meet
+that term.  A pair then
+costs one add and one lookup.  A new sum is made a Monomial, which keys
+the result, and stored; no key is split or rebuilt after the loop.  A
+sum seen before (a later factorization) adds the two packed values,
+interns the total and stores it through the plain-int sum, so the dict
+keeps its Monomial key.  Every packed value passes through a table local
+to the call that holds one TPoly per distinct value, partial sums
+included (on the D4 node-2 product at shifts 0,2,4,6, 273 for 327892
+terms, 118 of them in the result).  The accumulator refers to that TPoly
+from the first store; the TPoly holds its packed value until the loop
+ends and is then decoded once, in place, so no pass over the terms
+follows the loop.  The width W is derived, not set: no digit of any
+partial sum exceeds A1 A2 in size, A the absolute mass sum |a| of a
+factor over all its terms, so W = (A1 A2).bit_length() + 1 keeps signed
+digits from carrying into one another, for Laurent, negative and
+arbitrarily large coefficients alike.  Packing and decoding
+are `tpoly.pack` and `tpoly.unpack`: each distinct sum is decoded once,
 so equal coefficients of a product share one TPoly.
 """
 
@@ -58,7 +65,7 @@ from .charalg import DEFAULT_ORBIT, Character, Monomial, Window
 from .errors import NegativeTwist, QtCharError
 from .gcpause import paused_gc
 from .rootdata import RootDatum
-from .tpoly import Decoded, lo_and_mass, pack
+from .tpoly import TPoly, lo_and_mass, pack, unpack
 
 
 class FactorSpec(namedtuple("FactorSpec", "node shift orbit",
@@ -135,7 +142,8 @@ def twist_rows(chi1: Character, chi2: Character):
         members.setdefault(m1 & mask, []).append(m1)
 
     def classes():
-        for key, terms in members.items():
+        for key in list(members):
+            terms = members.pop(key)  # each class's list goes once it is done
             nz = window.pairs(left(key))
             c = sum(a * w2_below[k] for k, a in nz)
             u = u0[:]
@@ -153,16 +161,31 @@ def twist_rows(chi1: Character, chi2: Character):
     return window, right, classes()
 
 
+class _Held(dict):
+    """Packed sum -> the one TPoly that its terms hold.  Until `decode`
+    that TPoly's ``c`` is the packed sum itself, so a later factorization
+    adds to it, and each distinct sum is decoded once, in place."""
+
+    def __missing__(self, x: int) -> TPoly:
+        t = self[x] = TPoly.__new__(TPoly)
+        t.c = x
+        return t
+
+    def decode(self, width: int, lo: int) -> None:
+        for t in self.values():
+            t.c = unpack(t.c, width, lo)
+
+
 @paused_gc
 def twisted_product(datum: RootDatum, chi1: Character,
                     chi2: Character) -> Character:
     """Fuse two characters: coefficient of a product monomial is the sum
     over factorizations of t^{2p} times the product of factor coefficients,
     summed on packed integers (see the module docstring).  Each distinct
-    packed sum is held once, however many monomials share it, so the
-    accumulator costs a reference per term before the decode maps the
-    sums onto their TPolys.  A monomial whose coefficient cancels to zero
-    is kept.
+    packed sum is held once, as the TPoly it is decoded into after the
+    loop, however many monomials share it, so the accumulator costs a
+    reference per term.  A monomial whose coefficient cancels to zero is
+    kept.
 
     The terms come in the order of their first factorization m1 m2: class
     by class of `twist_rows`, then m2 in chi2's order, then the class's m1
@@ -183,22 +206,26 @@ def twisted_product(datum: RootDatum, chi1: Character,
     terms1 = chi1.terms
     packed1 = dict(zip(coeffs1, pack(coeffs1, width, lo1)))
     step = 2 * width
-    acc: dict[Monomial, int] = {}
+    acc: dict[Monomial, TPoly] = {}
     get = acc.get
-    held = {}.setdefault  # one object per distinct packed sum
+    held = _Held()
     for ps, left in classes:
-        # chi2 pre-shifted by this class's twists (t^{2p} is a shift by 2Wp)
-        # and the class's own terms; both are dropped before the next class
-        table = [(k2, x2 << step * p) for (k2, x2), p in zip(right, ps)]
-        rows = [(k1, packed1[terms1[m1]]) for m1, k1 in left]
-        for k2, x2 in table:
-            for k1, x1 in rows:
-                m = Monomial(k1 + k2)
-                x = get(m, 0) + x1 * x2
-                acc[m] = held(x, x)
-    decoded = Decoded(width, lo1 + lo2)
-    for m, x in acc.items():  # in place: no second table of the terms
-        acc[m] = decoded[x]
+        # the class's distinct coefficients, and each of its terms as the
+        # pair (k1, index of its coefficient among them)
+        index: dict[int, int] = {}
+        rows = [(k1, index.setdefault(packed1[terms1[m1]], len(index)))
+                for m1, k1 in left]
+        for (k2, x2), p in zip(right, ps):
+            x2 <<= step * p  # t^{2p} is a shift by 2Wp
+            ts = [held[x1 * x2] for x1 in index]
+            for k1, j in rows:
+                m = k1 + k2
+                t = get(m)
+                if t is None:
+                    acc[Monomial(m)] = ts[j]
+                else:  # stored through the int: the Monomial key stays
+                    acc[m] = held[t.c + ts[j].c]
+    held.decode(width, lo1 + lo2)
     return Character(window, acc)
 
 

@@ -25,7 +25,6 @@ inverse bijections between valid polynomials and profiles.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import (
     InconsistentProfile,
@@ -47,29 +46,58 @@ def sigma(n: int, k: int) -> int:
 
 class ValidationReport(namedtuple("ValidationReport", "violations",
                                   defaults=((),))):
-    """The hard-Lefschetz checks a coefficient fails; true if none."""
+    """The hard-Lefschetz checks a coefficient fails; true if none.
+
+    A passing report is true as a tuple of one field is, with no Python
+    call; a failing one is built as the subclass `FailedReport`, whose
+    ``__bool__`` is false.  Whichever class holds it, a report equals and
+    hashes as the tuple ``(violations,)`` and its ``repr`` names
+    ValidationReport."""
 
     __slots__ = ()
+
+    def __new__(cls, violations=()):
+        return tuple.__new__(FailedReport if violations else ValidationReport,
+                             (violations,))
+
+    @classmethod
+    def _make(cls, fields):  # so _replace picks the class anew
+        return ValidationReport(*fields)
+
+    def __repr__(self):
+        return f"ValidationReport(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    __bool__ = ok.fget
+
+class FailedReport(ValidationReport):
+    """A `ValidationReport` with at least one violation: false."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return False
 
 
-@lru_cache(maxsize=None)
-def validate_poincare(p: TPoly) -> ValidationReport:
-    """Check the hard-Lefschetz shape constraints on one coefficient.
+class PoincareReports(dict):
+    """Coefficient -> the report of its hard-Lefschetz checks, each value
+    checked once, on its first lookup; `validate_poincare` is the lookup.
 
     Checks: nonzero; constant term >= 1; support contained in the even
     nonnegative integers; palindromic about half the top degree; positive
-    and unimodal coefficients.  Returns the list of violated checks; the
-    shape checks run only when the first three pass.  Memoised per
-    coefficient value: a character has few distinct coefficients, so each
-    is checked once however many terms share it.
-    """
-    c = p.c
+    and unimodal coefficients.  A report lists the violated checks; the
+    shape checks run only when the first three pass.  A character has few
+    distinct coefficients, so a repeated one costs one dict lookup, and
+    the truth of a passing report costs no Python call."""
+
+    def __missing__(self, p: TPoly) -> ValidationReport:
+        report = self[p] = _checks(p.c)
+        return report
+
+
+def _checks(c: dict) -> ValidationReport:
     if not c:
         return ValidationReport(("zero",))
     positive = support = True
@@ -102,6 +130,9 @@ def validate_poincare(p: TPoly) -> ValidationReport:
     if not unimodal:
         violations.append("unimodal")
     return ValidationReport(tuple(violations))
+
+
+validate_poincare = PoincareReports().__getitem__
 
 
 class JordanProfile(namedtuple("JordanProfile", "blocks")):

@@ -6,10 +6,10 @@ immutable values, and the hash is computed once, on first use.
 
 The expansion, the peel and the twisted product do their arithmetic on
 Kronecker-packed integers instead, through the one codec here: `pack`
-writes a_e t^e as the integer sum a_e 2^(W (e - lo)), and `Decoded` reads
-the signed W-bit digits back, once per distinct value.  `lo_and_mass`
-gives the lowest exponent and the absolute mass from which each caller
-derives, and proves, its width W (see `fm` and `fusion`).
+writes a_e t^e as the integer sum a_e 2^(W (e - lo)), `unpack` reads the
+signed W-bit digits back, and `Decoded` does so once per distinct value.
+`lo_and_mass` gives the lowest exponent and the absolute mass from which
+each caller derives, and proves, its width W (see `fm` and `fusion`).
 """
 
 from __future__ import annotations
@@ -150,6 +150,42 @@ def pack(coeffs, width: int, lo: int) -> list[int]:
     return out
 
 
+def unpack(x: int, width: int, lo: int) -> dict[int, int]:
+    """The inverse of `pack` on one value: the exponent -> coefficient map
+    of the signed ``width``-bit digits of x, lowest at t^lo, zeros left
+    out."""
+    # from the lowest digit up: jump past the zero digits below the lowest
+    # set bit, read one signed digit, take it off and shift.  A piece of
+    # more than 64 digits is first cut in two at a digit, its low half the
+    # value of its own signed digits and read first, so the cost follows
+    # the nonzero digits, n log n when they are dense
+    half, full = 1 << width - 1, (1 << width) - 1
+    coeffs = {}
+    todo = [(x, lo)]
+    while todo:
+        y, e = todo.pop()
+        while y:
+            skip = ((y & -y).bit_length() - 1) // width
+            if skip:
+                y >>= width * skip
+                e += skip
+            n = y.bit_length() // width // 2
+            if n > 32:
+                ones = (1 << width * n) - 1
+                halves = ones // full * half  # half in each digit
+                low = ((y + halves) & ones) - halves
+                todo.append(((y - low) >> width * n, e + n))
+                y = low
+                continue
+            a = y & full
+            if a >= half:
+                a -= 1 << width
+            coeffs[e] = a
+            y = (y - a) >> width
+            e += 1
+    return coeffs
+
+
 class Decoded(dict):
     """Packed coefficients with signed ``width``-bit digits, lowest at
     t^lo, each decoded on first lookup: maps a packed value to its TPoly,
@@ -161,37 +197,7 @@ class Decoded(dict):
         self.masses: dict[int, int] = {}
 
     def __missing__(self, x: int) -> TPoly:
-        # from the lowest digit up: jump past the zero digits below the
-        # lowest set bit, read one signed digit, take it off and shift.  A
-        # piece of more than 64 digits is first cut in two at a digit, its
-        # low half the value of its own signed digits and read first, so
-        # the cost follows the nonzero digits, n log n when they are dense
-        width = self.width
-        half, full = 1 << width - 1, (1 << width) - 1
-        coeffs = {}
-        todo = [(x, self.lo)]  # the memo stays keyed by x
-        while todo:
-            y, e = todo.pop()
-            while y:
-                skip = ((y & -y).bit_length() - 1) // width
-                if skip:
-                    y >>= width * skip
-                    e += skip
-                n = y.bit_length() // width // 2
-                if n > 32:
-                    ones = (1 << width * n) - 1
-                    halves = ones // full * half  # half in each digit
-                    low = ((y + halves) & ones) - halves
-                    todo.append(((y - low) >> width * n, e + n))
-                    y = low
-                    continue
-                a = y & full
-                if a >= half:
-                    a -= 1 << width
-                coeffs[e] = a
-                y = (y - a) >> width
-                e += 1
-        p = self[x] = TPoly.from_dict(coeffs)
+        p = self[x] = TPoly.from_dict(unpack(x, self.width, self.lo))
         return p
 
     def positive_mass(self, x: int) -> int | None:

@@ -496,6 +496,28 @@ def test_byte_identical_runs():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["standard", "--type", "D4", "--factors", "2:0,2:2"],
+    ["fundamental", "--type", "D4", "--node", "2"],
+], ids=["standard", "fundamental"])
+def test_decode_with_dot_format_is_a_usage_error(monkeypatch, capsys, argv):
+    # DOT writes no Jordan annotations, so the pair is refused before any
+    # character is computed; without --decode the same call succeeds
+    def computed(*_args):
+        raise AssertionError("a character was computed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(qtchar.cli, "standard_module_qt", computed)
+        patched.setattr(qtchar.cli, "fundamental_qt", computed)
+        assert main([*argv, "--format", "dot", "--decode"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --decode cannot be combined with "
+                            "--format dot\n")
+    assert main([*argv, "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph character {")
+
+
 def test_exit_codes(monkeypatch, capsys):
     assert main(["fundamental", "--type", "X4", "--node", "1"]) == 2
     assert main(["fundamental", "--type", "A2", "--node", "7"]) == 2

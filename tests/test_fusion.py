@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtchar import jordan
 from qtchar.charalg import DEG_BITS, HIGHEST, Character, Monomial, Window, \
     parse_monomial, render_monomial
 from qtchar.errors import NegativeTwist, QtCharError
@@ -316,6 +317,18 @@ def test_packed_product_matches_dict_reference(pair):
     chi1, chi2 = pair
     prod = twisted_product(chi1.datum, chi1, chi2)
     assert prod.terms == dict_product(chi1, chi2).terms
+    # the dict comparison cannot tell a plain int key from a Monomial
+    assert {type(m) for m in prod.terms} == {Monomial}
+
+
+def test_merged_product_keys_stay_monomials():
+    # the "D4 product" base merges 3562 pairs across classes; a merge
+    # stores through the plain-int sum, and the key must stay a Monomial
+    (chi1,), (chi2,) = BASES["D4 product"]
+    prod = twisted_product(D4, chi1, chi2)
+    assert len(prod) == 14638 == len(chi1) * len(chi2) - 3562
+    assert {type(m) for m in prod.terms} == {Monomial}
+    assert {m.vdeg for m in prod.terms} == set(range(31))
 
 
 def test_product_terms_come_in_first_factorization_order():
@@ -522,16 +535,24 @@ def test_d4_node2_cube_pinned():
         assert max(m.vdeg for m in chi.terms) == 30
 
 
-def test_d4_node2_cube_shares_coefficients():
+def test_d4_node2_cube_shares_coefficients(monkeypatch):
     # each distinct coefficient of a product is one object and is
     # validated once, however many terms carry it
     chi = standard_module_qt(D4, [(2, 0), (2, 2), (2, 4)])
     coeffs = list(chi.terms.values())
     assert len({id(c) for c in coeffs}) == len(set(coeffs)) == 32
-    validate_poincare.cache_clear()
+    checked = []
+    check = jordan.PoincareReports.__missing__
+
+    def counted(memo, p):
+        checked.append(p)
+        return check(memo, p)
+
+    monkeypatch.setattr(jordan.PoincareReports, "__missing__", counted)
+    validate_poincare.__self__.clear()
     for c in coeffs:
         validate_poincare(c)
-    assert validate_poincare.cache_info().misses == 32
+    assert len(checked) == len({id(p) for p in checked}) == 32
 
 
 def test_d4_node2_cube_memory_peak():

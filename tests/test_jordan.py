@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -126,8 +127,37 @@ polys = st.one_of(
 @given(polys)
 def test_validate_matches_reference(p):
     report, expected = validate_poincare(p), reference_validate(p)
-    assert (report.ok, report.violations) == (expected.ok,
-                                              expected.violations)
+    assert report.violations == expected.violations
+    assert bool(report) is report.ok is (not expected.violations)
+
+
+@pytest.mark.parametrize("violations", [
+    (), ("palindromic",), ("zero",), ("constant-term", "positive")])
+def test_validation_report_contract(violations):
+    # truth is .ok, and equality, hashing, repr, _fields and the rebuilt
+    # copies are those of one report type, passing or failing
+    report = ValidationReport(violations)
+    assert bool(report) is report.ok is (not violations)
+    assert report == ValidationReport(violations=violations) == (violations,)
+    assert hash(report) == hash((violations,))
+    assert type(report)(*report) == report
+    assert isinstance(type(report)(*report), ValidationReport)
+    assert report._fields == ("violations",)
+    assert repr(report) == f"ValidationReport(violations={violations!r})"
+    assert type(report)._make([violations]) == report
+    other = () if violations else ("palindromic",)
+    assert bool(report._replace(violations=other)) is bool(violations)
+    copied = pickle.loads(pickle.dumps(report))
+    assert copied == report and bool(copied) is report.ok
+
+
+def test_validation_report_pins():
+    failing = ValidationReport(("palindromic",))
+    assert repr(failing) == "ValidationReport(violations=('palindromic',))"
+    assert failing._replace(violations=())
+    assert not ValidationReport(())._replace(violations=("palindromic",))
+    assert not validate_poincare(poly((0, 1), (4, 1)))
+    assert validate_poincare(poly((0, 1), (2, 1), (4, 1)))
 
 
 def test_validate_more_failures():
