@@ -210,15 +210,18 @@ def twisted_product(datum: RootDatum, chi1: Character,
     get = acc.get
     held = _Held()
     for ps, left in classes:
-        # the class's distinct coefficients, and each of its terms as the
-        # pair (k1, index of its coefficient among them)
+        # the class's distinct coefficients, and for each of its terms k1
+        # and the index of its coefficient among them, in two lists (a
+        # tuple per term would cost 64 bytes)
         index: dict[int, int] = {}
-        rows = [(k1, index.setdefault(packed1[terms1[m1]], len(index)))
-                for m1, k1 in left]
+        ks, js = [], []
+        for m1, k1 in left:
+            ks.append(k1)
+            js.append(index.setdefault(packed1[terms1[m1]], len(index)))
         for (k2, x2), p in zip(right, ps):
             x2 <<= step * p  # t^{2p} is a shift by 2Wp
             ts = [held[x1 * x2] for x1 in index]
-            for k1, j in rows:
+            for k1, j in zip(ks, js):
                 m = k1 + k2
                 t = get(m)
                 if t is None:

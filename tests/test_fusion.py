@@ -559,7 +559,9 @@ def test_d4_node2_cube_memory_peak():
     # the traced peak is 1.70 MB with fields of the bound's bit length
     # (1.78 MB with byte-wide fields, 1.93 MB with one object per packed
     # sum); the bound allows 13% over it.  The transient over the result's
-    # 1.56 MB is 9.4% (7.1% over 1.66 MB with byte-wide fields)
+    # 1.56 MB is 9.4% (7.1% over 1.66 MB with byte-wide fields), with each
+    # distinct sum held as one TPoly from its first store; decoding every
+    # sum as it is stored, partial sums included, read 10.5%
     factors = [(2, 0), (2, 2), (2, 4)]
     standard_module_qt(D4, factors)  # the rank-one templates are cached
     tracemalloc.start()
