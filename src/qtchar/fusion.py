@@ -28,33 +28,34 @@ a_e 2^(W (e - lo)), lo the factor's lowest t-exponent, and t^{2p} is a
 shift by 2Wp.  The twist p(m1, .) depends on m1 only through a few fields
 of v1 (`twist_rows`), so the terms of the left factor fall into classes
 that share one row of twists: each class shifts each packed coefficient
-of the right factor once, by its twist.  Both factors' monomials move into the
-product's window by one map, `Window.embedding`, as the window alone owns
-the layout: a factor's fields are as wide as its own bound needs, and
-each of its rows moves by one memoised lookup of the row's part.  There
-a monomial is one integer and their sum is the product monomial, degree
-included (`charalg.Monomial`).  A class has few distinct coefficients
-(at most 29 in each of the 23 classes of the D4 node-2 product at shifts
-0,2,4,6, whose left factor has 14638 terms), so each is multiplied by a
-right term's shifted coefficient once, before the class's terms meet
-that term.  A pair then
-costs one add and one lookup.  A new sum is made a Monomial, which keys
-the result, and stored; no key is split or rebuilt after the loop.  A
-sum seen before (a later factorization) adds the two packed values,
-interns the total and stores it through the plain-int sum, so the dict
-keeps its Monomial key.  Every packed value passes through a table local
-to the call that holds one TPoly per distinct value, partial sums
-included (on the D4 node-2 product at shifts 0,2,4,6, 273 for 327892
-terms, 118 of them in the result).  The accumulator refers to that TPoly
-from the first store; the TPoly holds its packed value until the loop
-ends and is then decoded once, in place, so no pass over the terms
-follows the loop.  The width W is derived, not set: no digit of any
-partial sum exceeds A1 A2 in size, A the absolute mass sum |a| of a
-factor over all its terms, so W = (A1 A2).bit_length() + 1 keeps signed
-digits from carrying into one another, for Laurent, negative and
-arbitrarily large coefficients alike.  Packing and decoding
-are `tpoly.pack` and `tpoly.unpack`: each distinct sum is decoded once,
-so equal coefficients of a product share one TPoly.
+of the right factor once, by its twist.  Both factors' monomials move
+into the product's window by one map, `Window.embedding`, as the window alone
+owns the layout: a factor's fields are as wide as its own bound needs,
+and each of its rows moves by one memoised lookup of the row's part.
+There a monomial is one integer and their sum is the product monomial,
+degree included (`charalg.Monomial`).  A class has few distinct
+coefficients (at most 29 in each of the 23 classes of the D4 node-2
+product at shifts 0,2,4,6, whose left factor has 14638 terms), so each
+is multiplied by a right term's shifted coefficient once, before the
+class's terms meet that term.  A pair then costs one add and one lookup.
+A new sum is made a Monomial, which keys the result, and stored; no key
+is split or rebuilt after the loop.  A sum seen before (a later
+factorization) adds the two packed values, interns the total and stores
+it through the plain-int sum, so the dict keeps its Monomial key.  Every
+packed value passes through a table local to the call that holds one
+TPoly per distinct value, partial sums included (on the D4 node-2
+product at shifts 0,2,4,6, 273 for 327892 terms, 118 of them in the
+result).  The accumulator refers to that TPoly from the first store; the
+TPoly holds its packed value until the loop ends and is then decoded
+once, in place, so no pass over the terms follows the loop.
+
+The width W is derived, not set: no digit of any partial sum exceeds
+A1 A2 in size, A the absolute mass sum |a| of a factor over all its
+terms, so W = (A1 A2).bit_length() + 1 keeps signed digits from carrying
+into one another, for Laurent, negative and arbitrarily large
+coefficients alike.  Packing and decoding are `tpoly.pack` and
+`tpoly.unpack`: each distinct sum is decoded once, so equal coefficients
+of a product share one TPoly.
 """
 
 from __future__ import annotations
