@@ -24,16 +24,17 @@ or across equal ``w``.
 
 from __future__ import annotations
 
-import re
+from collections import namedtuple
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 
 from .errors import (InconsistentExpansion, NodeOutOfRange, OutsideWindow,
                      ParseError)
 from .rootdata import RootDatum
+from .textform import (DEFAULT_ORBIT, check_orbit, factor_text, parse_factor,
+                       parse_key, render_monomial)
 from .tpoly import TPoly
-
-DEFAULT_ORBIT = "a"
 
 DEG_BITS = 32  # the low bits of a monomial: its lowering degree
 DEG_MASK = (1 << DEG_BITS) - 1
@@ -64,6 +65,16 @@ HIGHEST = Monomial(0)
 _UNSEEN = object()  # a row part that no record is memoised for yet
 
 
+class Row(namedtuple("Row", "units text y node shape")):
+    """The record of one y row of a monomial with a nonzero Y-exponent:
+    its ``units`` of the order key and its ``text`` (`Window.label`), its
+    (key, exponent) items ``y`` in key order, its ``node``, and its node
+    ``shape``: None if an exponent is negative, else the sorted (orbit,
+    shift) multiset of its exponents (see `sl2.root_tuple`)."""
+
+    __slots__ = ()
+
+
 class Window:
     """The fields of the monomials of one character with highest-weight
     exponents ``w``.
@@ -90,16 +101,21 @@ class Window:
     (D4 ``2:0,2:1``), both parities share the node's rows, in shift order.
     A y row is read off the packed v rows of its node and its neighbours.
     One memo per y row, keyed by a monomial's bits of those rows (one
-    AND), holds the row's record: its piece of the order key, of the text
-    and of ``y`` (`label`, `y`), its node and its node shape
-    (`node_roots`), and the shape of its mirror row
-    (`node_roots_and_mirror`).  Rows with equal Y-exponents share one
-    record, and a record decodes only the fields of its rows.  So a term
-    costs one pass over the rows and not one over the fields.
+    AND), holds the row's `Row` record: its piece of the order key, of
+    the text and of ``y`` (`label`, `y`), its node and its node shape
+    (`node_roots`).  Rows with equal Y-exponents share one record.  A
+    memo miss sums the row's packed exponents from w and from each v row
+    part it reads, and a part's contribution is decoded once.  So a term
+    costs one pass over the rows and not one over the fields, and a
+    term's tuple of records (`records`) is all its row state: the
+    expansion and the audit of `fm` read shapes from it and map it to
+    its mirror's by `record`, and the writer reads a term's key, text
+    and v text in one pass over `y_rows`.
 
     The window alone knows where a field's bits lie: other modules read
-    and move monomials by `pack`, `pairs`, `v`, `mask`, `fields` and
-    `by_rows`, `embedding` and `mirror`, and the degree by ``DEG_MASK``.
+    and move monomials by `pack`, `pairs`, `v`, `mask`, `fields`,
+    `by_rows`, `y_rows`, `embedding` and `mirror`, and the degree by
+    ``DEG_MASK``.
     It is also the one check of a highest weight, in one pass over ``w``
     before the bound and any layout: a node outside 1..rank raises
     NodeOutOfRange, a negative exponent ParseError, and so does an orbit
@@ -107,7 +123,8 @@ class Window:
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
-                 "_rows", "_center", "_yrows", "_ykeys", "_memos", "_keysize")
+                 "_rows", "_center", "_ywidth", "_yrows", "_ykeys", "_memos",
+                 "_keysize")
 
     def __init__(self, datum: RootDatum, w: dict):
         for (o, i, _n), m in w.items():
@@ -151,13 +168,19 @@ class Window:
                         + max(n for p, _i, n in self.w if p == o)
                         + datum.coxeter_number for o in self.orbits}
         order = {oj: r for r, oj in enumerate(rows)}
-        # each y row: its node, orbit, shifts, first y field, w and, for
-        # each v row it reads, its offset, its field count and the
-        # (position, sign) of its fields' y terms
+        # a y row's Y-exponents are packed as signed digits, e 2^(W t) at
+        # its t-th shift; |e| <= max(w) + bound < 2^(W-1) (see `label`),
+        # so equal packed values are equal exponents
+        self._ywidth = W = (max(self.w.values(), default=0)
+                            + self.bound).bit_length() + 1
+        # each y row: its node, orbit, shifts, first y field, packed w and,
+        # for each v row it reads, its offset, mask and field count, the
+        # (position, sign) of its fields' y terms and its packed
+        # contribution by part
         self._yrows = []
         self._ykeys = []  # the key of each y field, in sorted order
-        # (y row, the bits of the v rows it reads, record by a monomial's
-        # bits there, record by Y-exponents)
+        # each y row's bits of the v rows it reads, its record by a
+        # monomial's bits there and its record by Y-exponents
         self._memos = []
         for (o, i), ns in sorted(shifts.items()):
             ns = sorted(ns)
@@ -165,16 +188,16 @@ class Window:
             feeds = [self._rows[order[o, j]]
                      for j in sorted((i, *datum.adjacency[i - 1]))
                      if (o, j) in order]
-            spread = [(start, count, [
+            spread = [(start, mask, count, [
                 ((at[n - 1], -1), (at[n + 1], -1)) if j == i
                 else ((at[n], 1),)
-                for _o, j, n in self.keys[k:k + count]])
-                for k, start, _mask, count in feeds]
-            self._memos.append((len(self._yrows), sum(
-                mask << start for _k, start, mask, _n in feeds), {}, {}))
+                for _o, j, n in self.keys[k:k + count]], {})
+                for k, start, mask, count in feeds]
+            self._memos.append((sum(mask << start
+                                    for _k, start, mask, _n in feeds), {}, {}))
             self._yrows.append((i, o, ns, len(self._ykeys),
-                                [self.w.get((o, i, n), 0) for n in ns],
-                                spread))
+                                sum(self.w.get((o, i, n), 0) << W * t
+                                    for t, n in enumerate(ns)), spread))
             self._ykeys += [(o, i, n) for n in ns]
         # an order-key unit holds vdeg, a y field or an exponent + bound
         top = max(len(self._ykeys) - 1,
@@ -258,7 +281,7 @@ class Window:
         """The duality involution of `fm` on the window of one Y_{i,s}:
         v -> low.v - sigma(v) and vdeg -> low.vdeg - vdeg, ``low`` the
         lowest weight and sigma moving the field (orbit, j, n) to
-        (orbit, jbar, 2s+h-n), as `node_roots_and_mirror` mirrors shapes.
+        (orbit, jbar, 2s+h-n), as `fm` mirrors a term's row records.
         Rows move through `by_rows`, so the image of a row's part is
         built once; InconsistentExpansion if a field of it leaves the
         window or exceeds ``low``'s."""
@@ -284,7 +307,7 @@ class Window:
     def y(self, m: Monomial) -> dict:
         """Y-exponents of m, in sorted key order."""
         return dict(chain.from_iterable(
-            record[2] for record in self._row_records(m)))
+            record.y for record in self.records(m)))
 
     def text(self, m: Monomial) -> str:
         """Canonical text of m, `render_monomial` of its y."""
@@ -318,61 +341,95 @@ class Window:
 
         Keys of different windows do not compare.
         """
-        records = self._row_records(m)
+        records = self.records(m)
         return ((m & DEG_MASK).to_bytes(self._keysize, "big")
-                + b"".join([record[0] for record in records]),
-                " ".join([record[1] for record in records]) or "1")
+                + b"".join([record.units for record in records]),
+                " ".join([record.text for record in records]) or "1")
 
-    def _row_records(self, m: Monomial) -> list:
-        # the records of m's y rows with a nonzero Y-exponent, in order
-        out = []
-        for r, bits, memo, records in self._memos:
-            key = m & bits
-            record = memo.get(key, _UNSEEN)
-            if record is _UNSEEN:
-                es = self._exponents(r, key)
-                record = records.get(es, _UNSEEN)
-                if record is _UNSEEN:
-                    record = records[es] = self._row_record(r, es)
-                memo[key] = record
-            if record is not None:
-                out.append(record)
-        return out
+    def records(self, m: Monomial) -> tuple:
+        """The `Row` record of each y row of m with a nonzero Y-exponent,
+        in row order: by orbit, then node."""
+        got = [memo.get(m & bits, _UNSEEN) for bits, memo, _es in self._memos]
+        if _UNSEEN in got:
+            got = [self._memoise(r, m) if record is _UNSEEN else record
+                   for r, record in enumerate(got)]
+        return tuple(filter(None, got))
 
-    def _exponents(self, r: int, key: int) -> tuple:
-        # the Y-exponents of y row r from a monomial's bits of the v rows
-        # it reads
-        _i, _o, _shifts, _first, es, spread = self._yrows[r]
-        es = es[:]
-        for start, count, targets in spread:
-            for a, moves in zip(self.fields(key >> start, count), targets):
-                if a:
-                    for t, sign in moves:
-                        es[t] += sign * a
-        return tuple(es)
+    def _memoise(self, r: int, m: int) -> Row | None:
+        # the record of y row r of m, memoised by m's bits there
+        bits, memo, _by_exponents = self._memos[r]
+        key = m & bits
+        record = memo[key] = self._record(r, self._exponents(r, key))
+        return record
 
-    def _row_record(self, r: int, es: tuple) -> tuple | None:
-        # y row r with Y-exponents es: None if they are all 0, else its
-        # order-key units, text, Y-items, node and node shape, None if an
-        # exponent is negative, else the (orbit, shift) of each exponent
-        # unit; then the node shape of its mirror row, whose node is the
-        # dual of its own
+    def _exponents(self, r: int, key: int) -> int:
+        # the packed Y-exponents of y row r from a monomial's bits of the v
+        # rows it reads: w's plus each v row part's, computed once per part
+        _i, _o, _shifts, _first, y, spread = self._yrows[r]
+        width = self._ywidth
+        for start, mask, count, targets, made in spread:
+            part = key >> start & mask
+            if part:
+                x = made.get(part)
+                if x is None:
+                    x = made[part] = sum(
+                        sign * a << width * t for a, moves
+                        in zip(self.fields(part, count), targets) if a
+                        for t, sign in moves)
+                y += x
+        return y
+
+    def _record(self, r: int, y: int) -> Row | None:
+        # y row r with packed Y-exponents y, one record per distinct value:
+        # None if they are all 0
+        by_exponents = self._memos[r][2]
+        record = by_exponents.get(y, _UNSEEN)
+        if record is _UNSEEN:
+            record = by_exponents[y] = self._row_record(r, y) if y else None
+        return record
+
+    def _row_record(self, r: int, y: int) -> Row:
+        # the record of y row r with the packed, nonzero Y-exponents y
         i, o, shifts, first, _w, _spread = self._yrows[r]
-        if not any(es):
-            return None
-        y = [(field, e) for field, e in enumerate(es, first) if e]
-        size = self._keysize
-        units = b"".join([x.to_bytes(size, "big") for field, e in y
-                          for x in (field, e + self.bound)])
-        keys, c = self._ykeys, self._center[o]
-        shape = None if min(es) < 0 else tuple(
-            (o, n) for n, e in zip(shifts, es) for _ in range(e))
-        mirror = None if max(es) > 0 else tuple(
-            (o, c - n) for n, e in zip(reversed(shifts), reversed(es))
-            for _ in range(-e))
-        return (units,
-                " ".join(factor_text(keys[field], e) for field, e in y),
-                tuple((keys[field], e) for field, e in y), i, shape, mirror)
+        width = self._ywidth
+        full, half = (1 << width) - 1, 1 << width - 1
+        es = []
+        for _n in shifts:  # the signed digits, lowest first
+            e = (y + half & full) - half
+            es.append(e)
+            y = (y - e) >> width
+        pairs = [(field, e) for field, e in enumerate(es, first) if e]
+        size, keys = self._keysize, self._ykeys
+        return Row(
+            b"".join([x.to_bytes(size, "big") for field, e in pairs
+                      for x in (field, e + self.bound)]),
+            " ".join(factor_text(keys[field], e) for field, e in pairs),
+            tuple((keys[field], e) for field, e in pairs), i,
+            None if min(es) < 0 else tuple(
+                (o, n) for n, e in zip(shifts, es) for _ in range(e)))
+
+    def y_rows(self) -> list:
+        """Each y row, in row order, as (bits, read): a monomial m's key
+        there is ``m & bits``, and ``read(key)`` gives the row's record,
+        memoised as `records` memoises it (None if the row's Y-exponents
+        are all 0), and the part of the node's v row the key holds: None
+        if it is 0, else (part, k, fields), ``k`` and ``fields`` as
+        `by_rows` gives them."""
+        own = {self.keys[row[0]][:2]: row for row in self._rows}
+        return [(bits, partial(self._read, r, own.get((o, i))))
+                for r, ((bits, _memo, _es), (i, o, *_rest))
+                in enumerate(zip(self._memos, self._yrows))]
+
+    def _read(self, r: int, vrow: tuple | None, key: int) -> tuple:
+        # `y_rows`' read of y row r, whose node's v row is vrow
+        record = self._memos[r][1].get(key, _UNSEEN)
+        if record is _UNSEEN:
+            record = self._memoise(r, key)
+        if vrow is None:
+            return record, None
+        k, start, mask, count = vrow
+        part = key >> start & mask
+        return record, (part, k, self.fields(part, count)) if part else None
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
@@ -380,20 +437,27 @@ class Window:
         sorted (orbit, shift) multiset of its exponents (see
         `sl2.root_tuple`).  Each row's shape is read from its record, and
         a node's rows come in orbit order."""
-        return _node_shapes(self._row_records(m), 4)
+        out: dict = {}
+        for record in self.records(m):
+            roots = out.get(record.node, ())
+            if roots is not None:
+                out[record.node] = (None if record.shape is None
+                                    else roots + record.shape)
+        return out
 
-    def node_roots_and_mirror(self, m: Monomial) -> tuple[dict, dict]:
-        """`node_roots` of m and of its mirror, from one pass over m's rows.
-
-        The mirror of a row reverses its shifts, negates its exponents and
-        moves it to the dual node (`RootDatum.duals`): m maps under
-        Y_{j,n} -> Y_{jbar,c-n}^-1, c the lowest plus the highest shift of
-        ``w`` on the row's orbit plus h.  On the window of one Y_{i,s},
-        c = 2s+h and that is the duality involution of `fm`.  Each record
-        holds its mirror's shape."""
-        records = self._row_records(m)
-        return (_node_shapes(records, 4),
-                _node_shapes(records, 5, self.datum.duals))
+    def record(self, y) -> Row | None:
+        """The record of the y row with the nonzero Y-exponents ``y``,
+        (key, exponent) pairs of one (orbit, node), shared with `records`;
+        None if a key lies outside the window's y rows."""
+        (o, i, _n), _e = y[0]
+        r = next((r for r, row in enumerate(self._yrows)
+                  if row[:2] == (i, o)), None)
+        at = {} if r is None else {n: t for t, n
+                                   in enumerate(self._yrows[r][2])}
+        if not all(n in at for (_o, _i, n), _e in y):
+            return None
+        return self._record(r, sum(e << self._ywidth * at[n]
+                                   for (_o, _i, n), e in y))
 
     def solve(self, y: dict) -> Monomial | None:
         """The monomial with Y-exponents ``y``, or None: solves (y-w)[i,n]
@@ -434,58 +498,7 @@ class Window:
                 f"w={render_monomial(self.w)})")
 
 
-def _node_shapes(records: list, at: int, duals=None) -> dict:
-    # the node shapes of `node_roots`, from the shape at ``at`` of each row
-    # record, at the record's node or, with ``duals``, at its dual
-    out: dict = {}
-    for record in records:
-        i, shape = record[3], record[at]
-        if duals:
-            i = duals[i - 1]
-        roots = out.get(i, ())
-        if roots is not None:
-            out[i] = None if shape is None else roots + shape
-    return out
-
-
-# -- text format -------------------------------------------------------
-#
-# Each factor Y_{i, orbit shift}^m is written ``i_n``, ``i_n^m`` or, on a
-# non-default orbit, ``i_n@orbit^m``; factors are space separated and the
-# identity monomial renders as ``1``.  An orbit name is [A-Za-z][A-Za-z0-9]*.
-# One pattern, in ASCII and on whole strings, reads factors, document keys
-# ``i_n[@orbit]`` and orbit names.
-
-_FACTOR_RE = re.compile(
-    r"(\d+)_(-?\d+)(?:@([A-Za-z][A-Za-z0-9]*))?(?:\^(-?\d+))?", re.ASCII)
-
-
-def _parse_factor(text: str) -> tuple[tuple, int | None] | None:
-    # the key and exponent (None if unwritten) of the factor text, or None
-    m = _FACTOR_RE.fullmatch(text)
-    if m is None:
-        return None
-    node, shift, orbit, exp = m.groups()
-    try:
-        return ((orbit or DEFAULT_ORBIT, int(node), int(shift)),
-                None if exp is None else int(exp))
-    except ValueError:  # a numeral past the interpreter's digit limit
-        return None
-
-
-def parse_key(tag: str) -> tuple:
-    """The key (orbit, node, shift) of the text ``i_n[@orbit]``."""
-    parsed = _parse_factor(tag)
-    if parsed is None or parsed[1] is not None:
-        raise ParseError(f"malformed exponent key {tag!r}")
-    return parsed[0]
-
-
-def check_orbit(name: str) -> str:
-    """``name``, if it is an orbit name: what may follow ``@`` in a key."""
-    if _parse_factor(f"1_0@{name}") != ((name, 1, 0), None):
-        raise ParseError(f"bad orbit name {name!r}")
-    return name
+# -- text format: `textform`, and whole monomials here ---------------
 
 
 def parse_monomial(s: str, datum: RootDatum) -> dict:
@@ -497,7 +510,7 @@ def parse_monomial(s: str, datum: RootDatum) -> dict:
     pos = 0
     for factor in text.split():
         pos = s.index(factor, pos)
-        parsed = _parse_factor(factor)
+        parsed = parse_factor(factor)
         if parsed is None:
             raise ParseError(f"malformed factor {factor!r} at position {pos}",
                              position=pos)
@@ -512,24 +525,6 @@ def parse_monomial(s: str, datum: RootDatum) -> dict:
             y.pop(key, None)
         pos += len(factor)
     return y
-
-
-def factor_text(key: tuple, exp: int = 1) -> str:
-    """The text ``i_n[@orbit][^exp]`` of Y_{i, orbit n}^exp."""
-    orbit, node, shift = key
-    tag = f"{node}_{shift}"
-    if orbit != DEFAULT_ORBIT:
-        tag += f"@{orbit}"
-    if exp != 1:
-        tag += f"^{exp}"
-    return tag
-
-
-def render_monomial(y: dict) -> str:
-    """Canonical text for a Y-exponent map; inverse of parse_monomial."""
-    if not y:
-        return "1"
-    return " ".join(factor_text(key, exp) for key, exp in sorted(y.items()))
 
 
 # -- characters --------------------------------------------------------

@@ -17,8 +17,9 @@ coefficient is pinned by the first direction in which it carries a
 negative exponent, and the residual at every other such direction must
 vanish.  This converts the unproven bookkeeping assumptions into runtime
 checks, and `audit_expansion` re-verifies the finished character by
-peeling the per-direction decomposition off it, by the node shapes the
-expansion computed.
+peeling the per-direction decomposition off it, by the row records the
+expansion read (`Window.records`).  On one orbit each node has one y
+row, so a record is its node's shape.
 
 Half depth.  Let jbar be the node that -w0 sends j to (`RootDatum.duals`)
 and h the Coxeter number.  The duality involution phi: Y_{j,n} ->
@@ -38,9 +39,10 @@ full-depth expansion: A1-A8, D4-D8, E6, and E7 but node 3.  So
 `fundamental_qt` expands the layers 0 .. ceil(bound/2) only, and no string
 image goes past them.  The deeper layers are phi of the upper ones, and
 `Window.mirror` computes phi, as the window alone owns the bit layout:
-each mirrored term shares its source's TPoly and takes its node shapes
-from the mirror halves of the source's row records
-(`Window.node_roots_and_mirror`).  Where the halves meet the property is
+each mirrored term shares its source's TPoly and takes its row records
+from the mirrors of its source's (`_mirror_rows`), each distinct record
+mirrored once, so no mirrored term's rows are decoded.
+Where the halves meet the property is
 checked: the expanded layer ceil(bound/2) must equal phi of the layer
 bound // 2, terms and coefficients, by one code path for odd and even
 bound.  The lowest weight must lie in the window at degree bound, and the
@@ -92,7 +94,9 @@ most mass(c) mass(tc).
 
 from __future__ import annotations
 
-from .charalg import DEG_MASK, HIGHEST, Character, Monomial, Window
+from operator import attrgetter
+
+from .charalg import DEG_MASK, HIGHEST, Character, Monomial, Row, Window
 from .errors import InconsistentExpansion, NonMinuscule, OutsideWindow
 from .gcpause import paused_gc
 from .rootdata import RootDatum
@@ -114,7 +118,8 @@ def _string(window: Window, i: int, roots: tuple, width: int,
     checked too, gives every image a row at node i.  The template moves
     with its roots, so it is computed with the lowest root at shift 0 and
     embedded back at that shift: a module and its shifts share templates.
-    ``cache`` holds one width."""
+    ``cache`` holds one width; the hot loops read it first and store what
+    this returns, so the cache always holds this function's results."""
     out = cache.get((i, roots))
     if out is None:
         base = min((n for _o, n in roots), default=0)
@@ -163,8 +168,8 @@ def _string_steps(window: Window, i: int, string: list) -> list:
 def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                    orbit: str = "a") -> Character:
     """q,t-character of the fundamental module with highest l-weight
-    Y_{node, orbit shift}, audited by `audit_expansion` on the node
-    shapes its computation gives.
+    Y_{node, orbit shift}, audited by `audit_expansion` on the row
+    records its computation reads.
 
     The expansion runs down to the middle layer, degree ceil(bound / 2),
     ``bound`` the lowering degree of the lowest weight; the duality
@@ -181,6 +186,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     mid, mirrored = bound - bound // 2, bound // 2
     rank = datum.rank
     decoded = Decoded(_WIDTH, 0)
+    masses = decoded.masses
     half = 1 << _WIDTH - 1
     # layers[d]: monomial of degree d -> the packed coefficient each
     # direction generated there; images lie strictly deeper than their
@@ -189,61 +195,66 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
     strings: dict = {}
     budget = 0
     terms: dict = {}
-    shapes = []  # `Window.node_roots` of each term, aligned with terms
-    upper = []  # (m, coefficient, mirror's shape) of each term mirrored
+    rows = []  # `Window.records` of each term, aligned with terms
+    upper = []  # (m, coefficient, records) of each term mirrored
     starts = []  # where each degree's terms start in terms and upper
 
     for vdeg in range(mid + 1):
         layer, layers[vdeg] = layers[vdeg], None
-        starts.append(len(shapes))
+        starts.append(len(rows))
         for key, generated in layer.items():
             m = Monomial(key)
-            if vdeg < mirrored:
-                shape, mirror = window.node_roots_and_mirror(m)
+            records = window.records(m)
+            # one record per node, in node order: the first direction
+            # with a negative exponent pins coeff
+            for record in records:
+                if record.shape is None:
+                    pin = record.node
+                    coeff = generated[pin - 1]
+                    break
             else:
-                shape = window.node_roots(m)
-            # the first direction with a negative exponent pins coeff
-            pin = next((j for j, roots in shape.items() if roots is None),
-                       None)
-            if m == HIGHEST:
-                coeff = 1
-            elif pin is None:
-                raise NonMinuscule(
-                    f"second dominant monomial {window.text(m)}; the "
-                    f"expansion only applies to modules with a single "
-                    f"dominant l-weight")
-            else:
-                coeff = generated[pin - 1]
+                if m != HIGHEST:
+                    raise NonMinuscule(
+                        f"second dominant monomial {window.text(m)}; the "
+                        f"expansion only applies to modules with a single "
+                        f"dominant l-weight")
+                pin, coeff = None, 1
             # no zero coeff is kept: some direction generated a nonzero
             # entry at m, which a zero coeff leaves as a nonzero residual
             terms[m] = c = decoded[coeff]
-            shapes.append(shape)
+            rows.append(records)
             if vdeg < mirrored:
-                upper.append((m, c, mirror))
+                upper.append((m, c, records))
             # no string reaches m in a direction where m has no row, so
             # the residual there is coeff: one check for all of them
-            if len(shape) < rank and decoded.positive_mass(coeff) is None:
+            if len(records) < rank and decoded.positive_mass(coeff) is None:
                 raise InconsistentExpansion(
                     f"negative residual {c} in direction "
-                    f"{min(set(datum.nodes) - set(shape))} at "
+                    f"{min(set(datum.nodes) - _nodes(records))} at "
                     f"{window.text(m)}")
 
-            for i, roots in shape.items():
+            for record in records:
+                i = record.node
                 residual = coeff - generated[i - 1]
                 if not residual:
                     continue
+                roots = record.shape
                 if roots is None:
                     raise InconsistentExpansion(
                         f"directions {pin} and {i} disagree on the "
                         f"coefficient of {window.text(m)}")
-                mass = decoded.positive_mass(residual)
+                mass = masses.get(residual) or decoded.positive_mass(residual)
                 if mass is None:
                     raise InconsistentExpansion(
                         f"negative residual {decoded[residual]} in direction "
                         f"{i} at {window.text(m)}")
                 if vdeg == mid:  # its images lie below the middle layer
                     continue
-                tmass, string = _string(window, i, roots, _WIDTH, strings)
+                made = strings.get((i, roots))
+                if made is None:
+                    made = strings[i, roots] = _string(window, i, roots,
+                                                       _WIDTH, strings)
+                tmass, string = made
                 budget += mass * tmass
                 if budget >= half:
                     raise InconsistentExpansion(
@@ -258,7 +269,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                     if entry is None:
                         entry = layers[ivdeg][image] = [0] * rank
                     entry[i - 1] += residual * x
-    starts.append(len(shapes))
+    starts.append(len(rows))
 
     # the involution maps the highest weight to the lowest weight,
     # Y_{jbar, orbit shift+h}^-1, which must lie at degree bound
@@ -270,6 +281,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
             f"no lowest weight Y_{{{jbar or 'jbar'},{end}}}^-1 lies in the "
             f"window at degree {bound}")
     phi = window.mirror(low)
+    mirror = _mirror_rows(window, 2 * shift + datum.coxeter_number)
     expanded = list(terms.items())
     if {phi(m): c for m, c in expanded[starts[mirrored]:
                                       starts[mirrored + 1]]} != dict(
@@ -278,24 +290,64 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
             f"the expanded layer of degree {mid} is not the mirror of the "
             f"layer of degree {mirrored}")
     for d in reversed(range(mirrored)):
-        for src, c, mirror in upper[starts[d]:starts[d + 1]]:
+        for src, c, records in upper[starts[d]:starts[d + 1]]:
             m = Monomial(phi(src))
-            if None not in mirror.values():
+            records = mirror(records)
+            if all(map(_shape, records)):  # no negative exponent
                 raise NonMinuscule(
                     f"second dominant monomial {window.text(m)}; the "
                     f"expansion only applies to modules with a single "
                     f"dominant l-weight")
             terms[m] = c
-            shapes.append(mirror)
+            rows.append(records)
     chi = Character(window, terms)
-    audit_expansion(chi, shapes)
+    audit_expansion(chi, rows)
     return chi
 
 
-def _peel(chi: Character, shapes: list | None = None,
-          edges: dict | None = None) -> None:
+_shape, _units = attrgetter("shape"), attrgetter("units")
+
+
+def _mirror_rows(window: Window, center: int):
+    """The map of a term's `Window.records` to those of its image under
+    phi, with no row of the image decoded.  The mirror of a row reverses
+    its shifts, negates its exponents and moves it to the dual node,
+    Y_{j,n} -> Y_{jbar,c-n}^-1 with c = ``center`` = 2s+h, and each
+    distinct record is mirrored once (`Window.record`).  Where the duals
+    permute the nodes, the mirrored records are put back in row order by
+    their units, as the y fields are numbered row by row.  Raises
+    InconsistentExpansion if a mirrored row leaves the window."""
+    duals = window.datum.duals
+    moved: dict = {}  # a record's units -> its mirror's record
+
+    def move(record):
+        out = moved[record.units] = window.record(tuple(
+            ((o, duals[i - 1], center - n), -e) for (o, i, n), e in record.y))
+        if out is None:
+            raise InconsistentExpansion(
+                "the mirror of a term leaves the window")
+        return out
+
+    permutes = any(j != i for i, j in enumerate(duals, 1))
+
+    def mirror(records: tuple) -> tuple:
+        # a record is a nonempty tuple, so ``or`` moves a new one
+        out = [moved.get(record.units) or move(record) for record in records]
+        if permutes:
+            out.sort(key=_units)
+        return tuple(out)
+
+    return mirror
+
+
+def _nodes(records) -> set:
+    # the nodes where a term has a row
+    return {record.node for record in records}
+
+
+def _peel(chi: Character, rows=None, edges: dict | None = None) -> None:
     """Peel every direction's decomposition off a character, its terms
-    sorted stably by lowering degree, ``shapes`` as `audit_expansion` has.
+    sorted stably by lowering degree, ``rows`` as `audit_expansion` has.
 
     In each direction i the character must be a sum over i-dominant
     monomials m of c_m(t) times the simple rank-one character of the
@@ -319,40 +371,51 @@ def _peel(chi: Character, shapes: list | None = None,
     lo, mass = lo_and_mass(coeffs)
     width = (2 * mass).bit_length() + 1
     decoded = Decoded(width, lo)
+    masses = decoded.masses
     coeff = dict(zip(chi.terms, pack(coeffs, width, lo)))
     bound = window.bound
     nodes = chi.datum.nodes
     rank = len(nodes)
     terms = sorted(chi.terms, key=DEG_MASK.__and__)
-    if shapes is None:
-        shapes = list(map(window.node_roots, terms))
+    if len(window.orbits) > 1:  # a node's rows, one per orbit, fold
+        rows = (tuple(Row(None, None, None, i, roots)
+                      for i, roots in window.node_roots(m).items())
+                for m in terms)
+    elif rows is None:
+        rows = map(window.records, terms)
     strings: dict = {}
     steps: dict = {}  # (i, roots) -> `_string_steps`, for ``edges`` only
     pending: dict = {}  # monomial -> what each direction subtracted there
     budgets = [0] * rank
     failed, failure = rank + 1, None  # the lowest failing direction
 
-    for m, shape in zip(terms, shapes):
+    for m, records in zip(terms, rows):
         c = coeff[m]
         taken = pending.pop(m, None)
-        for i, roots in shape.items():
+        for record in records:
+            i = record.node
             if i >= failed:
                 continue
             r = c - taken[i - 1] if taken else c
             if not r:
                 continue
+            roots = record.shape
             if roots is None:
                 failed, failure = i, (
                     f"leftover mass {decoded[r]} at non-dominant "
                     f"{window.text(m)}")
                 continue
-            cmass = decoded.positive_mass(r)
+            cmass = masses.get(r) or decoded.positive_mass(r)
             if cmass is None:
                 failed, failure = i, (
                     f"negative peel coefficient {decoded[r]} at "
                     f"{window.text(m)}")
                 continue
-            tmass, string = _string(window, i, roots, width, strings)
+            made = strings.get((i, roots))
+            if made is None:
+                made = strings[i, roots] = _string(window, i, roots, width,
+                                                   strings)
+            tmass, string = made
             budgets[i - 1] += cmass * tmass
             # the deepest image comes last; a pending image is a term
             missing = (m & DEG_MASK) + (string[-1][0] & DEG_MASK) > bound
@@ -379,8 +442,9 @@ def _peel(chi: Character, shapes: list | None = None,
                     pairs = steps[i, roots] = _string_steps(window, i, string)
                 for d1, d2, step in pairs:
                     edges[Monomial(m + d1), Monomial(m + d2), i, step] = None
-        if c and len(shape) < rank and decoded.positive_mass(c) is None:
-            i = min(set(nodes) - set(shape))
+        if c and len(records) < rank and not (
+                masses.get(c) or decoded.positive_mass(c)):
+            i = min(set(nodes) - _nodes(records))
             if i < failed:
                 failed, failure = i, (f"negative peel coefficient "
                                       f"{decoded[c]} at {window.text(m)}")
@@ -398,13 +462,13 @@ def _peel(chi: Character, shapes: list | None = None,
         raise InconsistentExpansion(f"direction {failed}: {failure}")
 
 
-def audit_expansion(chi: Character, shapes: list | None = None) -> None:
+def audit_expansion(chi: Character, rows: list | None = None) -> None:
     """Verify that every direction's decomposition of the character exists
-    with nonnegative coefficients; hard error otherwise.  ``shapes``, when
-    the caller has them, are the terms' `Window.node_roots` in the order of
+    with nonnegative coefficients; hard error otherwise.  ``rows``, when
+    the caller has them, are the terms' `Window.records` in the order of
     ``chi.terms``, which must then come by lowering degree, as the layers
     of `fundamental_qt` build them."""
-    _peel(chi, shapes)
+    _peel(chi, rows)
 
 
 def string_edges(chi: Character) -> list:

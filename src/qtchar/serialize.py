@@ -28,16 +28,16 @@ term's ``v``, and one must have ``v = 0``.
 
 `write_character` writes the text of a document term by term, exactly
 ``json.dumps(doc, indent=2)`` and a newline, with no document and no
-whole text held: each term is rendered from `Character.sorted_terms`,
-which joins its monomial text from the window's memoised row pieces in
-the pass that builds the order key.  Its ``v`` is joined the same way,
-from the text of each nonzero row, which `Window.by_rows` memoises per
-distinct part, as the window alone owns the layout; so no term is
-scanned field by field.  The ``w`` block, each window field's quoted
-tag, each distinct row part of ``v`` and each distinct coefficient with
-its Jordan block are rendered once; the pieces go to ``fh.writelines``.
-The writer builds no reference cycles, so it runs with the cyclic
-collector paused (`gcpause`).
+whole text held.  Each term's order key, monomial text and ``v`` come
+from one walk of its y rows (`_walk`, over `Window.y_rows`): a y row's
+memoised triple holds its piece of the key and of the text, and the
+text of its node's ``v`` row, which the image this module passes in
+renders once per distinct part of that row; so no term is scanned
+field by field, and the window alone owns the layout.  The ``w`` block,
+each window field's quoted tag, each distinct row part of ``v`` and each
+distinct coefficient with its Jordan block are rendered once; the
+pieces go to ``fh.writelines``.  The writer builds no reference cycles,
+so it runs with the cyclic collector paused (`gcpause`).
 `character_to_doc` reads that text back, so the schema is rendered in
 one place.
 """
@@ -46,8 +46,10 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .charalg import (
+    DEG_MASK,
     HIGHEST,
     Character,
     Window,
@@ -130,12 +132,14 @@ def _pieces(chi: Character, annotations: dict | None):
     yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
-    vtext = window.by_rows(lambda k, fields: ",".join(
+    walk = _walk(window, lambda k, fields: ",".join(
         [tags[j] + str(a) for j, a in enumerate(fields, k) if a]))
+    terms = [(*walk(m), c) for m, c in chi.terms.items()]
+    terms.sort(key=itemgetter(0))
     w = _nested({factor_text(key): mult for key, mult in chi.w.items()})
     coeffs: dict = {}  # coefficient -> its text and its Jordan block's
     sep = "\n    "
-    for m, text, c in chi.sorted_terms():
+    for _key, rows, c in terms:
         coeff = coeffs.get(c)
         if coeff is None:
             coeff = _nested([[e, x] for e, x in c.pairs()])
@@ -147,12 +151,50 @@ def _pieces(chi: Character, annotations: dict | None):
                     "graded": list(profile.graded),
                 })
             coeffs[c] = coeff
-        v = ",".join(vtext(m))
+        text = " ".join(filter(None, map(_text, rows))) or "1"
+        v = ",".join(filter(None, map(_piece, rows)))
         v = "{" + v + "\n      }" if v else "{}"
         yield (f'{sep}{{\n      "monomial": {_quote(text)},\n      "w": {w},'
                f'\n      "v": {v},\n      "coeff": {coeff}\n    }}')
         sep = ",\n    "
     yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"  # [] if no term
+
+
+_first, _text, _piece = itemgetter(0), itemgetter(1), itemgetter(2)
+_DEG_BYTES = -(-DEG_MASK.bit_length() // 8)  # a monomial's degree field
+
+
+def _walk(window: Window, image):
+    """The map of a monomial m to a key that sorts like its `Window.label`
+    key, and one (units, text, piece) triple per y row in row order, from
+    one walk of its y rows (`Window.y_rows`): the row's units of the key
+    and its text, both empty if its Y-exponents are all 0, and ``image(k,
+    fields)`` of its node's v row, "" if m's part of that row is 0.  A
+    triple is memoised by the row's key, and a piece once per distinct
+    part of the v row."""
+    rows = [(bits, read, {}, {}) for bits, read in window.y_rows()]
+    gets = [(r, bits, triples.get)
+            for r, (bits, _read, triples, _pieces) in enumerate(rows)]
+
+    def triple(r: int, key: int) -> tuple:
+        _bits, read, triples, pieces = rows[r]
+        record, part = read(key)
+        piece = ""
+        if part is not None:
+            piece = pieces.get(part[0])
+            if piece is None:
+                piece = pieces[part[0]] = image(*part[1:])
+        out = triples[key] = ((record.units, record.text, piece)
+                              if record else (b"", "", piece))
+        return out
+
+    def walk(m: int) -> tuple[bytes, list]:
+        # a triple is a nonempty tuple, so ``or`` fills a miss
+        got = [get(m & bits) or triple(r, m & bits) for r, bits, get in gets]
+        return ((m & DEG_MASK).to_bytes(_DEG_BYTES, "big")
+                + b"".join(map(_first, got)), got)
+
+    return walk
 
 
 def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:

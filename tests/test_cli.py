@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from test_serialize import _mutated_documents
 
 import qtchar.cli
-from qtchar import fixtures, serialize
+from qtchar import fixtures, fm, serialize
+from qtchar.charalg import Window
 from qtchar.cli import main, parse_factors
 from qtchar.errors import InconsistentExpansion, ParseError
 from qtchar.fusion import FactorSpec
@@ -560,3 +562,58 @@ def test_fixtures_command_reports_mismatches(capsys, monkeypatch):
         + "FAIL a2-std-1x0-2x1: 7 mismatches\n"
         + "".join(f"  line {k}\n" for k in range(5))
         + "PASS e6-fund-3-partial (38 pinned terms)\n")
+
+
+def test_one_row_walk_per_term(monkeypatch, tmp_path):
+    # `fundamental --decode`: the expansion reads the rows of the terms
+    # down to the middle layer and of the lowest weight, which
+    # `Window.solve` checks, and of no mirrored term; the audit, handed
+    # the records, reads none; the writer walks each term's rows once
+    # and makes no `Window.by_rows` pass
+    phase = ["expand"]
+    walks = Counter()
+    records, by_rows = Window.records, Window.by_rows
+
+    def spy_records(window, m):
+        if window.datum.rank == 6:  # not a rank-one template's window
+            walks[phase[0], "records"] += 1
+        return records(window, m)
+
+    def counted(kind, make):
+        def spy(window, image):
+            inner = make(window, image)
+
+            def count(m):
+                walks[phase[0], kind] += 1
+                return inner(m)
+            return count
+        return spy
+
+    def in_phase(name, fn):
+        def spy(*args):
+            phase[0] = name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = "other"
+        return spy
+
+    monkeypatch.setattr(Window, "records", spy_records)
+    monkeypatch.setattr(serialize, "_walk", counted("walk", serialize._walk))
+    monkeypatch.setattr(Window, "by_rows", counted("by_rows", by_rows))
+    monkeypatch.setattr(fm, "audit_expansion",
+                        in_phase("audit", fm.audit_expansion))
+    monkeypatch.setattr(serialize, "write_character",
+                        in_phase("write", serialize.write_character))
+    out = tmp_path / "e6n3.json"
+    assert main(["fundamental", "--type", "E6", "--node", "3", "--decode",
+                 "--out", str(out)]) == 0
+    degrees = [sum(term["v"].values())
+               for term in json.loads(out.read_text())["terms"]]
+    bound = max(degrees)
+    upper = sum(d <= bound - bound // 2 for d in degrees)
+    assert len(degrees) == 2925
+    assert walks["expand", "records"] == upper + 1
+    assert {key for key in walks if key[0] != "expand"} == {
+        ("write", "walk")}
+    assert walks["write", "walk"] == 2925

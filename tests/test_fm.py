@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 from operator import attrgetter
 
@@ -145,9 +146,9 @@ def test_audit_passes_on_outputs():
 
 
 def test_expansion_hands_the_audit_its_own_rows(monkeypatch):
-    # the node shapes the expansion computed are those the audit would
-    # compute itself, term by term, and the terms come by lowering degree,
-    # the order the audit walks, so every peel check is unchanged
+    # the row records the expansion read are those the audit would read
+    # itself, term by term, and the terms come by lowering degree, the
+    # order the audit walks, so every peel check is unchanged
     handed = []
     audit = fm.audit_expansion
 
@@ -158,8 +159,8 @@ def test_expansion_hands_the_audit_its_own_rows(monkeypatch):
     monkeypatch.setattr(fm, "audit_expansion", spy)
     for datum, node in [(A2, 1), (D4, 2), (E6, 3)]:
         chi = fundamental_qt(datum, node, 0)
-        node_roots = chi.window.node_roots
-        assert handed.pop() == [node_roots(m) for m in chi.terms]
+        records = chi.window.records
+        assert handed.pop() == [records(m) for m in chi.terms]
         degrees = [m.vdeg for m in chi.terms]
         assert degrees == sorted(degrees)
 
@@ -433,14 +434,15 @@ def test_expansion_checks_the_template_head(monkeypatch):
 
 
 def test_expansion_checks_for_a_second_dominant_monomial(monkeypatch):
-    # a shape without negative exponents below the highest monomial
-    node_roots = Window.node_roots
+    # rows that read as without negative exponents below the highest
+    # monomial, their text and Y-exponents kept
+    records = Window.records
 
     def dominant(window, m):
-        shape = node_roots(window, m)
-        return {i: r for i, r in shape.items() if r is not None}
+        return tuple(r if r.shape else r._replace(shape=())
+                     for r in records(window, m))
 
-    monkeypatch.setattr(Window, "node_roots", dominant)
+    monkeypatch.setattr(Window, "records", dominant)
     with pytest.raises(NonMinuscule, match=r"second dominant monomial "
                        r"1_2\^-1 2_1"):
         fundamental_qt(A2, 1, 0)
@@ -495,46 +497,58 @@ def test_mirror_checks_that_images_stay_in_the_window():
 
 def test_expansion_checks_the_mirrored_half_for_dominant_monomials(
         monkeypatch):
-    # a mirror shape without negative exponents below the middle layer
-    both = Window.node_roots_and_mirror
+    # mirrored rows without negative exponents below the middle layer
+    mirror_rows = fm._mirror_rows
 
-    def dominant(window, m):
-        shape, mirror = both(window, m)
-        return shape, {i: r for i, r in mirror.items() if r is not None}
+    def dominant(window, center):
+        mirror = mirror_rows(window, center)
+        return lambda records: tuple(
+            r for r in mirror(records) if r.shape is not None)
 
-    monkeypatch.setattr(Window, "node_roots_and_mirror", dominant)
+    monkeypatch.setattr(fm, "_mirror_rows", dominant)
     with pytest.raises(NonMinuscule,
                        match=r"second dominant monomial 2_3\^-1"):
         fundamental_qt(A2, 1, 0)
 
 
 def test_expansion_stops_at_the_middle_layer(monkeypatch):
-    # every host lies at or above degree ceil(bound / 2), and a mirror
-    # shape is taken only above degree bound // 2
+    # the expansion reads the rows of each term down to degree
+    # ceil(bound / 2) once, and of no deeper term but the lowest weight,
+    # which `Window.solve` checks: the terms below the middle take the
+    # mirrors of the records of the terms above degree bound // 2, in
+    # reverse degree order
     hosts, mirrored = [], []
-    node_roots, both = Window.node_roots, Window.node_roots_and_mirror
+    records, mirror_rows = Window.records, fm._mirror_rows
 
-    def spy_roots(window, m):
-        hosts.append(m.vdeg)
-        return node_roots(window, m)
+    def spy_records(window, m):
+        hosts.append((window, m))
+        return records(window, m)
 
-    def spy_both(window, m):
-        mirrored.append(m.vdeg)
-        return both(window, m)
+    def spy_mirror(window, center):
+        mirror = mirror_rows(window, center)
 
-    monkeypatch.setattr(Window, "node_roots", spy_roots)
-    monkeypatch.setattr(Window, "node_roots_and_mirror", spy_both)
-    monkeypatch.setattr(fm, "audit_expansion", lambda chi, shapes: None)
+        def spy(rows):
+            mirrored.append(rows)
+            return mirror(rows)
+        return spy
+
+    monkeypatch.setattr(Window, "records", spy_records)
+    monkeypatch.setattr(fm, "_mirror_rows", spy_mirror)
+    monkeypatch.setattr(fm, "audit_expansion", lambda chi, rows: None)
     for datum, node in [(A1, 1), (A2, 1), (D4, 2), (D4, 3), (E6, 1)]:
         hosts.clear(), mirrored.clear()
         chi = fundamental_qt(datum, node, 0)
         bound = chi.window.bound
         mid = bound - bound // 2
         degrees = sorted(m.vdeg for m in chi.terms)
-        assert sorted(hosts + mirrored) == [d for d in degrees if d <= mid]
-        assert max(mirrored) == bound // 2 - 1 if bound > 1 else \
-            mirrored == []
-        assert min(hosts) == bound // 2
+        # the rank-one templates have windows of their own
+        assert sorted(m.vdeg for w, m in hosts if w is chi.window) == \
+            sorted([d for d in degrees if d <= mid] + [bound])
+        monkeypatch.setattr(Window, "records", records)
+        sources = sorted((m for m in chi.terms if m.vdeg < bound // 2),
+                         key=lambda m: -m.vdeg)
+        assert mirrored == [chi.window.records(m) for m in sources]
+        monkeypatch.setattr(Window, "records", spy_records)
 
 
 # -- references for the half-depth expansion and the one-pass peel -------
@@ -644,18 +658,41 @@ def reference_modules():
 
 def test_half_depth_matches_full_depth(monkeypatch):
     # term for term, coefficient for coefficient and in the same degree
-    # order; the mirrored half's handed shapes are its node_roots
+    # order; the handed rows are the terms' own records
     handed = []
     monkeypatch.setattr(fm, "audit_expansion",
-                        lambda chi, shapes: handed.append(shapes))
+                        lambda chi, rows: handed.append(rows))
     for datum, node in reference_modules():
         chi = fundamental_qt(datum, node, 0)
         full = full_depth_qt(datum, node, 0)
         assert chi.terms == full.terms, (datum, node)
         degrees = [m.vdeg for m in chi.terms]
         assert degrees == sorted(degrees)
-        assert handed.pop() == list(map(chi.window.node_roots, chi.terms))
+        assert handed.pop() == list(map(chi.window.records, chi.terms))
 
+
+
+def test_mirrored_records_are_the_rows_own_records(monkeypatch):
+    # each mirrored term's records, mapped from its source's without
+    # decoding its rows, are the window's own walk of its rows, record
+    # for record; E6 and D5 dualize nodes, so the rows change order
+    handed = []
+    monkeypatch.setattr(fm, "audit_expansion",
+                        lambda chi, rows: handed.append(rows))
+    permuted = set()
+    for datum, node in reference_modules():
+        chi = fundamental_qt(datum, node, 0)
+        bound = chi.window.bound
+        mirrored = [(m, rows) for m, rows in zip(chi.terms, handed.pop())
+                    if m.vdeg > bound - bound // 2]
+        assert len(mirrored) == sum(m.vdeg < bound // 2 for m in chi.terms)
+        for m, rows in mirrored:
+            own = chi.window.records(m)
+            assert rows == own, (datum, node, m)
+            assert all(map(operator.is_, rows, own))
+        if datum.duals != tuple(datum.nodes):
+            permuted.add(f"{datum.family}{datum.rank}")
+    assert {"E6", "D5"} <= permuted
 
 def tampered_characters():
     """Characters one or two coefficients away from fundamentals, or one

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import qtchar
+from qtchar.charalg import Window
 
 PACKAGE = Path(qtchar.__file__).parent
 
@@ -58,6 +59,22 @@ def test_only_charalg_knows_the_bit_layout():
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found
 
+
+
+def test_only_charalg_reads_the_window_internals():
+    # a term's row records are laid out in `charalg` alone: no other
+    # module reads a private slot of `Window`, so `fm` and `serialize`
+    # reach records through its methods and the records' named fields
+    private = {name for name in Window.__slots__ if name.startswith("_")}
+    assert {"_memos", "_yrows", "_rows"} <= private
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "charalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found
 
 def test_source_lines_fit_79_columns():
     found = [f"{path.relative_to(PACKAGE)}:{n}"
