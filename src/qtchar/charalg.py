@@ -25,12 +25,10 @@ or across equal ``w``.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from itertools import chain
 from operator import itemgetter
 
-from .errors import (InconsistentExpansion, NodeOutOfRange, OutsideWindow,
-                     ParseError)
+from .errors import NodeOutOfRange, OutsideWindow, ParseError
 from .rootdata import RootDatum
 from .textform import (DEFAULT_ORBIT, check_orbit, factor_text, parse_factor,
                        parse_key, render_monomial)
@@ -63,11 +61,12 @@ class Monomial(int):
 
 HIGHEST = Monomial(0)
 _UNSEEN = object()  # a row part that no record is memoised for yet
+_units, _text = itemgetter(0), itemgetter(1)  # of a `Window.walk` triple
 
 
 class Row(namedtuple("Row", "units text y node shape")):
     """The record of one y row of a monomial with a nonzero Y-exponent:
-    its ``units`` of the order key and its ``text`` (`Window.label`), its
+    its ``units`` of the order key and its ``text`` (`Window.walk`), its
     (key, exponent) items ``y`` in key order, its ``node``, and its node
     ``shape``: None if an exponent is negative, else the sorted (orbit,
     shift) multiset of its exponents (see `sl2.root_tuple`)."""
@@ -102,34 +101,36 @@ class Window:
     A y row is read off the packed v rows of its node and its neighbours.
     One memo per y row, keyed by a monomial's bits of those rows (one
     AND), holds the row's `Row` record: its piece of the order key, of
-    the text and of ``y`` (`label`, `y`), its node and its node shape
+    the text and of ``y`` (`walk`, `y`), its node and its node shape
     (`node_roots`).  Rows with equal Y-exponents share one record.  A
     memo miss sums the row's packed exponents from w and from each v row
     part it reads, and a part's contribution is decoded once.  So a term
     costs one pass over the rows and not one over the fields, and a
     term's tuple of records (`records`) is all its row state: the
     expansion and the audit of `fm` read shapes from it and map it to
-    its mirror's by `record`, and the writer reads a term's key, text
-    and v text in one pass over `y_rows`.
+    its mirror's by `record`, and `walk` gives a term's order key, text
+    and v text in one pass, to the writer and to every other reader of
+    the term order.
 
     The window alone knows where a field's bits lie: other modules read
     and move monomials by `pack`, `pairs`, `v`, `mask`, `fields`,
-    `by_rows`, `y_rows`, `embedding` and `mirror`, and the degree by
-    ``DEG_MASK``.
+    `by_rows`, `walk` and `embedding`, and the degree by ``DEG_MASK``.
     It is also the one check of a highest weight, in one pass over ``w``
-    before the bound and any layout: a node outside 1..rank raises
-    NodeOutOfRange, a negative exponent ParseError, and so does an orbit
-    that is not a name the text format can write (`check_orbit`).
+    before the bound and any layout: a node that is not an int in
+    1..rank raises NodeOutOfRange, a shift that is not an int or a
+    negative exponent ParseError, and so does an orbit that is not a
+    name the text format can write (`check_orbit`).
     """
 
     __slots__ = ("datum", "w", "orbits", "bound", "bits", "keys", "slots",
-                 "_rows", "_center", "_ywidth", "_yrows", "_ykeys", "_memos",
-                 "_keysize")
+                 "_rows", "_ywidth", "_yrows", "_ykeys", "_memos", "_keysize")
 
     def __init__(self, datum: RootDatum, w: dict):
-        for (o, i, _n), m in w.items():
-            if not 1 <= i <= datum.rank:
-                raise NodeOutOfRange(f"node {i} not in 1..{datum.rank}")
+        for (o, i, n), m in w.items():
+            if type(i) is not int or not 1 <= i <= datum.rank:
+                raise NodeOutOfRange(f"node {i!r} not in 1..{datum.rank}")
+            if type(n) is not int:
+                raise ParseError(f"shift {n!r} is not an integer")
             if m < 0:
                 raise ParseError(
                     f"highest weight {render_monomial(w)!r} is not a product "
@@ -162,14 +163,9 @@ class Window:
             shifts.setdefault((o, j), set()).update((n - 1, n + 1))
             for k in datum.adjacency[j - 1]:
                 shifts.setdefault((o, k), set()).add(n)
-        # the mirror n -> c - n of each orbit: c = 2s + h on the window of
-        # one Y_{i,s}, the duality involution of `fm`
-        self._center = {o: min(n for p, _i, n in self.w if p == o)
-                        + max(n for p, _i, n in self.w if p == o)
-                        + datum.coxeter_number for o in self.orbits}
         order = {oj: r for r, oj in enumerate(rows)}
         # a y row's Y-exponents are packed as signed digits, e 2^(W t) at
-        # its t-th shift; |e| <= max(w) + bound < 2^(W-1) (see `label`),
+        # its t-th shift; |e| <= max(w) + bound < 2^(W-1) (see `walk`),
         # so equal packed values are equal exponents
         self._ywidth = W = (max(self.w.values(), default=0)
                             + self.bound).bit_length() + 1
@@ -277,33 +273,6 @@ class Window:
             [a << at[t] for t, a in enumerate(fields, k)]))
         return lambda m: (m & DEG_MASK) + sum(parts(m))
 
-    def mirror(self, low: Monomial):
-        """The duality involution of `fm` on the window of one Y_{i,s}:
-        v -> low.v - sigma(v) and vdeg -> low.vdeg - vdeg, ``low`` the
-        lowest weight and sigma moving the field (orbit, j, n) to
-        (orbit, jbar, 2s+h-n), as `fm` mirrors a term's row records.
-        Rows move through `by_rows`, so the image of a row's part is
-        built once; InconsistentExpansion if a field of it leaves the
-        window or exceeds ``low``'s."""
-        b, duals = self.bits, self.datum.duals
-        high = self.fields(low >> DEG_BITS)
-        image = [self.slots.get((o, duals[j - 1], self._center[o] - n))
-                 for o, j, n in self.keys]
-
-        def move(k: int, fields: list) -> int:
-            x = 0
-            for t, a in enumerate(fields, k):
-                if a:
-                    d = image[t]
-                    if d is None or high[d] < a:
-                        raise InconsistentExpansion(
-                            "the mirror of a term leaves the window")
-                    x += a << b * d + DEG_BITS
-            return x
-
-        parts = self.by_rows(move)
-        return lambda m: low - (m & DEG_MASK) - sum(parts(m))
-
     def y(self, m: Monomial) -> dict:
         """Y-exponents of m, in sorted key order."""
         return dict(chain.from_iterable(
@@ -311,17 +280,25 @@ class Window:
 
     def text(self, m: Monomial) -> str:
         """Canonical text of m, `render_monomial` of its y."""
-        return self.label(m)[1]
+        return " ".join([record.text for record in self.records(m)]) or "1"
 
-    def label(self, m: Monomial) -> tuple[bytes, str]:
-        """The sort key of m in the canonical term order, and its `text`,
-        joined from its rows' records.  The order is by lowering degree,
-        then by the Y-exponents' (key, exponent) pairs in sorted key order.
+    def walk(self, image=None):
+        """The map of a monomial m to its key in the canonical term order
+        and one (units, text, piece) triple per y row, in row order, from
+        one walk of its y rows: the row's `Row` units of the key and its
+        text, both empty if its Y-exponents are all 0, and ``image(k,
+        fields)`` (as `by_rows` gives them) of m's part of the node's v
+        row, "" if that part is 0 or no ``image`` is given.  A triple is
+        memoised by m's bits of the v rows the y row reads, and a piece
+        once per distinct part; a caller joins the texts and pieces it
+        needs.
 
-        The key is a run of equal-width big-endian units: vdeg, then the
-        y field and ``bound`` + exponent of each nonzero Y-exponent, in
-        field order.  For any two monomials of this window it sorts like
-        the tuple (vdeg, k1, e1, k2, e2, ...) of those pairs:
+        The order is by lowering degree, then by the Y-exponents' (key,
+        exponent) pairs in sorted key order.  The key is a run of
+        equal-width big-endian units: vdeg, then the y field and
+        ``bound`` + exponent of each nonzero Y-exponent, in field order.
+        For any two monomials of this window it sorts like the tuple
+        (vdeg, k1, e1, k2, e2, ...) of those pairs:
 
         * Every unit fits.  vdeg <= bound and a y field is below the
           number of y fields.  y = w + (v moved to the neighbours) - (v
@@ -341,10 +318,39 @@ class Window:
 
         Keys of different windows do not compare.
         """
-        records = self.records(m)
-        return ((m & DEG_MASK).to_bytes(self._keysize, "big")
-                + b"".join([record.units for record in records]),
-                " ".join([record.text for record in records]) or "1")
+        own = {self.keys[row[0]][:2]: row for row in self._rows}
+        rows = [(bits, memo, image and own.get((o, i)), {}, {})
+                for (bits, memo, _es), (i, o, *_rest)
+                in zip(self._memos, self._yrows)]
+        gets = [(r, bits, triples.get)
+                for r, (bits, _m, _v, triples, _p) in enumerate(rows)]
+        size, fields = self._keysize, self.fields
+
+        def triple(r: int, key: int) -> tuple:
+            _bits, memo, vrow, triples, pieces = rows[r]
+            record = memo.get(key, _UNSEEN)
+            if record is _UNSEEN:
+                record = self._memoise(r, key)
+            piece = ""
+            if vrow is not None:
+                k, start, mask, count = vrow
+                part = key >> start & mask
+                if part:
+                    piece = pieces.get(part)
+                    if piece is None:
+                        piece = pieces[part] = image(k, fields(part, count))
+            out = triples[key] = ((record.units, record.text, piece)
+                                  if record else (b"", "", piece))
+            return out
+
+        def walk(m: int) -> tuple[bytes, list]:
+            # a triple is a nonempty tuple, so ``or`` fills a miss
+            got = [get(m & bits) or triple(r, m & bits)
+                   for r, bits, get in gets]
+            return ((m & DEG_MASK).to_bytes(size, "big")
+                    + b"".join(map(_units, got)), got)
+
+        return walk
 
     def records(self, m: Monomial) -> tuple:
         """The `Row` record of each y row of m with a nonzero Y-exponent,
@@ -407,29 +413,6 @@ class Window:
             tuple((keys[field], e) for field, e in pairs), i,
             None if min(es) < 0 else tuple(
                 (o, n) for n, e in zip(shifts, es) for _ in range(e)))
-
-    def y_rows(self) -> list:
-        """Each y row, in row order, as (bits, read): a monomial m's key
-        there is ``m & bits``, and ``read(key)`` gives the row's record,
-        memoised as `records` memoises it (None if the row's Y-exponents
-        are all 0), and the part of the node's v row the key holds: None
-        if it is 0, else (part, k, fields), ``k`` and ``fields`` as
-        `by_rows` gives them."""
-        own = {self.keys[row[0]][:2]: row for row in self._rows}
-        return [(bits, partial(self._read, r, own.get((o, i))))
-                for r, ((bits, _memo, _es), (i, o, *_rest))
-                in enumerate(zip(self._memos, self._yrows))]
-
-    def _read(self, r: int, vrow: tuple | None, key: int) -> tuple:
-        # `y_rows`' read of y row r, whose node's v row is vrow
-        record = self._memos[r][1].get(key, _UNSEEN)
-        if record is _UNSEEN:
-            record = self._memoise(r, key)
-        if vrow is None:
-            return record, None
-        k, start, mask, count = vrow
-        part = key >> start & mask
-        return record, (part, k, self.fields(part, count)) if part else None
 
     def node_roots(self, m: Monomial) -> dict:
         """The shape of m's Y-exponents at each node with a nonzero row:
@@ -544,11 +527,15 @@ class Character:
     w = property(lambda self: self.window.w)  # shared by every term
 
     def sorted_terms(self) -> list[tuple[Monomial, str, TPoly]]:
-        """(monomial, text, coefficient) in the order of `Window.label`: by
+        """(monomial, text, coefficient) in the order of `Window.walk`: by
         lowering degree, then sorted y."""
-        label = self.window.label
-        rows = [(*label(m), m, c) for m, c in self.terms.items()]
-        rows.sort(key=itemgetter(0))
+        walk = self.window.walk()
+        rows = []
+        for m, c in self.terms.items():
+            key, got = walk(m)
+            rows.append((key, " ".join(filter(None, map(_text, got))) or "1",
+                         m, c))
+        rows.sort(key=_units)
         return [(m, text, c) for _key, text, m, c in rows]
 
     def coefficient(self, text: str) -> TPoly:

@@ -29,21 +29,22 @@ low - sigma(v), where sigma reverses each node's row and moves it to the
 row of jbar, and low is the lowering vector of the lowest weight
 Y_{ibar, s+h}^-1 = phi(Y_{i,s}).  The window's fields are the support of
 low (`RootDatum.lowest_lowering`), which sigma maps onto itself; that
-every term lies below low is what `Window.mirror` checks.  It maps
-lowering degree d to bound - d.
+every term lies below low is what `_mirror` checks.  It maps lowering
+degree d to bound - d.
 That phi maps the q,t-character of V(Y_{i,s}) onto itself, coefficients
 included, is a checked property, not a proved one.  At t = 1 it is the
 q-character duality of V and V* (Frenkel-Reshetikhin, arXiv:math/9810055).
 Term for term it holds on every fundamental the tests compare with the
 full-depth expansion: A1-A8, D4-D8, E6, and E7 but node 3.  So
 `fundamental_qt` expands the layers 0 .. ceil(bound/2) only, and no string
-image goes past them.  The deeper layers are phi of the upper ones, and
-`Window.mirror` computes phi, as the window alone owns the bit layout:
-each mirrored term shares its source's TPoly and takes its row records
-from the mirrors of its source's (`_mirror_rows`), each distinct record
-mirrored once, so no mirrored term's rows are decoded.
-Where the halves meet the property is
-checked: the expanded layer ceil(bound/2) must equal phi of the layer
+image goes past them.  The deeper layers are phi of the upper ones.
+This module owns phi, with one center 2s+h for both of its maps:
+`_mirror` moves a term's monomial, row part by row part through the
+window's public `by_rows`, `pack` and `v`, and `_mirror_rows` its row
+records.  Each mirrored term shares its source's TPoly and takes the
+mirrors of its source's records, each distinct record mirrored once, so
+no mirrored term's rows are decoded.  Where the halves meet the property
+is checked: the expanded layer ceil(bound/2) must equal phi of the layer
 bound // 2, terms and coefficients, by one code path for odd and even
 bound.  The lowest weight must lie in the window at degree bound, and the
 full audit then runs on the whole character.
@@ -106,8 +107,8 @@ from .tpoly import Decoded, lo_and_mass, pack
 _WIDTH = 32  # digit width of the expansion's packed coefficients
 
 
-def _string(window: Window, i: int, roots: tuple, width: int,
-            cache: dict) -> tuple[int, list]:
+def _string(window: Window, i: int, roots: tuple,
+            width: int) -> tuple[int, list]:
     """The rank-one template of ``roots`` embedded in direction i: its mass
     at t = 1 and, by lowering degree, its (lowering monomial, packed
     template coefficient) pairs for every template monomial but the
@@ -117,33 +118,27 @@ def _string(window: Window, i: int, roots: tuple, width: int,
     template monomial's, so a template without the monomial 1, which is
     checked too, gives every image a row at node i.  The template moves
     with its roots, so it is computed with the lowest root at shift 0 and
-    embedded back at that shift: a module and its shifts share templates.
-    ``cache`` holds one width; the hot loops read it first and store what
-    this returns, so the cache always holds this function's results."""
-    out = cache.get((i, roots))
-    if out is None:
-        base = min((n for _o, n in roots), default=0)
-        template = sl2_simple_qt(tuple((o, n - base) for o, n in roots))
-        tv = template.window.v
-        pairs = sorted(zip(template.terms,
-                           pack(template.terms.values(), width, 0)),
-                       key=lambda pair: pair[0] & DEG_MASK)
-        if pairs[0] != (HIGHEST, 1) or not all(
-                map(template.window.y, template.terms)):
-            raise InconsistentExpansion(
-                f"direction {i}: the template of {roots} has a highest "
-                f"coefficient other than 1 or the monomial 1")
-        try:
-            out = (template.mass_at_t1(),
-                   [(window.pack({(o, i, n + base): a for (o, _node, n), a
-                                  in tv(tm).items()}), x)
-                    for tm, x in pairs[1:]])
-        except OutsideWindow as err:
-            raise InconsistentExpansion(
-                f"direction {i}: the string of {roots} leaves the "
-                f"window: {err}") from err
-        cache[(i, roots)] = out
-    return out
+    embedded back at that shift: a module and its shifts share templates."""
+    base = min((n for _o, n in roots), default=0)
+    template = sl2_simple_qt(tuple((o, n - base) for o, n in roots))
+    tv = template.window.v
+    pairs = sorted(zip(template.terms,
+                       pack(template.terms.values(), width, 0)),
+                   key=lambda pair: pair[0] & DEG_MASK)
+    if pairs[0] != (HIGHEST, 1) or not all(
+            map(template.window.y, template.terms)):
+        raise InconsistentExpansion(
+            f"direction {i}: the template of {roots} has a highest "
+            f"coefficient other than 1 or the monomial 1")
+    try:
+        return (template.mass_at_t1(),
+                [(window.pack({(o, i, n + base): a for (o, _node, n), a
+                               in tv(tm).items()}), x)
+                 for tm, x in pairs[1:]])
+    except OutsideWindow as err:
+        raise InconsistentExpansion(
+            f"direction {i}: the string of {roots} leaves the "
+            f"window: {err}") from err
 
 
 def _string_steps(window: Window, i: int, string: list) -> list:
@@ -253,7 +248,7 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
                 made = strings.get((i, roots))
                 if made is None:
                     made = strings[i, roots] = _string(window, i, roots,
-                                                       _WIDTH, strings)
+                                                       _WIDTH)
                 tmass, string = made
                 budget += mass * tmass
                 if budget >= half:
@@ -280,8 +275,9 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
         raise InconsistentExpansion(
             f"no lowest weight Y_{{{jbar or 'jbar'},{end}}}^-1 lies in the "
             f"window at degree {bound}")
-    phi = window.mirror(low)
-    mirror = _mirror_rows(window, 2 * shift + datum.coxeter_number)
+    center = 2 * shift + datum.coxeter_number
+    phi = _mirror(window, low, center)
+    mirror = _mirror_rows(window, center)
     expanded = list(terms.items())
     if {phi(m): c for m, c in expanded[starts[mirrored]:
                                       starts[mirrored + 1]]} != dict(
@@ -308,6 +304,31 @@ def fundamental_qt(datum: RootDatum, node: int, shift: int = 0,
 _shape, _units = attrgetter("shape"), attrgetter("units")
 
 
+def _mirror(window: Window, low: Monomial, center: int):
+    """phi on the monomials of the window of one Y_{i,s}: v -> low.v -
+    sigma(v) and vdeg -> low.vdeg - vdeg, ``low`` the lowest weight and
+    sigma moving the field (orbit, j, n) to (orbit, jbar, c - n), c =
+    ``center`` = 2s+h.  Each row moves through `Window.by_rows`, so a
+    part's image, packed with its degree, is built once.  Raises
+    InconsistentExpansion if a field of an image leaves the window or
+    exceeds ``low``'s."""
+    duals, keys, high = window.datum.duals, window.keys, window.v(low)
+
+    def move(k: int, fields: list) -> Monomial:
+        image = {}
+        for (o, j, n), a in zip(keys[k:], fields):
+            if a:
+                key = o, duals[j - 1], center - n
+                if high.get(key, 0) < a:
+                    raise InconsistentExpansion(
+                        "the mirror of a term leaves the window")
+                image[key] = a
+        return window.pack(image)
+
+    parts = window.by_rows(move)
+    return lambda m: low - sum(parts(m))
+
+
 def _mirror_rows(window: Window, center: int):
     """The map of a term's `Window.records` to those of its image under
     phi, with no row of the image decoded.  The mirror of a row reverses
@@ -330,14 +351,14 @@ def _mirror_rows(window: Window, center: int):
 
     permutes = any(j != i for i, j in enumerate(duals, 1))
 
-    def mirror(records: tuple) -> tuple:
+    def mirrored(records: tuple) -> tuple:
         # a record is a nonempty tuple, so ``or`` moves a new one
         out = [moved.get(record.units) or move(record) for record in records]
         if permutes:
             out.sort(key=_units)
         return tuple(out)
 
-    return mirror
+    return mirrored
 
 
 def _nodes(records) -> set:
@@ -413,8 +434,7 @@ def _peel(chi: Character, rows=None, edges: dict | None = None) -> None:
                 continue
             made = strings.get((i, roots))
             if made is None:
-                made = strings[i, roots] = _string(window, i, roots, width,
-                                                   strings)
+                made = strings[i, roots] = _string(window, i, roots, width)
             tmass, string = made
             budgets[i - 1] += cmass * tmass
             # the deepest image comes last; a pending image is a term
@@ -477,5 +497,6 @@ def string_edges(chi: Character) -> list:
     a printed character graph shows."""
     edges: dict = {}  # insertion-ordered set
     _peel(chi, None, edges)
-    key = {m: chi.window.label(m)[0] for m in chi.terms}
+    walk = chi.window.walk()
+    key = {m: walk(m)[0] for m in chi.terms}
     return sorted(edges, key=lambda e: (key[e[0]], e[2], key[e[1]]))

@@ -80,12 +80,6 @@ class FactorSpec(namedtuple("FactorSpec", "node shift orbit",
         return (self.orbit, self.shift, self.node)
 
 
-def as_factor(spec) -> FactorSpec:
-    if isinstance(spec, FactorSpec):
-        return spec
-    return FactorSpec(*spec)
-
-
 def twist_rows(chi1: Character, chi2: Character):
     """The twist p(m1, m2) of every pair of terms, one row per class of
     terms of chi1.
@@ -241,7 +235,7 @@ def standard_module_qt(datum: RootDatum, factors) -> Character:
     orbit, and multiplied on in sorted order."""
     from . import fm
 
-    specs = [as_factor(f) for f in factors]
+    specs = [FactorSpec(*f) for f in factors]
     if not specs:
         raise QtCharError("standard module needs at least one factor")
     specs.sort(key=FactorSpec.sort_key)

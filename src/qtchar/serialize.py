@@ -29,11 +29,12 @@ term's ``v``, and one must have ``v = 0``.
 `write_character` writes the text of a document term by term, exactly
 ``json.dumps(doc, indent=2)`` and a newline, with no document and no
 whole text held.  Each term's order key, monomial text and ``v`` come
-from one walk of its y rows (`_walk`, over `Window.y_rows`): a y row's
-memoised triple holds its piece of the key and of the text, and the
-text of its node's ``v`` row, which the image this module passes in
-renders once per distinct part of that row; so no term is scanned
-field by field, and the window alone owns the layout.  The ``w`` block,
+from one walk of its y rows (`Window.walk`), the one owner of the term
+order: a y row's memoised triple holds its piece of the key and of the
+text, and the text of its node's ``v`` row, which the image this module
+passes in renders once per distinct part of that row; so no term is
+scanned field by field, and the window alone owns the layout.  The
+terms come in the order of `Character.sorted_terms`.  The ``w`` block,
 each window field's quoted tag, each distinct row part of ``v`` and each
 distinct coefficient with its Jordan block are rendered once; the
 pieces go to ``fh.writelines``.  The writer builds no reference cycles,
@@ -49,7 +50,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .charalg import (
-    DEG_MASK,
     HIGHEST,
     Character,
     Window,
@@ -132,7 +132,7 @@ def _pieces(chi: Character, annotations: dict | None):
     yield head[:-2] + ',\n  "terms": ['  # drop the closing "\n}"
     tags = ["\n        " + _quote(factor_text(key)) + ": "
             for key in window.keys]  # one per field
-    walk = _walk(window, lambda k, fields: ",".join(
+    walk = window.walk(lambda k, fields: ",".join(
         [tags[j] + str(a) for j, a in enumerate(fields, k) if a]))
     terms = [(*walk(m), c) for m, c in chi.terms.items()]
     terms.sort(key=itemgetter(0))
@@ -160,41 +160,7 @@ def _pieces(chi: Character, annotations: dict | None):
     yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"  # [] if no term
 
 
-_first, _text, _piece = itemgetter(0), itemgetter(1), itemgetter(2)
-_DEG_BYTES = -(-DEG_MASK.bit_length() // 8)  # a monomial's degree field
-
-
-def _walk(window: Window, image):
-    """The map of a monomial m to a key that sorts like its `Window.label`
-    key, and one (units, text, piece) triple per y row in row order, from
-    one walk of its y rows (`Window.y_rows`): the row's units of the key
-    and its text, both empty if its Y-exponents are all 0, and ``image(k,
-    fields)`` of its node's v row, "" if m's part of that row is 0.  A
-    triple is memoised by the row's key, and a piece once per distinct
-    part of the v row."""
-    rows = [(bits, read, {}, {}) for bits, read in window.y_rows()]
-    gets = [(r, bits, triples.get)
-            for r, (bits, _read, triples, _pieces) in enumerate(rows)]
-
-    def triple(r: int, key: int) -> tuple:
-        _bits, read, triples, pieces = rows[r]
-        record, part = read(key)
-        piece = ""
-        if part is not None:
-            piece = pieces.get(part[0])
-            if piece is None:
-                piece = pieces[part[0]] = image(*part[1:])
-        out = triples[key] = ((record.units, record.text, piece)
-                              if record else (b"", "", piece))
-        return out
-
-    def walk(m: int) -> tuple[bytes, list]:
-        # a triple is a nonempty tuple, so ``or`` fills a miss
-        got = [get(m & bits) or triple(r, m & bits) for r, bits, get in gets]
-        return ((m & DEG_MASK).to_bytes(_DEG_BYTES, "big")
-                + b"".join(map(_first, got)), got)
-
-    return walk
+_text, _piece = itemgetter(1), itemgetter(2)  # of a `Window.walk` triple
 
 
 def character_to_doc(chi: Character, annotations: dict | None = None) -> dict:

@@ -178,6 +178,24 @@ def test_window_checks_its_highest_weight(w, error, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: fundamental_qt(D4, True), NodeOutOfRange,
+     "node True not in 1..4"),
+    (lambda: fundamental_qt(D4, 2, True), ParseError,
+     "shift True is not an integer"),
+    (lambda: fundamental_qt(D4, 2, 0.5), ParseError,
+     "shift 0.5 is not an integer"),
+    (lambda: standard_module_qt(D4, [("2", 0)]), NodeOutOfRange,
+     "node '2' not in 1..4"),
+], ids=["bool-node", "bool-shift", "float-shift", "str-node"])
+def test_window_takes_only_int_nodes_and_shifts(call, error, message):
+    # a bool is an int, so a range check alone lets it through, and the
+    # writer would render it as True_0 or 2_True, which no reader takes
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_window_rejects_a_bound_past_the_degree_field():
     # the degree field holds twice the bound; 2000 far-apart factors
     # would allocate some 28000 fields, and a rejected window allocates
@@ -479,14 +497,15 @@ def test_y_regenerates_from_wv_everywhere():
 
 
 def assert_order_matches_reference(window, monomials):
-    """`Window.label`'s key sorts like the reference tuple: lowering degree,
+    """`Window.walk`'s key sorts like the reference tuple: lowering degree,
     then the flattened (key, exponent) pairs of the reference Y-exponents
     in sorted key order; `Window.text` renders those Y-exponents."""
     ys = {m: y_exponents(window.datum, window.w, window.v(m))
           for m in monomials}
     want = sorted(monomials, key=lambda m: (
         m.vdeg, *chain.from_iterable(sorted(ys[m].items()))))
-    assert sorted(monomials, key=lambda m: window.label(m)[0]) == want
+    walk = window.walk()
+    assert sorted(monomials, key=lambda m: walk(m)[0]) == want
     assert list(map(window.text, want)) == [render_monomial(ys[m])
                                             for m in want]
 
@@ -509,6 +528,16 @@ def test_term_order_on_gapped_windows():
                 for (m, _text, _c), y in zip(rows, ys)]
         assert keys == sorted(keys)
         assert_order_matches_reference(chi.window, list(chi.terms))
+
+
+def test_writer_order_is_the_sorted_terms_order_on_gapped_windows():
+    # the writer and `Character.sorted_terms` read one order key
+    for factors in GAPPED:
+        chi = standard_module_qt(D4, factors)
+        terms = character_to_doc(chi)["terms"]
+        assert [term["monomial"] for term in terms] == [
+            text for _m, text, _c in chi.sorted_terms()]
+    assert len(chi.window.orbits) == 2
 
 
 # every fundamental of these types but E7 node 3, which takes minutes
@@ -537,7 +566,7 @@ def test_order_key_sorts_like_the_tuple_beyond_a_byte(datum, w, bits):
     if window.bound == 22000:
         # vdeg, then the y field and exponent of 1_0^22000: units of the
         # least number of bytes that holds 22000 + 2 * 22000
-        assert len(window.label(HIGHEST)[0]) == 9
+        assert len(window.walk()(HIGHEST)[0]) == 9
     rng = random.Random(7)
     slots = sorted(window.slots)
     monomials = {HIGHEST}

@@ -569,10 +569,10 @@ def test_one_row_walk_per_term(monkeypatch, tmp_path):
     # down to the middle layer and of the lowest weight, which
     # `Window.solve` checks, and of no mirrored term; the audit, handed
     # the records, reads none; the writer walks each term's rows once
-    # and makes no `Window.by_rows` pass
+    # (`Window.walk`) and makes no `Window.by_rows` pass
     phase = ["expand"]
     walks = Counter()
-    records, by_rows = Window.records, Window.by_rows
+    records, walk, by_rows = Window.records, Window.walk, Window.by_rows
 
     def spy_records(window, m):
         if window.datum.rank == 6:  # not a rank-one template's window
@@ -580,7 +580,7 @@ def test_one_row_walk_per_term(monkeypatch, tmp_path):
         return records(window, m)
 
     def counted(kind, make):
-        def spy(window, image):
+        def spy(window, image=None):
             inner = make(window, image)
 
             def count(m):
@@ -599,7 +599,7 @@ def test_one_row_walk_per_term(monkeypatch, tmp_path):
         return spy
 
     monkeypatch.setattr(Window, "records", spy_records)
-    monkeypatch.setattr(serialize, "_walk", counted("walk", serialize._walk))
+    monkeypatch.setattr(Window, "walk", counted("walk", walk))
     monkeypatch.setattr(Window, "by_rows", counted("by_rows", by_rows))
     monkeypatch.setattr(fm, "audit_expansion",
                         in_phase("audit", fm.audit_expansion))

@@ -335,8 +335,8 @@ def test_coefficients_pass_validators():
 def doubled_direction_1(monkeypatch):
     string = fm._string
 
-    def doubled(window, i, roots, width, cache):
-        tmass, images = string(window, i, roots, width, cache)
+    def doubled(window, i, roots, width):
+        tmass, images = string(window, i, roots, width)
         if i == 1:
             images = [(d, 2 * x) for d, x in images]
         return tmass, images
@@ -382,8 +382,8 @@ def test_expansion_checks_residuals_are_positive(monkeypatch):
     # direction-2 residual is then negative
     string = fm._string
 
-    def negated(window, i, roots, width, cache):
-        tmass, images = string(window, i, roots, width, cache)
+    def negated(window, i, roots, width):
+        tmass, images = string(window, i, roots, width)
         if i == 1:
             images = [(d, -x if d.vdeg else x) for d, x in images]
         return tmass, images
@@ -402,8 +402,8 @@ def test_expansion_checks_residuals_in_directions_without_a_row(
     # coefficient
     string = fm._string
 
-    def negated(window, i, roots, width, cache):
-        tmass, images = string(window, i, roots, width, cache)
+    def negated(window, i, roots, width):
+        tmass, images = string(window, i, roots, width)
         if i == 1:
             images = [(d, -x) for d, x in images]
         return tmass, images
@@ -488,7 +488,7 @@ def test_mirror_checks_that_images_stay_in_the_window():
     # the highest weight mirrors onto it, and the term onto no monomial
     chi = fundamental_qt(A2, 1, 0)
     shallow = next(m for m in chi.terms if m.vdeg == 1)
-    phi = chi.window.mirror(shallow)
+    phi = fm._mirror(chi.window, shallow, A2.coxeter_number)  # 2s+h, s=0
     assert phi(HIGHEST) == shallow
     with pytest.raises(InconsistentExpansion,
                        match="the mirror of a term leaves the window"):
@@ -580,7 +580,9 @@ def full_depth_qt(datum, node, shift=0):
                 assert roots is not None
                 assert decoded.positive_mass(residual) is not None
                 if roots:
-                    _mass, string = fm._string(window, i, roots, 32, strings)
+                    if (i, roots) not in strings:
+                        strings[i, roots] = fm._string(window, i, roots, 32)
+                    _mass, string = strings[i, roots]
                     for d, x in string:
                         layers[vdeg + d.vdeg].setdefault(
                             v + d.v, [0] * datum.rank)[i - 1] += residual * x
@@ -622,7 +624,9 @@ def direction_major_peel(chi):
             residue[v] = 0
             if not roots:
                 continue
-            tmass, string = fm._string(window, i, roots, width, strings)
+            if (i, roots) not in strings:
+                strings[i, roots] = fm._string(window, i, roots, width)
+            tmass, string = strings[i, roots]
             budget += cmass * tmass
             if any(vdeg + d.vdeg > window.bound or v + d.v not in residue
                    for d, _x in string):

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import qtchar
@@ -60,7 +61,6 @@ def test_only_charalg_knows_the_bit_layout():
     assert not found
 
 
-
 def test_only_charalg_reads_the_window_internals():
     # a term's row records are laid out in `charalg` alone: no other
     # module reads a private slot of `Window`, so `fm` and `serialize`
@@ -75,6 +75,24 @@ def test_only_charalg_reads_the_window_internals():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found
+
+
+def test_no_module_passes_the_compile_step_size():
+    # with the sources compiled in every process, as the benchmark runs
+    # them, the peak RSS of a run steps up by about 0.2 MB once one
+    # imported module passes about 4100 parser tokens; 4059 is the
+    # largest module measured without that step.  Tokens are counted as
+    # the parser sees them: all but comments, blank lines and ENCODING
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        with path.open("rb") as fh:
+            count = sum(token.type not in skip
+                        for token in tokenize.tokenize(fh.readline))
+        if count > 4059:
+            found.append(f"{path.relative_to(PACKAGE)}: {count}")
+    assert not found
+
 
 def test_source_lines_fit_79_columns():
     found = [f"{path.relative_to(PACKAGE)}:{n}"
