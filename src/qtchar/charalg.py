@@ -535,7 +535,7 @@ class Character:
             key, got = walk(m)
             rows.append((key, " ".join(filter(None, map(_text, got))) or "1",
                          m, c))
-        rows.sort(key=_units)
+        rows.sort(key=itemgetter(0))
         return [(m, text, c) for _key, text, m, c in rows]
 
     def coefficient(self, text: str) -> TPoly:
